@@ -7,6 +7,13 @@ Its dimension equals deg p, its generator polynomial is (x^n - 1) / p.
 Distances are exact rationals (`fractions.Fraction`); where only
 bounded-distance decoding applies, operations return a `DistanceBound`
 interval instead of pretending to know the exact value.
+
+Decoder rule: a word of a primitive RS code with more than 2^16 codewords
+is decoded by unique (bounded-distance) decoding, a word of any other code
+by an exhaustive nearest-codeword scan.  `nearest_codeword` applies this
+rule, and every line distance and line decode in the package goes through
+it; only the pair-proximity check calls `bounded_distance_decode` itself,
+because that check is defined by unique decoding.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ from .gf_poly import (
 #: brute-force scans are refused above the second bound.
 _CACHE_LIMIT = 1 << 21
 _BRUTE_LIMIT = 1 << 24
+#: primitive RS codes with more codewords than this decode by unique decoding
+_BOUNDED_ABOVE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -332,24 +341,26 @@ def low_degree_evaluation_vectors(field: GF2m, k: int) -> np.ndarray:
 
 # -- decoding ------------------------------------------------------------
 
-def _brute_nearest(word: np.ndarray, code: CyclicCode | LinearCode) -> Tuple[np.ndarray, int]:
+def brute_nearest(
+    word: Sequence[int] | np.ndarray, code: CyclicCode | LinearCode
+) -> Tuple[np.ndarray, int]:
+    """Exhaustive nearest-codeword scan; ties go to the lexicographically
+    smallest codeword."""
+    w = np.asarray(word, dtype=np.uint8)
     count = code.field.order**code.dimension
-    if count <= _CACHE_LIMIT:
-        chunks = [code.codewords()]
-    else:
-        chunks = _codeword_chunks(code)
+    if count > _BRUTE_LIMIT:
+        raise ValueError("instance too large for brute-force decoding")
+    chunks = [code.codewords()] if count <= _CACHE_LIMIT else _codeword_chunks(code)
     best: Optional[int] = None
     best_row: Optional[Tuple[int, ...]] = None
     for cws in chunks:
-        dists = np.count_nonzero(cws ^ word[None, :], axis=1)
+        dists = np.count_nonzero(cws ^ w[None, :], axis=1)
         d = int(dists.min())
         if best is not None and d > best:
             continue
-        # deterministic tie-break: lexicographically smallest codeword
         row = min(map(tuple, cws[dists == d].tolist()))
         if best is None or d < best or (d == best and row < best_row):
             best, best_row = d, row
-    assert best is not None and best_row is not None
     return np.array(best_row, dtype=np.uint8), best
 
 
@@ -364,11 +375,7 @@ def _codeword_chunks(code: CyclicCode | LinearCode):
     total = q**k
     block = 1 << 18
     for start in range(0, total, block):
-        stop = min(start + block, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        msgs = np.zeros((stop - start, k), dtype=np.uint8)
-        for pos in range(k):
-            msgs[:, k - 1 - pos] = (idx // (q**pos)) % q
+        msgs = linalg.enumerate_vectors(q, k, start, min(start + block, total))
         yield linalg.matmul(code.field, msgs, basis)
 
 
@@ -435,21 +442,20 @@ def bounded_distance_decode(
 
 
 def nearest_codeword(
-    word: Sequence[int] | np.ndarray,
-    code: CyclicCode | LinearCode,
-    strategy: str = "brute",
+    word: Sequence[int] | np.ndarray, code: CyclicCode | LinearCode
 ) -> Optional[Tuple[np.ndarray, int]]:
-    """Nearest-codeword search; bounded mode returns None beyond its radius."""
-    w = np.asarray(word, dtype=np.uint8)
-    if strategy == "brute":
-        if code.field.order**code.dimension > _BRUTE_LIMIT:
-            raise ValueError("instance too large for brute-force decoding")
-        return _brute_nearest(w, code)
-    if strategy == "bounded_distance":
-        if not isinstance(code, CyclicCode):
-            raise ValueError("bounded_distance requires a cyclic RS code")
-        return bounded_distance_decode(code, w)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    """Nearest codeword and its distance, by the module's decoder rule.
+
+    Returns None only for a primitive RS code decoded within its radius,
+    when no codeword lies that close.
+    """
+    if (
+        isinstance(code, CyclicCode)
+        and code.is_rs_primitive
+        and code.field.order**code.dimension > _BOUNDED_ABOVE
+    ):
+        return bounded_distance_decode(code, word)
+    return brute_nearest(word, code)
 
 
 def decoding_radius(code: CyclicCode) -> int:
@@ -458,32 +464,20 @@ def decoding_radius(code: CyclicCode) -> int:
     return (code.length - code.dimension) // 2
 
 
-def delta_to_code(
-    word: Sequence[int] | np.ndarray,
-    code: CyclicCode | LinearCode,
-    strategy: str = "auto",
-) -> DistanceBound:
-    """Normalized distance from a word to the code, as a certified interval.
-
-    Brute force gives a point interval.  When only bounded-distance decoding
-    applies and it fails, the result is the certified interval
-    (radius + 1, n - k) / n: the true distance exceeds the decoding radius
-    and never exceeds the covering-radius bound n - k.
-    """
-    w = np.asarray(word, dtype=np.uint8)
-    n = code.length
-    if strategy == "auto":
-        big = code.field.order**code.dimension > 1 << 16
-        if big and isinstance(code, CyclicCode) and code.is_rs_primitive:
-            strategy = "bounded_distance"
-        else:
-            strategy = "brute"
-    if strategy == "brute":
-        res = nearest_codeword(w, code, "brute")
-        assert res is not None
-        return DistanceBound.exactly(Fraction(res[1], n))
-    res = nearest_codeword(w, code, "bounded_distance")
-    if res is not None:
-        return DistanceBound.exactly(Fraction(res[1], n))
-    e = decoding_radius(code)  # type: ignore[arg-type]
+def beyond_radius_bound(code: CyclicCode) -> DistanceBound:
+    """Certified interval (radius + 1 .. n - k) / n for an undecodable line:
+    the distance exceeds the decoding radius and never exceeds the
+    covering-radius bound n - k."""
+    n, e = code.length, decoding_radius(code)
     return DistanceBound(Fraction(e + 1, n), Fraction(n - code.dimension, n))
+
+
+def delta_to_code(
+    word: Sequence[int] | np.ndarray, code: CyclicCode | LinearCode
+) -> DistanceBound:
+    """Normalized distance from a word to the code, as a certified interval:
+    a point unless bounded-distance decoding fails (`beyond_radius_bound`)."""
+    res = nearest_codeword(word, code)
+    if res is None:
+        return beyond_radius_bound(code)  # type: ignore[arg-type]
+    return DistanceBound.exactly(Fraction(res[1], code.length))

@@ -16,6 +16,7 @@ still gives a valid (possibly loose) lower bound on the cover size.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +37,7 @@ from .tensor import (
     sum_contains,
 )
 
-_AMBIGUITY_LIMIT = 1 << 24  # max enumerated decompositions per word
-_SPAN_LIMIT = 1 << 20  # max enumerated sum-code words for rho_exact
+_AMBIGUITY_LIMIT = 1 << 24  # max splittings scanned per word, and in all by rho_exact
 _CHUNK = 1 << 16  # combos per vectorized block in the exhaustive search
 
 
@@ -94,6 +94,17 @@ def counterexample_word(field: GF2m, k: int) -> TensorWord:
     return TensorWord(field, data)
 
 
+def rs_triple_witness(family: CodeFamily) -> Optional[TensorWord]:
+    """`counterexample_word` when the family is the rate-1/3 primitive
+    Reed-Solomon triple C^3, otherwise None."""
+    n = family.codes[0].length
+    if family.m == 3 and all(
+        c.is_rs_primitive and c.length == n and 3 * c.dimension == n for c in family.codes
+    ):
+        return counterexample_word(family.field, n // 3)
+    return None
+
+
 def line_disjoint_support(word: TensorWord) -> bool:
     """True iff every axis-parallel line contains at most one support cell."""
     nz = word.data != 0
@@ -123,6 +134,10 @@ def line_cover_lower_bound(word: TensorWord) -> Tuple[int, bool]:
             seen[ax].add(key)
     tight = len(chosen) == len(cells)
     return len(chosen), tight
+
+
+class NotInSumCode(ValueError):
+    """The word offered as a certificate witness is not a sum-code word."""
 
 
 @dataclass(frozen=True)
@@ -186,7 +201,7 @@ def certify_upper_bound(word: TensorWord, family: CodeFamily) -> ExpansionCertif
     if word.weight() == 0:
         raise ValueError("zero word certifies nothing")
     if not sum_contains(word, family, method="auto"):
-        raise ValueError("word is not in the sum code; certificate would be vacuous")
+        raise NotInSumCode("word is not in the sum code; certificate would be vacuous")
     L, tight = line_cover_lower_bound(word)
     disjoint = line_disjoint_support(word)
     lines_max = max(word.size // n for n in word.shape)
@@ -269,9 +284,7 @@ class DecompositionSpace:
         """Integer line-count weights so that cost = sum_i w_i |a_i|_i / denom."""
         shape = self.family.shape
         counts = [self.N // n for n in shape]
-        denom = 1
-        for c in counts:
-            denom = denom * c // _gcd(denom, c)
+        denom = math.lcm(*counts)
         return [denom // c for c in counts], denom
 
     def search_min(self, base: np.ndarray) -> Tuple[np.ndarray, int, int]:
@@ -301,7 +314,7 @@ class DecompositionSpace:
         best_coeffs: Optional[np.ndarray] = None
         for start in range(0, total, _CHUNK):
             stop = min(start + _CHUNK, total)
-            combos = _vector_range(q, K, start, stop)
+            combos = linalg.enumerate_vectors(q, K, start, stop)
             W = combos.shape[0]
             costs = np.zeros(W, dtype=np.int64)
             for axis, sl in enumerate(self.slices):
@@ -325,12 +338,6 @@ class DecompositionSpace:
         return best_coeffs, best_cost, denom
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _space_feasible(family: CodeFamily) -> bool:
     """Whether building the splitting parametrization is tractable.
 
@@ -341,17 +348,6 @@ def _space_feasible(family: CodeFamily) -> bool:
     N = prod(family.shape)
     D = sum(c.dimension * (N // c.length) for c in family.codes)
     return N <= 2048 and D <= 512
-
-
-def _vector_range(q: int, length: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the lexicographic q-ary vector enumeration."""
-    if length == 0:
-        return np.zeros((stop - start, 0), dtype=np.uint8)
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.zeros((stop - start, length), dtype=np.uint8)
-    for pos in range(length):
-        out[:, length - 1 - pos] = (idx // (q**pos)) % q
-    return out
 
 
 def _fold_segment(field: GF2m, seg: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -466,16 +462,23 @@ def sum_code_words(family: CodeFamily, space: Optional[DecompositionSpace] = Non
         space = DecompositionSpace(family)
     field = family.field
     image = linalg.row_space_basis(field, space.basis)
-    dim = image.shape[0]
-    if field.order**dim > _SPAN_LIMIT:
-        raise ValueError("sum code too large to enumerate")
-    msgs = linalg.enumerate_vectors(field.order, dim)
+    msgs = linalg.enumerate_vectors(field.order, image.shape[0])
     return linalg.matmul(field, msgs, image)
 
 
 def rho_exact(family: CodeFamily) -> Fraction:
-    """Exact expansion constant by full enumeration (tiny instances)."""
+    """Exact expansion constant by full enumeration (tiny instances).
+
+    Every sum-code word has q^(ambiguity dim) splittings to scan, so the
+    whole search costs q^(sum-code dim + ambiguity dim) = q^D, where D is
+    the number of direction-code basis words; it is refused above
+    `_AMBIGUITY_LIMIT`.
+    """
     space = DecompositionSpace(family)
+    if family.field.order**space.D > _AMBIGUITY_LIMIT:
+        raise ValueError(
+            f"rho_exact would scan {family.field.order}^{space.D} splittings; too large"
+        )
     words = sum_code_words(family, space)
     N = space.N
     best: Optional[Fraction] = None
@@ -526,15 +529,8 @@ def rho_upper_sampled(
     rng = np.random.Generator(np.random.PCG64(seed))
     pool: List[Tuple[str, TensorWord, Optional[Decomposition]]] = []
 
-    n = family.shape[0]
-    if (
-        family.m == 3
-        and len(set(family.shape)) == 1
-        and all(c.is_rs_primitive for c in family.codes)
-        and len({c.dimension for c in family.codes}) == 1
-        and family.codes[0].dimension * 3 == n
-    ):
-        witness = counterexample_word(family.field, n // 3)
+    witness = rs_triple_witness(family)
+    if witness is not None:
         pool.append(("counterexample", witness, None))
 
     for idx in range(samples):

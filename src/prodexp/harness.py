@@ -30,12 +30,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .codes import CyclicCode, min_distance, repetition, rs_primitive
 from .expansion import (
+    NotInSumCode,
     certify_upper_bound,
     counterexample_word,
     line_disjoint_support,
     rho_exact,
     rho_upper_sampled,
-    sum_contains,
+    sum_contains,  # not called here; perfbench/tests removes harness.sum_contains by name
 )
 from .gf_poly import field_make
 from .tensor import CodeFamily
@@ -237,7 +238,13 @@ def _run_certify_counterexample(cfg: ExperimentConfig):
     code = rs_primitive(field, cfg.rate[0], cfg.rate[1])
     family = CodeFamily.power(code, 3)
     word = counterexample_word(field, code.dimension)
-    in_sum = sum_contains(word, family, method="check_poly")
+    try:
+        # the one sum-code membership test of the run: equal lengths select
+        # the check-polynomial method
+        cert = certify_upper_bound(word, family)
+    except NotInSumCode:
+        cert = None
+    in_sum = cert is not None
     support_ok = word.weight() == n * n
     disjoint = line_disjoint_support(word)
     ok = in_sum and support_ok and disjoint
@@ -245,7 +252,7 @@ def _run_certify_counterexample(cfg: ExperimentConfig):
         make_record(
             kind="certificate",
             quantity="rho",
-            value="" if not ok else "",
+            value=frac_str(cert.bound) if ok else "",
             mode="certificate",
             instance=family.label(),
             detail=_detail_str(
@@ -259,16 +266,12 @@ def _run_certify_counterexample(cfg: ExperimentConfig):
             holds=ok,
         )
     ]
-    files = []
     if not ok:
-        return EXIT_VIOLATION, records, files
-    cert = certify_upper_bound(word, family)
-    records[0]["value"] = frac_str(cert.bound)
+        return EXIT_VIOLATION, records, []
     out = cfg.out or f"counterexample_t{cfg.t}.cert"
     with open(out, "w") as fh:
         fh.write(cert.to_text())
-    files.append(out)
-    return EXIT_OK, records, files
+    return EXIT_OK, records, [out]
 
 
 def _run_rho_exact(cfg: ExperimentConfig):

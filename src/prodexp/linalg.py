@@ -136,16 +136,21 @@ def apply_matrix_axis(field: GF2m, M: np.ndarray, arr: np.ndarray, axis: int) ->
     return np.moveaxis(out.reshape(lead + (M.shape[0],)), -1, axis)
 
 
-def enumerate_vectors(q: int, length: int) -> np.ndarray:
-    """All q^length vectors as a (q^length, length) uint8 array, lexicographic.
+def enumerate_vectors(
+    q: int, length: int, start: int = 0, stop: Optional[int] = None
+) -> np.ndarray:
+    """Rows start..stop-1 (default: all q^length) of the lexicographic
+    enumeration of q-ary vectors, as a (stop - start, length) uint8 array.
 
     The leftmost coordinate varies slowest, so row i is the base-q expansion
     of i (most significant digit first).
     """
-    count = q**length
+    if stop is None:
+        stop = q**length
+    count = stop - start
     if count > 1 << 24:
         raise ValueError(f"enumeration of {count} vectors is too large")
-    idx = np.arange(count, dtype=np.int64)
+    idx = np.arange(start, stop, dtype=np.int64)
     out = np.zeros((count, length), dtype=np.uint8)
     for pos in range(length):
         out[:, length - 1 - pos] = (idx // (q**pos)) % q

@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .codes import CyclicCode, DistanceBound, nearest_codeword
+from .codes import CyclicCode, DistanceBound, beyond_radius_bound, nearest_codeword
 from .gf_poly import GF2m
 
 
@@ -362,22 +362,8 @@ def product_codewords(family: CodeFamily) -> np.ndarray:
     return cur.reshape(msgs.shape[0], -1)
 
 
-def delta_to_direction(
-    word: TensorWord, code: CyclicCode, axis: int, strategy: str = "auto"
-) -> DistanceBound:
-    """Normalized distance to C^(axis): the sum of per-line distances."""
-    from .codes import delta_to_code
-
-    mat = lines_as_matrix(word.data, axis)
-    total = DistanceBound.exactly(Fraction(0))
-    per_line = Fraction(code.length, word.size)
-    for row in mat:
-        total = total + delta_to_code(row, code, strategy).scaled(per_line)
-    return total
-
-
 def nearest_in_direction(
-    word: TensorWord, family: CodeFamily, axis: int, strategy: str = "brute"
+    word: TensorWord, family: CodeFamily, axis: int
 ) -> Tuple[TensorWord, DistanceBound]:
     """Line-by-line nearest decoding in one direction.
 
@@ -391,29 +377,21 @@ def nearest_in_direction(
     total = DistanceBound.exactly(Fraction(0))
     per_line = Fraction(n, word.size)
     for r in range(mat.shape[0]):
-        res = nearest_codeword(mat[r], code, strategy)
+        res = nearest_codeword(mat[r], code)
         if res is None:
-            from .codes import decoding_radius
-
-            e = decoding_radius(code)
-            total = total + DistanceBound(
-                Fraction(e + 1, n), Fraction(n - code.dimension, n)
-            ).scaled(per_line)
+            line = beyond_radius_bound(code)
         else:
             cw, dist = res
             mat[r] = cw
-            total = total + DistanceBound.exactly(Fraction(dist, n)).scaled(per_line)
+            line = DistanceBound.exactly(Fraction(dist, n))
+        total = total + line.scaled(per_line)
     moved_shape = tuple(word.shape[i] for i in range(len(word.shape)) if i != axis) + (n,)
     arr = np.moveaxis(mat.reshape(moved_shape), -1, axis)
     return TensorWord(word.field, arr), total
 
 
-def delta_to_product(
-    word: TensorWord, family: CodeFamily, strategy: str = "brute"
-) -> DistanceBound:
+def delta_to_product(word: TensorWord, family: CodeFamily) -> DistanceBound:
     """Normalized distance to the product code by brute enumeration."""
-    if strategy != "brute":
-        raise ValueError("only brute-force product distance is implemented")
     cws = product_codewords(family)
     flat = word.data.reshape(-1)
     dists = np.count_nonzero(cws ^ flat[None, :], axis=1)

@@ -31,18 +31,20 @@ from . import linalg
 from .codes import (
     CyclicCode,
     DistanceBound,
+    bounded_distance_decode,
     delta_to_code,
     min_distance,
-    nearest_codeword,
 )
-from .expansion import counterexample_word
+from .expansion import rs_triple_witness
 from .tensor import (
     CodeFamily,
     Flat,
     TensorWord,
     delta_to_product,
     enumerate_flats,
+    line_weight,
     lines_as_matrix,
+    nearest_in_direction,
     product_codewords,
     product_contains,
     random_product_codeword,
@@ -110,20 +112,13 @@ class CheckReport:
 # Expectation of local distances over a flat test.
 # ----------------------------------------------------------------------
 
-def _restricted_product_distance(
-    sub: TensorWord, subfam: CodeFamily, strategy: str
-) -> DistanceBound:
+def _restricted_product_distance(sub: TensorWord, subfam: CodeFamily) -> DistanceBound:
     if subfam.m == 1:
-        return delta_to_code(sub.data, subfam.codes[0], strategy)
+        return delta_to_code(sub.data, subfam.codes[0])
     return delta_to_product(sub, subfam)
 
 
-def test_expectation(
-    word: TensorWord,
-    test: FlatTest,
-    family: CodeFamily,
-    strategy: str = "auto",
-) -> DistanceBound:
+def test_expectation(word: TensorWord, test: FlatTest, family: CodeFamily) -> DistanceBound:
     """E over flats of the distance from the restriction to the restricted
     product code; exact whenever every restriction is decodable exactly."""
     if word.shape != test.shape or word.shape != family.shape:
@@ -132,7 +127,7 @@ def test_expectation(
     for flat, weight in test.flats:
         sub = restrict(word, flat)
         subfam = family.restrict(flat.free_axes)
-        d = _restricted_product_distance(sub, subfam, strategy)
+        d = _restricted_product_distance(sub, subfam)
         total = total + d.scaled(weight)
     return total
 
@@ -213,7 +208,7 @@ def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
     chunk = 1 << 18
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
-        words = _enumerate_vector_range(q, N, start, stop)
+        words = linalg.enumerate_vectors(q, N, start, stop)
         dmin = _min_distance_to_rows(words, prod_cws)
         num = np.zeros(words.shape[0], dtype=np.int64)
         for idx, key in flat_idx:
@@ -227,19 +222,8 @@ def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
     return best
 
 
-def _enumerate_vector_range(q: int, length: int, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.zeros((stop - start, length), dtype=np.uint8)
-    for pos in range(length):
-        out[:, length - 1 - pos] = (idx // (q**pos)) % q
-    return out
-
-
 def robustness_ratio(
-    word: TensorWord,
-    test: FlatTest,
-    family: CodeFamily,
-    strategy: str = "auto",
+    word: TensorWord, test: FlatTest, family: CodeFamily
 ) -> Optional[Fraction]:
     """Upper bound on the robustness ratio of one word; None for codewords.
 
@@ -250,15 +234,11 @@ def robustness_ratio(
     """
     if product_contains(word, family):
         return None
-    num = test_expectation(word, test, family, strategy)
+    num = test_expectation(word, test, family)
     den_lower = num.lower
     if test.k == 1:
-        for axis, code in enumerate(family.codes):
-            direction = DistanceBound.exactly(Fraction(0))
-            per_line = Fraction(code.length, word.size)
-            for row in lines_as_matrix(word.data, axis):
-                direction = direction + delta_to_code(row, code, strategy).scaled(per_line)
-            den_lower = max(den_lower, direction.lower)
+        for axis in range(family.m):
+            den_lower = max(den_lower, nearest_in_direction(word, family, axis)[1].lower)
     if den_lower == 0:
         raise ValueError("word outside the product code has zero distance bound")
     return num.upper / den_lower
@@ -271,7 +251,7 @@ def _exact_word_ratio(
     d = delta_to_product(word, family)
     if d.value == 0:
         return None
-    num = test_expectation(word, test, family, strategy="brute")
+    num = test_expectation(word, test, family)
     return num.value / d.value
 
 
@@ -294,15 +274,9 @@ def _adversarial_pool(
     pool: List[Tuple[str, TensorWord]] = []
     shape = family.shape
     field = family.field
-    n = shape[0]
-    if (
-        family.m == 3
-        and len(set(shape)) == 1
-        and all(c.is_rs_primitive for c in family.codes)
-        and len({c.dimension for c in family.codes}) == 1
-        and family.codes[0].dimension * 3 == n
-    ):
-        pool.append(("counterexample", counterexample_word(field, n // 3)))
+    witness = rs_triple_witness(family)
+    if witness is not None:
+        pool.append(("counterexample", witness))
     for r in range(corruption_rounds):
         base = random_product_codeword(family, rng)
         for axis, code in enumerate(family.codes):
@@ -340,7 +314,6 @@ def rho_r_sampled_upper(
     family: CodeFamily,
     samples: int,
     seed: int,
-    strategy: str = "auto",
     jobs: int = 1,
 ) -> SampledRobustnessReport:
     """Minimum robustness ratio over a seeded adversarial + random pool.
@@ -356,7 +329,7 @@ def rho_r_sampled_upper(
         arr = rng.integers(0, family.field.order, size=shape, dtype=np.uint8)
         pool.append((f"uniform-{i}", TensorWord(family.field, arr)))
 
-    tasks = [(name, word, test, family, strategy) for name, word in pool]
+    tasks = [(name, word, test, family) for name, word in pool]
     if jobs > 1:
         results = _parallel_map(_ratio_task, tasks, jobs)
     else:
@@ -384,8 +357,8 @@ def rho_r_sampled_upper(
 
 
 def _ratio_task(args) -> Tuple[str, Optional[Fraction]]:
-    name, word, test, family, strategy = args
-    return name, robustness_ratio(word, test, family, strategy)
+    name, word, test, family = args
+    return name, robustness_ratio(word, test, family)
 
 
 def _parallel_map(fn, items, jobs: int):
@@ -470,7 +443,7 @@ def rho_a_exact(family: CodeFamily) -> Fraction:
 
 
 def agreement_ratio_sampled(
-    tuple_words: Sequence[TensorWord], family: CodeFamily, strategy: str = "auto"
+    tuple_words: Sequence[TensorWord], family: CodeFamily
 ) -> Optional[Fraction]:
     """Heuristic agreement ratio of one tuple on larger instances.
 
@@ -480,8 +453,6 @@ def agreement_ratio_sampled(
     denominator's minimum).  Exact computation should be preferred whenever
     the instance allows it.
     """
-    from .tensor import nearest_in_direction
-
     m = family.m
     N = prod(family.shape)
     pair_sum = 0
@@ -496,7 +467,7 @@ def agreement_ratio_sampled(
         cand = tuple_words[i]
         for _ in range(m):
             for axis in range(m):
-                cand, _d = nearest_in_direction(cand, family, axis, strategy)
+                cand, _d = nearest_in_direction(cand, family, axis)
             if product_contains(cand, family):
                 break
         if product_contains(cand, family):
@@ -504,8 +475,6 @@ def agreement_ratio_sampled(
     if not candidates:
         return None
     den_best: Optional[Fraction] = None
-    from .tensor import line_weight
-
     for cand in candidates:
         s = sum(
             (line_weight(tuple_words[i] + cand, i) for i in range(m)),
@@ -706,12 +675,13 @@ def check_pair_proximity(
 
 
 def _row_column_decode(word: TensorWord, code: CyclicCode) -> Optional[TensorWord]:
-    """Decode all direction-1 lines, then all direction-0 lines."""
+    """Unique-decode all direction-1 lines, then all direction-0 lines;
+    None as soon as a line lies beyond the decoding radius."""
     arr = word.data.copy()
     for axis in (1, 0):
         mat = lines_as_matrix(arr, axis).copy()
         for r in range(mat.shape[0]):
-            res = nearest_codeword(mat[r], code, "bounded_distance")
+            res = bounded_distance_decode(code, mat[r])
             if res is None:
                 return None
             mat[r] = res[0]

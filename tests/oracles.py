@@ -192,33 +192,38 @@ def orc_rho_r(shape, codes, k):
     return best, best_word
 
 
+def orc_tuple_ratio(shape, tup, prod_code):
+    """Exact agreement ratio of one direction-word tuple; None when all agree."""
+    m = len(tup)
+    N = prod(shape)
+    pair = Fraction(0)
+    for i in range(m):
+        for j in range(m):
+            diff = sum(1 for a, b in zip(tup[i], tup[j]) if a != b)
+            pair += Fraction(diff, N)
+    num = pair / (m * m)
+    if num == 0:
+        return None
+    den = None
+    for cw in prod_code:
+        s = Fraction(0)
+        for i in range(m):
+            delta_word = tuple(a ^ b for a, b in zip(tup[i], cw))
+            s += orc_line_norm(shape, delta_word, i)
+        s /= m
+        if den is None or s < den:
+            den = s
+    return num / den
+
+
 def orc_rho_a(shape, codes):
     """Exact agreement testability over all direction-word tuples."""
-    m = len(codes)
-    N = prod(shape)
     spaces = [orc_direction_space(shape, ax, c) for ax, c in enumerate(codes)]
     prod_code = orc_product_code(shape, codes)
     best = None
     for tup in itertools.product(*spaces):
-        pair = Fraction(0)
-        for i in range(m):
-            for j in range(m):
-                diff = sum(1 for a, b in zip(tup[i], tup[j]) if a != b)
-                pair += Fraction(diff, N)
-        num = pair / (m * m)
-        if num == 0:
-            continue
-        den = None
-        for cw in prod_code:
-            s = Fraction(0)
-            for i in range(m):
-                delta_word = tuple(a ^ b for a, b in zip(tup[i], cw))
-                s += orc_line_norm(shape, delta_word, i)
-            s /= m
-            if den is None or s < den:
-                den = s
-        ratio = num / den
-        if best is None or ratio < best:
+        ratio = orc_tuple_ratio(shape, tup, prod_code)
+        if ratio is not None and (best is None or ratio < best):
             best = ratio
     return best
 

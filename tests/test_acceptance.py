@@ -175,7 +175,7 @@ def test_criterion_3_exact_tiny_constants():
         k = int(key[-1])
         fam = fam2 if m == 2 else fam3
         w = TensorWord(F2, np.array(bits, dtype=np.uint8).reshape((2,) * m))
-        num = test_expectation(w, FlatTest.build((2,) * m, k), fam, "brute").value
+        num = test_expectation(w, FlatTest.build((2,) * m, k), fam).value
         den = delta_to_product(w, fam).value
         assert num / den == FROZEN[key]
     assert time.monotonic() - t0 < 10.0

@@ -9,6 +9,7 @@ import pytest
 from prodexp import linalg
 from prodexp.codes import (
     bounded_distance_decode,
+    brute_nearest,
     cyclic_contains,
     delta_to_code,
     dual_code,
@@ -124,7 +125,7 @@ def test_min_distance_tiny_codes():
 def test_nearest_codeword_identity(rs15):
     rng = np.random.default_rng(1)
     cw = rs15.random_codeword(rng)
-    got = nearest_codeword(cw, rs15, "bounded_distance")
+    got = nearest_codeword(cw, rs15)
     assert got is not None and got[1] == 0 and np.array_equal(got[0], cw)
 
 
@@ -176,8 +177,8 @@ def test_brute_vs_bounded_explicit_crosscheck(rs15):
         bad = cw.copy()
         for p in rng.choice(15, size=4, replace=False):
             bad[p] ^= rng.integers(1, 16)
-        brute = nearest_codeword(bad, rs15, "brute")
-        bounded = nearest_codeword(bad, rs15, "bounded_distance")
+        brute = brute_nearest(bad, rs15)
+        bounded = bounded_distance_decode(rs15, bad)
         assert bounded is not None
         assert np.array_equal(brute[0], bounded[0])
         assert brute[1] == bounded[1]
@@ -192,8 +193,8 @@ def test_brute_vs_bounded_exhaustive_gf4_rep3():
     e = (code.length - code.dimension) // 2
     for word in itertools.product(range(4), repeat=3):
         w = np.array(word, dtype=np.uint8)
-        brute = nearest_codeword(w, code, "brute")
-        bounded = nearest_codeword(w, code, "bounded_distance")
+        brute = brute_nearest(w, code)
+        bounded = bounded_distance_decode(code, w)
         if brute[1] <= e:
             assert bounded is not None
             assert np.array_equal(brute[0], bounded[0]) and brute[1] == bounded[1]
@@ -208,11 +209,11 @@ def test_brute_chunked_scan_matches_cached():
     rs = rs_primitive(field_make(4), 2, 15)  # [15, 2]: 256 codewords
     rng = np.random.default_rng(11)
     word = rng.integers(0, 16, size=15, dtype=np.uint8)
-    fast = nearest_codeword(word, rs, "brute")
+    fast = brute_nearest(word, rs)
     old = codes_mod._CACHE_LIMIT
     codes_mod._CACHE_LIMIT = 1  # everything takes the chunked route
     try:
-        slow = nearest_codeword(word, rs, "brute")
+        slow = brute_nearest(word, rs)
     finally:
         codes_mod._CACHE_LIMIT = old
     assert fast[1] == slow[1] and np.array_equal(fast[0], slow[0])
@@ -222,7 +223,7 @@ def test_brute_tie_break_lexicographic():
     f = field_make(1)
     code = repetition(f, 2)
     # distance 1 to both 00 and 11; lexicographically smallest wins
-    got = nearest_codeword([1, 0], code, "brute")
+    got = brute_nearest([1, 0], code)
     assert got is not None
     assert list(got[0]) == [0, 0] and got[1] == 1
 
@@ -234,7 +235,7 @@ def test_delta_to_code_examples(rs15):
     assert delta_to_code([1, 0], rep).value == Fraction(1, 2)
     rng = np.random.default_rng(6)
     cw = rs15.random_codeword(rng)
-    assert delta_to_code(cw, rs15, "bounded_distance").value == 0
+    assert delta_to_code(cw, rs15).value == 0
 
 
 def test_delta_to_code_certified_interval_on_failure(rs15):
@@ -242,12 +243,12 @@ def test_delta_to_code_certified_interval_on_failure(rs15):
     for _ in range(50):
         word = rng.integers(0, 16, size=15, dtype=np.uint8)
         if bounded_distance_decode(rs15, word) is None:
-            bound = delta_to_code(word, rs15, "bounded_distance")
+            bound = delta_to_code(word, rs15)
             assert not bound.exact
             assert bound.lower == Fraction(6, 15)
             assert bound.upper == Fraction(10, 15)
             # cross-check the certificate against the brute-force truth
-            true = nearest_codeword(word, rs15, "brute")[1]
+            true = brute_nearest(word, rs15)[1]
             assert bound.lower <= Fraction(true, 15) <= bound.upper
             return
     pytest.fail("no undecodable word found")
@@ -267,7 +268,7 @@ def test_delta_triangle_inequality_sampled(rs15):
     rng = np.random.default_rng(9)
     for _ in range(20):
         word = rng.integers(0, 16, size=15, dtype=np.uint8)
-        d = delta_to_code(word, rs15, "bounded_distance")
+        d = delta_to_code(word, rs15)
         for _ in range(10):
             cw = rs15.random_codeword(rng)
             hr = Fraction(int(np.count_nonzero(word ^ cw)), 15)

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -211,6 +212,41 @@ def test_certify_counterexample_defaults_instance(tmp_path):
     assert code == EXIT_OK and out.exists()
 
 
+def _count_sum_membership_tests(monkeypatch, result=None):
+    """Count every sum-code membership test; optionally force its answer."""
+    import numpy as np
+
+    from prodexp import tensor
+
+    calls = []
+    real = tensor.sum_contains_batch
+
+    def counted(words, family, method="auto"):
+        calls.append(method)
+        if result is None:
+            return real(words, family, method)
+        return np.full(len(words), result)
+
+    monkeypatch.setattr(tensor, "sum_contains_batch", counted)
+    return calls
+
+
+def test_certify_counterexample_tests_membership_once(tmp_path, monkeypatch):
+    calls = _count_sum_membership_tests(monkeypatch)
+    code, _ = run_cli(["certify-counterexample", "--t", "1", "--out", str(tmp_path / "c")])
+    assert code == EXIT_OK and len(calls) == 1
+
+
+def test_certify_counterexample_non_member_exits_1(tmp_path, monkeypatch):
+    _count_sum_membership_tests(monkeypatch, result=False)
+    out = tmp_path / "c"
+    code, report = run_cli(["certify-counterexample", "--t", "1", "--out", str(out)])
+    assert code == EXIT_VIOLATION and not out.exists()
+    rec = json.loads(report.splitlines()[0])
+    assert rec["holds"] is False and rec["value"] == ""
+    assert "sum_contains_check_poly=false" in rec["detail"].split(";")
+
+
 # ----------------------------------------------------------------------
 # Other subcommands end to end.
 # ----------------------------------------------------------------------
@@ -237,6 +273,26 @@ def test_agreement_cli_exact():
     assert code == EXIT_OK
     rec = json.loads(out.splitlines()[0])
     assert rec["value"] == "1/2"
+
+
+def test_agreement_cli_sampled_deterministic():
+    argv = ["agreement", "--instance", "rs", "--t", "1", "--m", "2", "--mode", "sampled"]
+    argv += ["--samples", "4", "--seed", "3"]
+    code1, out1 = run_cli(argv)
+    code2, out2 = run_cli(argv)
+    assert code1 == code2 == EXIT_OK
+    assert out1 == out2
+    (rec,) = [json.loads(line) for line in out1.splitlines()]
+    assert rec["mode"] == "sampled" and rec["value"] == "1/2"
+    assert "estimate=heuristic" in rec["detail"].split(";")
+
+
+def test_rho_exact_refuses_oversized_instance(capsys):
+    # rep2 m=4 would scan 2^15 sum-code words times 2^17 splittings each
+    start = time.perf_counter()
+    assert main(["rho-exact", "--instance", "rep2", "--m", "4"]) == EXIT_USAGE
+    assert time.perf_counter() - start < 30
+    assert "too large" in capsys.readouterr().err
 
 
 def test_ps_corollary_cli():

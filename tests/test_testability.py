@@ -19,6 +19,7 @@ from prodexp.tensor import (
 )
 from prodexp.testability import (
     FlatTest,
+    agreement_ratio_sampled,
     check_composition,
     check_hyperplane_bound,
     check_pair_proximity,
@@ -78,7 +79,7 @@ def test_test_expectation_unit_vector():
 def test_test_expectation_counterexample_matches_per_line_oracle():
     w = counterexample_word(F4, 1)
     fam = CodeFamily.power(C31, 3)
-    got = test_expectation(w, line_test((3, 3, 3)), fam, strategy="brute").value
+    got = test_expectation(w, line_test((3, 3, 3)), fam).value
     # independent per-line enumeration
     codewords = [tuple([c] * 3) for c in range(4)]
     total = 0
@@ -147,6 +148,27 @@ def test_rho_a_excludes_fully_agreeing_tuples():
     # the value is finite and positive, which fails if 0/0 tuples slip in
     v = rho_a_exact(FAM2)
     assert v > 0
+
+
+def test_agreement_ratio_sampled_against_tuple_oracle():
+    """Every direction-word tuple of rep2^2: None exactly for fully agreeing
+    tuples, otherwise at most the tuple's exact ratio, since the decoded
+    candidate only upper-bounds the denominator's minimum."""
+    fam = FAM2
+    shape = fam.shape
+    codes = oracles.rep2_codes(fam.m)
+    spaces = [oracles.orc_direction_space(shape, ax, c) for ax, c in enumerate(codes)]
+    prod_code = oracles.orc_product_code(shape, codes)
+    exact = 0
+    for tup in itertools.product(*spaces):
+        words = [TensorWord(F2, np.array(t, dtype=np.uint8).reshape(shape)) for t in tup]
+        got = agreement_ratio_sampled(words, fam)
+        want = oracles.orc_tuple_ratio(shape, tup, prod_code)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got <= want
+            exact += got == want
+    assert exact > 0
 
 
 def test_bounds_rho_r_at_most_one_rho_a_at_most_two():
@@ -254,10 +276,10 @@ def test_robustness_ratio_upper_bounds_truth_tiny():
     for _ in range(100):
         arr = rng.integers(0, 2, size=(2, 2), dtype=np.uint8)
         w = TensorWord(F2, arr)
-        ub = robustness_ratio(w, t, FAM2, strategy="brute")
+        ub = robustness_ratio(w, t, FAM2)
         if ub is None:
             continue
-        truth = test_expectation(w, t, FAM2, "brute").value / delta_to_product(w, FAM2).value
+        truth = test_expectation(w, t, FAM2).value / delta_to_product(w, FAM2).value
         assert ub >= truth
 
 
@@ -274,7 +296,7 @@ def test_rho_r_sampled_upper_deterministic_and_consistent():
 
 def test_rho_r_sampled_upper_dominates_exact_on_tiny_instance():
     t = line_test((2, 2))
-    rep = rho_r_sampled_upper(t, FAM2, samples=50, seed=2, strategy="brute")
+    rep = rho_r_sampled_upper(t, FAM2, samples=50, seed=2)
     assert rep.value >= rho_r_exact(t, FAM2)
 
 
