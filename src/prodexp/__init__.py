@@ -3,11 +3,8 @@
 from .codes import (
     CyclicCode,
     DistanceBound,
-    LinearCode,
     bounded_distance_decode,
-    cyclic_contains,
     delta_to_code,
-    dual_code,
     full_code,
     min_distance,
     nearest_codeword,
@@ -25,16 +22,7 @@ from .expansion import (
     rho_upper_sampled,
     verify_certificate,
 )
-from .gf_poly import (
-    GF2m,
-    MultiPoly,
-    dft_evaluate,
-    field_make,
-    multipoly,
-    poly_from_univariate,
-    poly_mul_mod_ideal,
-    star_transform,
-)
+from .gf_poly import GF2m, field_make
 from .tensor import (
     CodeFamily,
     Flat,

@@ -1,4 +1,4 @@
-"""Cyclic and general linear codes over GF(2^m).
+"""Cyclic codes over GF(2^m): membership, duality, distances, decoding.
 
 A `CyclicCode` of length n is given by a check polynomial p | x^n - 1:
 a word (a_0..a_{n-1}) belongs to the code iff p(x) a(x) = 0 mod (x^n - 1).
@@ -27,8 +27,6 @@ import numpy as np
 from . import linalg
 from .gf_poly import (
     GF2m,
-    MultiPoly,
-    poly_from_univariate,
     unipoly_divmod,
     unipoly_monic,
     unipoly_mul,
@@ -121,9 +119,6 @@ class CyclicCode:
                 G[j, (i + j) % n] = c
         return G
 
-    def check_poly(self) -> MultiPoly:
-        return poly_from_univariate(self.field, self.check_coeffs, self.length)
-
     @property
     def is_rs_primitive(self) -> bool:
         return self._rs_root_count is not None
@@ -192,15 +187,13 @@ class CyclicCode:
         field, n = self.field, self.length
         g_dual = unipoly_monic(field, unipoly_reciprocal(field, self.check_coeffs))
         check_dual, rem = unipoly_divmod(field, x_pow_n_minus_1(field, n), g_dual)
-        assert not rem
+        if rem:
+            raise RuntimeError("reciprocal of a check polynomial does not divide x^n - 1")
         return CyclicCode(field, n, check_dual)
 
     def parity_matrix(self) -> np.ndarray:
         """(n-k) x n matrix of dual-code generators; syndrome = word @ H^T."""
         return self.dual().generator_matrix
-
-    def as_linear(self) -> "LinearCode":
-        return LinearCode(self.field, self.generator_matrix, self.parity_matrix())
 
 
 def repetition(field: GF2m, length: int) -> CyclicCode:
@@ -236,73 +229,9 @@ def rs_primitive(field: GF2m, rate_num: int, rate_den: int) -> CyclicCode:
     return code
 
 
-class LinearCode:
-    """Generic linear code given by generator rows (and optional parity rows)."""
-
-    def __init__(
-        self,
-        field: GF2m,
-        generator: np.ndarray,
-        parity: Optional[np.ndarray] = None,
-    ) -> None:
-        G = np.asarray(generator, dtype=np.uint8)
-        if G.ndim != 2:
-            raise ValueError("generator must be a matrix")
-        self.field = field
-        self.length = G.shape[1]
-        self.generator = G
-        if parity is None:
-            parity = linalg.kernel_basis(field, G)
-        H = np.asarray(parity, dtype=np.uint8)
-        self.parity = H
-        prod = linalg.matmul(field, G, H.T)
-        if prod.any():
-            raise ValueError("generator and parity rows are not orthogonal")
-        if linalg.rank(field, G) + linalg.rank(field, H) != self.length:
-            raise ValueError("rank(G) + rank(H) != n")
-        self.dimension = linalg.rank(field, G)
-
-    def contains(self, word: Sequence[int] | np.ndarray) -> bool:
-        w = np.asarray(word, dtype=np.uint8)
-        syn = linalg.matmul(self.field, w[None, :], self.parity.T)
-        return not syn.any()
-
-    def codewords(self) -> np.ndarray:
-        count = self.field.order**self.dimension
-        if count > _CACHE_LIMIT:
-            raise ValueError("code too large to enumerate")
-        basis = linalg.row_space_basis(self.field, self.generator)
-        msgs = linalg.enumerate_vectors(self.field.order, basis.shape[0])
-        return linalg.matmul(self.field, msgs, basis)
-
-    def __repr__(self) -> str:
-        return f"LinearCode(GF(2^{self.field.degree}), n={self.length}, k={self.dimension})"
-
-
-# ----------------------------------------------------------------------
-# Module-level operations.
-# ----------------------------------------------------------------------
-
-def cyclic_contains(code: CyclicCode, word: Sequence[int] | np.ndarray) -> bool:
-    return code.contains(word)
-
-
-def dual_code(code: CyclicCode) -> CyclicCode:
-    return code.dual()
-
-
-def min_distance(code: CyclicCode | LinearCode, mode: str = "exhaustive") -> int:
+def min_distance(code: CyclicCode) -> int:
     """Exact minimum Hamming weight of a nonzero codeword."""
-    if mode == "known_rs":
-        if not isinstance(code, CyclicCode) or not code.is_rs_primitive:
-            raise ValueError("known_rs mode requires a primitive RS code")
-        d = code.length - code.dimension + 1
-        if code.field.order**code.dimension <= _CACHE_LIMIT:
-            assert d == min_distance(code, mode="exhaustive")
-        return d
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(code, CyclicCode) and code._min_distance is not None:
+    if code._min_distance is not None:
         return code._min_distance
     count = code.field.order**code.dimension
     if count > _BRUTE_LIMIT:
@@ -312,14 +241,8 @@ def min_distance(code: CyclicCode | LinearCode, mode: str = "exhaustive") -> int
     nz = weights[weights > 0]
     if nz.size == 0:
         raise ValueError("zero code has no minimum distance")
-    d = int(nz.min())
-    if isinstance(code, CyclicCode):
-        code._min_distance = d
-    return d
-
-
-def normalized_min_distance(code: CyclicCode | LinearCode, mode: str = "exhaustive") -> Fraction:
-    return Fraction(min_distance(code, mode), code.length)
+    code._min_distance = int(nz.min())
+    return code._min_distance
 
 
 def low_degree_evaluation_vectors(field: GF2m, k: int) -> np.ndarray:
@@ -342,7 +265,7 @@ def low_degree_evaluation_vectors(field: GF2m, k: int) -> np.ndarray:
 # -- decoding ------------------------------------------------------------
 
 def brute_nearest(
-    word: Sequence[int] | np.ndarray, code: CyclicCode | LinearCode
+    word: Sequence[int] | np.ndarray, code: CyclicCode
 ) -> Tuple[np.ndarray, int]:
     """Exhaustive nearest-codeword scan; ties go to the lexicographically
     smallest codeword."""
@@ -364,14 +287,11 @@ def brute_nearest(
     return np.array(best_row, dtype=np.uint8), best
 
 
-def _codeword_chunks(code: CyclicCode | LinearCode):
+def _codeword_chunks(code: CyclicCode):
     """Stream codewords in blocks for scans too large to cache."""
     q = code.field.order
     k = code.dimension
-    if isinstance(code, CyclicCode):
-        basis = code.generator_matrix
-    else:
-        basis = linalg.row_space_basis(code.field, code.generator)
+    basis = code.generator_matrix
     total = q**k
     block = 1 << 18
     for start in range(0, total, block):
@@ -442,18 +362,14 @@ def bounded_distance_decode(
 
 
 def nearest_codeword(
-    word: Sequence[int] | np.ndarray, code: CyclicCode | LinearCode
+    word: Sequence[int] | np.ndarray, code: CyclicCode
 ) -> Optional[Tuple[np.ndarray, int]]:
     """Nearest codeword and its distance, by the module's decoder rule.
 
     Returns None only for a primitive RS code decoded within its radius,
     when no codeword lies that close.
     """
-    if (
-        isinstance(code, CyclicCode)
-        and code.is_rs_primitive
-        and code.field.order**code.dimension > _BOUNDED_ABOVE
-    ):
+    if code.is_rs_primitive and code.field.order**code.dimension > _BOUNDED_ABOVE:
         return bounded_distance_decode(code, word)
     return brute_nearest(word, code)
 
@@ -473,11 +389,11 @@ def beyond_radius_bound(code: CyclicCode) -> DistanceBound:
 
 
 def delta_to_code(
-    word: Sequence[int] | np.ndarray, code: CyclicCode | LinearCode
+    word: Sequence[int] | np.ndarray, code: CyclicCode
 ) -> DistanceBound:
     """Normalized distance from a word to the code, as a certified interval:
     a point unless bounded-distance decoding fails (`beyond_radius_bound`)."""
     res = nearest_codeword(word, code)
     if res is None:
-        return beyond_radius_bound(code)  # type: ignore[arg-type]
+        return beyond_radius_bound(code)
     return DistanceBound.exactly(Fraction(res[1], code.length))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -39,6 +38,7 @@ from .tensor import (
 
 _AMBIGUITY_LIMIT = 1 << 24  # max splittings scanned per word, and in all by rho_exact
 _CHUNK = 1 << 16  # combos per vectorized block in the exhaustive search
+_SEARCH_BUDGET = 8  # pool words whose splittings rho_upper_sampled searches exhaustively
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def certify_upper_bound(word: TensorWord, family: CodeFamily) -> ExpansionCertif
         raise ValueError("word shape does not match the family")
     if word.weight() == 0:
         raise ValueError("zero word certifies nothing")
-    if not sum_contains(word, family, method="auto"):
+    if not sum_contains(word, family):
         raise NotInSumCode("word is not in the sum code; certificate would be vacuous")
     L, tight = line_cover_lower_bound(word)
     disjoint = line_disjoint_support(word)
@@ -221,7 +221,7 @@ def verify_certificate(cert: ExpansionCertificate, family: CodeFamily) -> bool:
     w = cert.witness
     if w.shape != family.shape or w.field != family.field:
         return False
-    if not sum_contains(w, family, method="auto"):
+    if not sum_contains(w, family):
         return False
     L, tight = line_cover_lower_bound(w)
     if L != cert.cover_lower_bound or tight != cert.tight:
@@ -334,7 +334,8 @@ class DecompositionSpace:
             if best_cost is None or int(costs[idx]) < best_cost:
                 best_cost = int(costs[idx])
                 best_coeffs = combos[idx].copy()
-        assert best_cost is not None and best_coeffs is not None
+        if best_cost is None or best_coeffs is None:
+            raise RuntimeError("the ambiguity coset scan visited no splitting")
         return best_coeffs, best_cost, denom
 
 
@@ -378,82 +379,27 @@ def _direction_basis(code: CyclicCode, shape: Sequence[int], axis: int) -> np.nd
 def min_decomposition(
     word: TensorWord,
     family: CodeFamily,
-    strategy: str = "exhaustive",
-    seed: int = 0,
-    restarts: int = 8,
     space: Optional[DecompositionSpace] = None,
 ) -> Tuple[Decomposition, Fraction]:
-    """Minimum-cost splitting (exhaustive) or a greedy upper bound.
-
-    Exhaustive mode scans the full ambiguity coset and is a global minimizer;
-    ties resolve to the lexicographically smallest ambiguity coefficients.
-    local_search mode runs seeded coordinate descent and only upper-bounds
-    the optimum.
-    """
+    """Minimum-cost splitting by an exhaustive scan of the ambiguity coset;
+    ties resolve to the lexicographically smallest ambiguity coefficients."""
     if space is None:
         space = DecompositionSpace(family)
     base = space.particular(word)
     if base is None:
         raise ValueError("word is not in the sum code; no decomposition exists")
-    if strategy == "exhaustive":
-        coeffs, cost_num, denom = space.search_min(base)
-        beta = base.copy()
-        for j in range(space.ambiguity_dim):
-            c = int(coeffs[j])
-            if c:
-                beta ^= family.field.scale_array(c, space.kernel[j])
-        cost = Fraction(cost_num, denom)
-    elif strategy == "local_search":
-        beta, cost = _local_search(space, base, seed, restarts)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    coeffs, cost_num, denom = space.search_min(base)
+    beta = base.copy()
+    for j in range(space.ambiguity_dim):
+        c = int(coeffs[j])
+        if c:
+            beta ^= family.field.scale_array(c, space.kernel[j])
+    cost = Fraction(cost_num, denom)
     dec = Decomposition(space.parts_from_coeffs(beta))
     dec.validate(family, word)
-    assert dec.cost() == cost
+    if dec.cost() != cost:
+        raise RuntimeError(f"splitting costs {dec.cost()}, the coset scan reported {cost}")
     return dec, cost
-
-
-def _local_search(
-    space: DecompositionSpace, base: np.ndarray, seed: int, restarts: int
-) -> Tuple[np.ndarray, Fraction]:
-    field = space.family.field
-    q = field.order
-    K = space.ambiguity_dim
-    rng = random.Random(seed)
-
-    def cost_of(beta: np.ndarray) -> Fraction:
-        parts = space.parts_from_coeffs(beta)
-        return Decomposition(parts).cost()
-
-    best_beta = base.copy()
-    best_cost = cost_of(best_beta)
-    for restart in range(restarts):
-        coeffs = (
-            [0] * K if restart == 0 else [rng.randrange(q) for _ in range(K)]
-        )
-        beta = base.copy()
-        for j, c in enumerate(coeffs):
-            if c:
-                beta ^= field.scale_array(c, space.kernel[j])
-        cur = cost_of(beta)
-        improved = True
-        while improved:
-            improved = False
-            for j in range(K):
-                best_local = cur
-                best_val = None
-                for s in range(1, q):
-                    cand = beta ^ field.scale_array(s, space.kernel[j])
-                    c = cost_of(cand)
-                    if c < best_local:
-                        best_local, best_val = c, s
-                if best_val is not None:
-                    beta ^= field.scale_array(best_val, space.kernel[j])
-                    cur = best_local
-                    improved = True
-        if cur < best_cost:
-            best_cost, best_beta = cur, beta
-    return best_beta, best_cost
 
 
 def sum_code_words(family: CodeFamily, space: Optional[DecompositionSpace] = None) -> np.ndarray:
@@ -487,7 +433,7 @@ def rho_exact(family: CodeFamily) -> Fraction:
         if wt == 0:
             continue
         word = TensorWord(family.field, row.reshape(family.shape))
-        _, cost = min_decomposition(word, family, "exhaustive", space=space)
+        _, cost = min_decomposition(word, family, space=space)
         ratio = Fraction(wt, N) / cost
         if best is None or ratio < best:
             best = ratio
@@ -514,15 +460,15 @@ def rho_upper_sampled(
     family: CodeFamily,
     samples: int,
     seed: int,
-    local_search_budget: int = 8,
 ) -> SampledExpansionReport:
     """Sampled upper bound on the expansion constant.
 
     Every sampled sum-code word contributes a certificate ratio (always a
     valid upper bound on rho).  Words whose splitting cost can be probed
-    directly (a known generating splitting, or exhaustive/local search on a
-    small ambiguity space) additionally contribute a heuristic ratio, which
-    is labeled as such because a found splitting only upper-bounds the cost.
+    directly (a known generating splitting, or, for the first
+    `_SEARCH_BUDGET` words, an exhaustive search of a small ambiguity space)
+    additionally contribute a heuristic ratio, which is labeled as such
+    because a found splitting only upper-bounds the cost.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -560,8 +506,8 @@ def rho_upper_sampled(
         if known is not None:
             known.validate(family, word)
             best_cost = known.cost()
-        if searchable and searched < local_search_budget:
-            _, cost = min_decomposition(word, family, "exhaustive", space=space)
+        if searchable and searched < _SEARCH_BUDGET:
+            _, cost = min_decomposition(word, family, space=space)
             searched += 1
             if best_cost is None or cost < best_cost:
                 best_cost = cost

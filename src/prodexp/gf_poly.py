@@ -1,4 +1,4 @@
-"""Arithmetic over binary extension fields and cyclic polynomial rings.
+"""Arithmetic over binary extension fields and dense univariate polynomials.
 
 Fields GF(2^m) for m in [1, 8] use a fixed table of moduli so that every run
 (and any independent implementation using the same table) sees the same
@@ -18,16 +18,15 @@ two interchangeable implementations: carry-less shift-add with reduction
 (`mul_raw`), and log/antilog tables (`mul`, the default fast path, bit-exact
 with the former).
 
-`MultiPoly` is a sparse multivariate polynomial over such a field, kept
-reduced modulo the ideal (x_1^n - 1, ..., x_m^n - 1): all exponents live in
-[0, n) and only nonzero coefficients are stored.
+Univariate polynomials are coefficient tuples, low degree first.  Products
+in the cyclic rings F[x_1..x_m] / (x_i^n - 1) are taken on numpy arrays by
+`tensor._cyclic_convolve_axis`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -95,11 +94,6 @@ class GF2m:
             b >>= 1
         return p
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add  # characteristic 2
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -109,9 +103,6 @@ class GF2m:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._exp[(self.order - 1) - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -125,12 +116,6 @@ class GF2m:
     def omega_pow(self, e: int) -> int:
         """omega^e, with negative exponents allowed."""
         return self._exp[e % (self.order - 1)]
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
 
     # ------------------------------------------------------------------
     # Vectorized helpers.  Element arrays are numpy uint8 (q <= 256).
@@ -229,13 +214,6 @@ def unipoly_divmod(
     return unipoly_trim(quot), unipoly_trim(rem)
 
 
-def unipoly_eval(field: GF2m, coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(unipoly_trim(coeffs)):
-        acc = field.mul(acc, x) ^ c
-    return acc
-
-
 def unipoly_reciprocal(field: GF2m, coeffs: Sequence[int]) -> Tuple[int, ...]:
     """x^deg * p(1/x): the coefficient list reversed."""
     cs = unipoly_trim(coeffs)
@@ -257,180 +235,3 @@ def x_pow_n_minus_1(field: GF2m, n: int) -> Tuple[int, ...]:
     cs[0] = 1
     cs[n] ^= 1
     return tuple(cs)
-
-
-# ----------------------------------------------------------------------
-# Sparse multivariate polynomials modulo (x_1^n - 1, ..., x_m^n - 1).
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultiPoly:
-    """Sparse polynomial in F[x_1..x_m] / (x_1^n - 1, ..., x_m^n - 1).
-
-    ``coeffs`` maps exponent tuples (each entry in [0, n)) to nonzero field
-    elements.  Instances are immutable; build them through `multipoly`.
-    """
-
-    field: GF2m
-    num_vars: int
-    period: int
-    coeffs: Mapping[Tuple[int, ...], int]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and other.field == self.field
-            and other.num_vars == self.num_vars
-            and other.period == self.period
-            and dict(other.coeffs) == dict(self.coeffs)
-        )
-
-    def __repr__(self) -> str:
-        terms = len(self.coeffs)
-        return f"MultiPoly(vars={self.num_vars}, n={self.period}, terms={terms})"
-
-
-def multipoly(
-    field: GF2m,
-    num_vars: int,
-    period: int,
-    coeffs: Mapping[Tuple[int, ...], int],
-) -> MultiPoly:
-    """Normalize and build a MultiPoly: reduce exponents mod n, drop zeros."""
-    if num_vars < 1 or period < 1:
-        raise ValueError("need num_vars >= 1 and period >= 1")
-    norm: Dict[Tuple[int, ...], int] = {}
-    for exps, c in coeffs.items():
-        if c == 0:
-            continue
-        if len(exps) != num_vars:
-            raise ValueError(f"exponent tuple {exps} has wrong arity")
-        key = tuple(e % period for e in exps)
-        acc = norm.get(key, 0) ^ int(c)
-        if acc:
-            norm[key] = acc
-        else:
-            norm.pop(key, None)
-    return MultiPoly(field, num_vars, period, norm)
-
-
-def poly_zero(field: GF2m, num_vars: int, period: int) -> MultiPoly:
-    return MultiPoly(field, num_vars, period, {})
-
-
-def poly_one(field: GF2m, num_vars: int, period: int) -> MultiPoly:
-    return MultiPoly(field, num_vars, period, {(0,) * num_vars: 1})
-
-
-def poly_variable(field: GF2m, num_vars: int, period: int, var: int = 0) -> MultiPoly:
-    exps = [0] * num_vars
-    exps[var] = 1 % period
-    return multipoly(field, num_vars, period, {tuple(exps): 1})
-
-
-def poly_from_univariate(field: GF2m, coeffs: Sequence[int], period: int) -> MultiPoly:
-    return multipoly(
-        field, 1, period, {(e,): c for e, c in enumerate(coeffs) if c}
-    )
-
-
-def univariate_coeffs(p: MultiPoly) -> Tuple[int, ...]:
-    """Dense length-n coefficient vector of a univariate MultiPoly."""
-    if p.num_vars != 1:
-        raise ValueError("polynomial is not univariate")
-    out = [0] * p.period
-    for (e,), c in p.coeffs.items():
-        out[e] = c
-    return tuple(out)
-
-
-def poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    _check_same_ring(a, b)
-    out = dict(a.coeffs)
-    for e, c in b.coeffs.items():
-        acc = out.get(e, 0) ^ c
-        if acc:
-            out[e] = acc
-        else:
-            out.pop(e, None)
-    return MultiPoly(a.field, a.num_vars, a.period, out)
-
-
-def poly_scale(p: MultiPoly, s: int) -> MultiPoly:
-    if s == 0:
-        return poly_zero(p.field, p.num_vars, p.period)
-    return MultiPoly(
-        p.field,
-        p.num_vars,
-        p.period,
-        {e: p.field.mul(s, c) for e, c in p.coeffs.items()},
-    )
-
-
-def poly_mul_mod_ideal(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Product reduced mod the ideal: exponents wrap mod n per variable."""
-    _check_same_ring(a, b)
-    field = a.field
-    n = a.period
-    out: Dict[Tuple[int, ...], int] = {}
-    for ea, ca in a.coeffs.items():
-        for eb, cb in b.coeffs.items():
-            key = tuple((x + y) % n for x, y in zip(ea, eb))
-            acc = out.get(key, 0) ^ field.mul(ca, cb)
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return MultiPoly(field, a.num_vars, n, out)
-
-
-def star_transform(p: MultiPoly) -> MultiPoly:
-    """Substitute x_i -> x_i^(n-1) and reduce; an involution on representatives."""
-    n = p.period
-    return multipoly(
-        p.field,
-        p.num_vars,
-        n,
-        {tuple((-e) % n for e in exps): c for exps, c in p.coeffs.items()},
-    )
-
-
-def poly_evaluate(p: MultiPoly, point: Sequence[int]) -> int:
-    if len(point) != p.num_vars:
-        raise ValueError("point arity mismatch")
-    field = p.field
-    acc = 0
-    for exps, c in p.coeffs.items():
-        term = c
-        for x, e in zip(point, exps):
-            term = field.mul(term, field.pow(x, e))
-        acc ^= term
-    return acc
-
-
-def dft_evaluate(p: MultiPoly, field: GF2m | None = None) -> np.ndarray:
-    """Evaluation vector (p(1), p(w^-1), ..., p(w^(1-n))) for univariate p.
-
-    Requires period n = 2^m - 1 so that the powers of omega sweep all nonzero
-    field elements.  A polynomial of degree < k evaluates to a word of the
-    length-n cyclic code whose check polynomial has roots 1, w, ..., w^(k-1).
-    """
-    if field is None:
-        field = p.field
-    if p.num_vars != 1:
-        raise ValueError("dft_evaluate expects a univariate polynomial")
-    n = field.order - 1
-    if p.period != n:
-        raise ValueError(f"period {p.period} != 2^m - 1 = {n}")
-    out = np.zeros(n, dtype=np.uint8)
-    for i in range(n):
-        out[i] = poly_evaluate(p, (field.omega_pow(-i),))
-    return out
-
-
-def _check_same_ring(a: MultiPoly, b: MultiPoly) -> None:
-    if a.field != b.field or a.num_vars != b.num_vars or a.period != b.period:
-        raise ValueError("polynomials live in different rings")

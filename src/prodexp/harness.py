@@ -23,10 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from io import StringIO
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 from .codes import CyclicCode, min_distance, repetition, rs_primitive
 from .expansion import (
@@ -240,7 +240,7 @@ def _run_certify_counterexample(cfg: ExperimentConfig):
     word = counterexample_word(field, code.dimension)
     try:
         # the one sum-code membership test of the run: equal lengths select
-        # the check-polynomial method
+        # the check-polynomial kernel
         cert = certify_upper_bound(word, family)
     except NotInSumCode:
         cert = None
@@ -422,7 +422,7 @@ def _run_check_lemmas(cfg: ExperimentConfig):
             reports.append(check_composition(code, m, 1, 2, mode="exact"))
             # chained line-test bound through the hyperplane factors
             rr21 = rho_r_exact(line_test((code.length,) * 2), CodeFamily.power(code, 2))
-            delta = Fraction(min_distance(code, "exhaustive"), code.length)
+            delta = Fraction(min_distance(code), code.length)
             M = (m - 2) * (m + 3) // 2
             reports.append(
                 CheckReport(
@@ -620,33 +620,24 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             continue
         if val is not None:
             values[key] = val
-    cfg = ExperimentConfig(command=values["command"])
-    if "instance" in values:
-        cfg.instance = str(values["instance"])
-    if "t" in values:
-        cfg.t = int(values["t"])  # type: ignore[arg-type]
-    if "rate" in values:
-        rate = values["rate"]
-        cfg.rate = _parse_rate(rate) if isinstance(rate, str) else (int(rate[0]), int(rate[1]))
-    if "m" in values:
-        cfg.m = int(values["m"])  # type: ignore[arg-type]
-    if "k" in values:
-        cfg.k = int(values["k"])  # type: ignore[arg-type]
-    if "mode" in values:
-        cfg.mode = str(values["mode"])
-    if "samples" in values:
-        cfg.samples = int(values["samples"])  # type: ignore[arg-type]
-    if "trials" in values:
-        cfg.trials = int(values["trials"])  # type: ignore[arg-type]
-    if "seed" in values:
-        cfg.seed = int(values["seed"])  # type: ignore[arg-type]
-    if "jobs" in values:
-        cfg.jobs = int(values["jobs"])  # type: ignore[arg-type]
-    if "fmt" in values:
-        cfg.fmt = str(values["fmt"])
-    if "out" in values:
-        cfg.out = str(values["out"])
-    return cfg
+    hints = get_type_hints(ExperimentConfig)
+    resolved: Dict[str, object] = {}
+    for f in fields(ExperimentConfig):
+        if f.name not in values:
+            continue
+        val = values[f.name]
+        try:
+            if f.name == "rate":
+                resolved[f.name] = (
+                    _parse_rate(val) if isinstance(val, str) else (int(val[0]), int(val[1]))
+                )
+            elif int in (hints[f.name], *get_args(hints[f.name])):
+                resolved[f.name] = int(val)
+            else:
+                resolved[f.name] = str(val)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise UsageError(f"bad value {val!r} for {f.name}") from exc
+    return ExperimentConfig(**resolved)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -40,22 +40,9 @@ def rref(field: GF2m, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     return R, pivots
 
 
-def rank(field: GF2m, mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
-    _, pivots = rref(field, mat)
-    return len(pivots)
-
-
 def row_space_basis(field: GF2m, mat: np.ndarray) -> np.ndarray:
     R, pivots = rref(field, mat)
     return R[: len(pivots)].copy()
-
-
-def same_row_space(field: GF2m, a: np.ndarray, b: np.ndarray) -> bool:
-    ra = row_space_basis(field, a)
-    rb = row_space_basis(field, b)
-    return ra.shape == rb.shape and np.array_equal(ra, rb)
 
 
 def solve(field: GF2m, A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:

@@ -6,9 +6,11 @@ distances are exact `Fraction`s.
 
 A word belongs to the product code of a family (C_1, ..., C_m) iff its
 restriction to every line in every direction lies in the corresponding
-component code.  The sum code (the dual of the tensor product of the duals)
-is tested either through the product of the check polynomials (equal-length
-cyclic families) or through orthogonality against the dual tensor basis.
+component code.  Membership in the sum code (the dual of the tensor product
+of the duals) has two kernels, and `sum_contains` picks one from the family:
+a family whose codes share one length multiplies by every check polynomial
+in the cyclic ring; any other family is tested against the dual tensor
+basis.
 """
 
 from __future__ import annotations
@@ -247,47 +249,36 @@ def product_contains(word: TensorWord, family: CodeFamily) -> bool:
     )
 
 
-def _sum_method(family: CodeFamily, method: str) -> str:
-    if method == "auto":
-        lengths = {c.length for c in family.codes}
-        return "check_poly" if len(lengths) == 1 else "dual_tensor"
-    if method not in ("check_poly", "dual_tensor"):
-        raise ValueError(f"unknown method {method!r}")
-    return method
+def sum_contains(word: TensorWord, family: CodeFamily) -> bool:
+    """Membership in C_1 (+) ... (+) C_m, the dual of the dual tensor product."""
+    return bool(sum_contains_batch(word.data[None], family)[0])
 
 
-def sum_contains(word: TensorWord, family: CodeFamily, method: str = "auto") -> bool:
-    """Membership in C_1 (+) ... (+) C_m, the dual of the dual tensor product.
-
-    check_poly: multiply by every check polynomial p_i(x_i) modulo the cyclic
-    ideal and test for the zero residue (equal-length cyclic families).
-    dual_tensor: contract every axis with the dual generator matrix and test
-    the syndrome tensor for zero (any family).
-    """
-    return bool(sum_contains_batch(word.data[None], family, method)[0])
-
-
-def sum_contains_batch(
-    words: np.ndarray, family: CodeFamily, method: str = "auto"
-) -> np.ndarray:
+def sum_contains_batch(words: np.ndarray, family: CodeFamily) -> np.ndarray:
     """Vectorized sum-code membership for a (W, n_1, ..., n_m) array."""
     words = np.asarray(words, dtype=np.uint8)
     if words.shape[1:] != family.shape:
         raise ValueError("word shape does not match the family")
-    method = _sum_method(family, method)
-    field = family.field
-    if method == "check_poly":
-        lengths = {c.length for c in family.codes}
-        if len(lengths) != 1:
-            raise ValueError("check_poly method needs equal lengths")
-        acc = words
-        for axis, code in enumerate(family.codes):
-            acc = _cyclic_convolve_axis(field, acc, code.check_coeffs, axis + 1)
-        return ~acc.reshape(words.shape[0], -1).any(axis=1)
+    if len(set(family.shape)) == 1:
+        return _check_poly_kernel(words, family)
+    return _dual_tensor_kernel(words, family)
+
+
+def _check_poly_kernel(words: np.ndarray, family: CodeFamily) -> np.ndarray:
+    """Multiply by every check polynomial p_i(x_i) modulo the cyclic ideal
+    and test for the zero residue; selected for equal-length families."""
+    acc = words
+    for axis, code in enumerate(family.codes):
+        acc = _cyclic_convolve_axis(family.field, acc, code.check_coeffs, axis + 1)
+    return ~acc.reshape(words.shape[0], -1).any(axis=1)
+
+
+def _dual_tensor_kernel(words: np.ndarray, family: CodeFamily) -> np.ndarray:
+    """Contract every axis with the dual generator matrix and test the
+    syndrome tensor for zero (any family)."""
     syn = words
     for axis, code in enumerate(family.codes):
-        H = code.parity_matrix()
-        syn = linalg.apply_matrix_axis(field, H, syn, axis + 1)
+        syn = linalg.apply_matrix_axis(family.field, code.parity_matrix(), syn, axis + 1)
     return ~syn.reshape(words.shape[0], -1).any(axis=1)
 
 

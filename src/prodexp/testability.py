@@ -28,13 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .codes import (
-    CyclicCode,
-    DistanceBound,
-    bounded_distance_decode,
-    delta_to_code,
-    min_distance,
-)
+from .codes import CyclicCode, DistanceBound, bounded_distance_decode, min_distance
 from .expansion import rs_triple_witness
 from .tensor import (
     CodeFamily,
@@ -52,6 +46,8 @@ from .tensor import (
 )
 
 _WORD_SPACE_LIMIT = 1 << 24
+_CORRUPTION_ROUNDS = 8  # random product codewords per pool, one line replaced per direction
+_RHO_R_T21 = Fraction(1, 72)  # line-test robustness floor of the rate-1/3 RS square
 
 
 @dataclass(frozen=True)
@@ -112,22 +108,30 @@ class CheckReport:
 # Expectation of local distances over a flat test.
 # ----------------------------------------------------------------------
 
-def _restricted_product_distance(sub: TensorWord, subfam: CodeFamily) -> DistanceBound:
-    if subfam.m == 1:
-        return delta_to_code(sub.data, subfam.codes[0])
-    return delta_to_product(sub, subfam)
+def _line_distances(word: TensorWord, family: CodeFamily) -> List[DistanceBound]:
+    """Distance from the word to each direction code C^(j), decoding every
+    line once."""
+    return [nearest_in_direction(word, family, axis)[1] for axis in range(family.m)]
+
+
+def _mean(bounds: Sequence[DistanceBound]) -> DistanceBound:
+    return sum(bounds, DistanceBound.exactly(Fraction(0))).scaled(Fraction(1, len(bounds)))
 
 
 def test_expectation(word: TensorWord, test: FlatTest, family: CodeFamily) -> DistanceBound:
     """E over flats of the distance from the restriction to the restricted
-    product code; exact whenever every restriction is decodable exactly."""
+    product code; exact whenever every restriction is decodable exactly.
+
+    For the line test a direction-j line carries weight n_j / (m N), so the
+    expectation is the mean over directions of the distance to C^(j)."""
     if word.shape != test.shape or word.shape != family.shape:
         raise ValueError("shape mismatch")
+    if test.k == 1:
+        return _mean(_line_distances(word, family))
     total = DistanceBound.exactly(Fraction(0))
     for flat, weight in test.flats:
         sub = restrict(word, flat)
-        subfam = family.restrict(flat.free_axes)
-        d = _restricted_product_distance(sub, subfam)
+        d = delta_to_product(sub, family.restrict(flat.free_axes))
         total = total + d.scaled(weight)
     return total
 
@@ -174,7 +178,8 @@ def _exact_ratio_min(
         r = Fraction(int(num[i]) * den_scale, int(den[i]) * num_scale)
         if best is None or r < best:
             best, best_idx = r, int(i)
-    assert best is not None
+    if best is None:
+        raise RuntimeError("the ratio shortlist is empty")
     return best, best_idx
 
 
@@ -218,7 +223,8 @@ def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
         value, _ = _exact_ratio_min(num, dmin, size_total, N)
         if best is None or value < best:
             best = value
-    assert best is not None
+    if best is None:
+        raise RuntimeError("no enumerated word lies outside the product code")
     return best
 
 
@@ -229,16 +235,19 @@ def robustness_ratio(
 
     The numerator expectation is upper-bounded (failed line decodes fall back
     to the covering-radius bound) and the global distance is lower-bounded by
-    the largest single-direction distance and by the expectation itself, so
-    the quotient always upper-bounds the word's true ratio.
+    the largest single-direction distance (line test, whose expectation is
+    the mean of those distances) or by the expectation itself, so the
+    quotient always upper-bounds the word's true ratio.
     """
     if product_contains(word, family):
         return None
-    num = test_expectation(word, test, family)
-    den_lower = num.lower
     if test.k == 1:
-        for axis in range(family.m):
-            den_lower = max(den_lower, nearest_in_direction(word, family, axis)[1].lower)
+        dists = _line_distances(word, family)
+        num = _mean(dists)
+        den_lower = max(d.lower for d in dists)
+    else:
+        num = test_expectation(word, test, family)
+        den_lower = num.lower
     if den_lower == 0:
         raise ValueError("word outside the product code has zero distance bound")
     return num.upper / den_lower
@@ -267,7 +276,7 @@ class SampledRobustnessReport:
 
 
 def _adversarial_pool(
-    family: CodeFamily, rng: np.random.Generator, corruption_rounds: int = 8
+    family: CodeFamily, rng: np.random.Generator
 ) -> List[Tuple[str, TensorWord]]:
     """Codeword single-line corruptions, diagonal patterns, plus the
     rescaled-diagonal witness where the family supports it."""
@@ -277,7 +286,7 @@ def _adversarial_pool(
     witness = rs_triple_witness(family)
     if witness is not None:
         pool.append(("counterexample", witness))
-    for r in range(corruption_rounds):
+    for r in range(_CORRUPTION_ROUNDS):
         base = random_product_codeword(family, rng)
         for axis, code in enumerate(family.codes):
             arr = base.data.copy()
@@ -433,7 +442,8 @@ def rho_a_exact(family: CodeFamily) -> Fraction:
                 s += Fraction(line_count_flat(cs[i] ^ cw, i), line_totals[i])
             if den_best is None or s < den_best:
                 den_best = s
-        assert den_best is not None and den_best > 0
+        if den_best is None or den_best == 0:
+            raise RuntimeError("a disagreeing tuple is at distance 0 from the product code")
         ratio = num / (den_best / m)
         if best is None or ratio < best:
             best = ratio
@@ -500,7 +510,7 @@ def check_robust_agreement(family: CodeFamily) -> CheckReport:
     rr = rho_r_exact(line_test(family.shape), family)
     ra = rho_a_exact(family)
     dmin = min(
-        Fraction(min_distance(c, "exhaustive"), c.length) for c in family.codes
+        Fraction(min_distance(c), c.length) for c in family.codes
     )
     return CheckReport(
         name="robust_agreement",
@@ -563,7 +573,8 @@ def check_composition(
         if r1 is None:
             continue
         r2 = _exact_word_ratio(word, test2, fam_m)
-        assert r2 is not None
+        if r2 is None:
+            raise RuntimeError("a word outside the product code has no T^k2 ratio")
         lhs_min = r1 if lhs_min is None else min(lhs_min, r1)
         outer_min = r2 if outer_min is None else min(outer_min, r2)
     if lhs_min is None or outer_min is None:
@@ -591,7 +602,7 @@ def check_hyperplane_bound(code: CyclicCode, k: int) -> CheckReport:
         raise ValueError("hyperplane test needs k >= 2")
     fam = CodeFamily.power(code, k)
     rr = rho_r_exact(FlatTest.build(fam.shape, k - 1), fam)
-    delta = Fraction(min_distance(code, "exhaustive"), code.length)
+    delta = Fraction(min_distance(code), code.length)
     return CheckReport(
         name="hyperplane_bound",
         instance=fam.label(),
@@ -705,12 +716,12 @@ class DerivedConstants:
     alpha_denominator: int
 
 
-def derived_constants(m: int, rho_r_t21: Fraction = Fraction(1, 72)) -> DerivedConstants:
+def derived_constants(m: int) -> DerivedConstants:
     """Constants of the rate-1/3 Reed-Solomon robustness chain.
 
     M = (m-2)(m+3)/2 accumulates one hyperplane-bound factor delta^k for
     each k = 3..m; alpha_r feeds the line-test robustness of the square
-    (1/72 by default) through those factors with delta >= 2/3; alpha_a
+    (`_RHO_R_T21` = 1/72) through those factors with delta >= 2/3; alpha_a
     converts robustness to agreement testability.  The returned `alpha` maps
     an expansion constant rho to the line-test robustness floor
     rho^(M+1) / (4 * 12^(m-2)).
@@ -718,7 +729,7 @@ def derived_constants(m: int, rho_r_t21: Fraction = Fraction(1, 72)) -> DerivedC
     if m < 3:
         raise ValueError("need m >= 3")
     M = (m - 2) * (m + 3) // 2
-    alpha_r = rho_r_t21 * Fraction(1, 12 ** (m - 2)) * Fraction(2, 3) ** M
+    alpha_r = _RHO_R_T21 * Fraction(1, 12 ** (m - 2)) * Fraction(2, 3) ** M
     alpha_a = Fraction(2, 3) * alpha_r / (1 + alpha_r)
     denom = 4 * 12 ** (m - 2)
     exponent = M + 1

@@ -21,7 +21,13 @@ from prodexp.codes import low_degree_evaluation_vectors, repetition, rs_primitiv
 from prodexp.expansion import ExpansionCertificate, verify_certificate
 from prodexp.gf_poly import field_make
 from prodexp.harness import build_parser, config_from_args, run
-from prodexp.tensor import CodeFamily, TensorWord, random_sum_codeword, sum_contains_batch
+from prodexp.tensor import (
+    CodeFamily,
+    TensorWord,
+    _check_poly_kernel,
+    _dual_tensor_kernel,
+    random_sum_codeword,
+)
 from prodexp.testability import (
     FlatTest,
     check_composition,
@@ -131,8 +137,8 @@ def test_criterion_2_membership_cross_validation():
         expected_member.append(True)
     randoms = rng.integers(0, 16, size=(1000, 15, 15, 15), dtype=np.uint8)
     batch = np.concatenate([np.stack(words), randoms], axis=0)
-    via_check = sum_contains_batch(batch, fam, "check_poly")
-    via_dual = sum_contains_batch(batch, fam, "dual_tensor")
+    via_check = _check_poly_kernel(batch, fam)
+    via_dual = _dual_tensor_kernel(batch, fam)
     disagreements = int(np.count_nonzero(via_check != via_dual))
     assert disagreements == 0
     assert via_check[: len(expected_member)].all()

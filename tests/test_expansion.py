@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from prodexp import expansion
 from prodexp.codes import full_code, repetition, rs_primitive
 from prodexp.expansion import (
     Decomposition,
@@ -20,7 +21,7 @@ from prodexp.expansion import (
     verify_certificate,
 )
 from prodexp.gf_poly import field_make
-from prodexp.tensor import CodeFamily, TensorWord, random_sum_codeword, sum_contains
+from prodexp.tensor import CodeFamily, TensorWord, _check_poly_kernel, random_sum_codeword
 
 F2 = field_make(1)
 F4 = field_make(2)
@@ -48,7 +49,7 @@ def test_counterexample_t1_support_and_membership():
         if (i + j + l) % 3 == 0
     }
     fam = CodeFamily.power(rs_primitive(F4, 1, 3), 3)
-    assert sum_contains(w, fam, "check_poly")
+    assert _check_poly_kernel(w.data[None], fam)[0]
 
 
 def test_counterexample_entry_formula():
@@ -163,16 +164,19 @@ def test_min_decomposition_rejects_non_member():
 
 
 def test_exhaustive_never_beaten_by_local_search():
+    """No splitting found otherwise, here the one that generated the word,
+    costs less than the exhaustive minimum."""
     fam = CodeFamily.power(rs_primitive(F4, 1, 3), 2)
     rng = np.random.default_rng(0)
     space = DecompositionSpace(fam)
-    for trial in range(10):
-        word, _ = random_sum_codeword(fam, rng)
+    for _ in range(10):
+        word, parts = random_sum_codeword(fam, rng)
         if word.weight() == 0:
             continue
-        _, best = min_decomposition(word, fam, "exhaustive", space=space)
-        _, found = min_decomposition(word, fam, "local_search", seed=trial, space=space)
-        assert best <= found
+        _, best = min_decomposition(word, fam, space=space)
+        generating = Decomposition(tuple(parts))
+        generating.validate(fam, word)
+        assert best <= generating.cost()
 
 
 def test_decomposition_validation_catches_bad_parts():
@@ -245,11 +249,12 @@ def test_rho_upper_sampled_deterministic():
     assert a == b
 
 
-def test_rho_upper_sampled_heuristic_above_exact_when_fully_searched():
+def test_rho_upper_sampled_heuristic_above_exact_when_fully_searched(monkeypatch):
     fam = CodeFamily.power(REP2, 2)
     exact = rho_exact(fam)
     # budget covers the pool: every found decomposition is a true minimizer,
     # so every pool ratio is that word's exact ratio and dominates rho
-    rep = rho_upper_sampled(fam, samples=32, seed=1, local_search_budget=64)
+    monkeypatch.setattr(expansion, "_SEARCH_BUDGET", 64)
+    rep = rho_upper_sampled(fam, samples=32, seed=1)
     assert rep.heuristic_min is not None
     assert rep.heuristic_min >= exact

@@ -1,21 +1,10 @@
-"""Field arithmetic and polynomial-ring tests."""
+"""Field arithmetic and univariate polynomial tests."""
 
 import random
 
 import pytest
 
-from prodexp.gf_poly import (
-    dft_evaluate,
-    field_make,
-    multipoly,
-    poly_from_univariate,
-    poly_mul_mod_ideal,
-    poly_one,
-    star_transform,
-    unipoly_divmod,
-    unipoly_mul,
-    x_pow_n_minus_1,
-)
+from prodexp.gf_poly import field_make, unipoly_divmod, unipoly_mul, x_pow_n_minus_1
 
 
 def test_field_make_gf4_forced_orders():
@@ -73,95 +62,14 @@ def test_table_mul_matches_carryless(degree):
         assert int(table[a, b]) == f.mul_raw(a, b)
 
 
-def test_poly_mul_identity():
-    f = field_make(4)
-    one = poly_one(f, 2, 15)
-    b = multipoly(f, 2, 15, {(3, 7): 5, (0, 1): 9})
-    assert poly_mul_mod_ideal(one, b) == b
-
-
-def test_poly_mul_x_wraps():
-    f = field_make(2)
-    n = 3
-    x = poly_from_univariate(f, (0, 1), n)
-    xn1 = poly_from_univariate(f, (0, 0, 1), n)  # x^{n-1}
-    assert poly_mul_mod_ideal(xn1, x) == poly_one(f, 1, n)
-
-
 def test_product_of_all_linear_factors_vanishes():
-    # over GF(4), n=3: (x-1)(x-w)(x-w^2) = x^3 - 1 = 0 mod (x^3 - 1)
+    # over GF(4), n=3: (x-1)(x-w)(x-w^2) = x^3 - 1, which is 0 mod (x^3 - 1)
     f = field_make(2)
     n = 3
-    acc = poly_one(f, 1, n)
-    for i in range(3):
-        factor = poly_from_univariate(f, (f.omega_pow(i), 1), n)
-        acc = poly_mul_mod_ideal(acc, factor)
-    assert acc.is_zero()
-
-
-def _random_poly(f, rng, num_vars, n, terms):
-    coeffs = {}
-    for _ in range(terms):
-        e = tuple(rng.randrange(n) for _ in range(num_vars))
-        coeffs[e] = rng.randrange(1, f.order)
-    return multipoly(f, num_vars, n, coeffs)
-
-
-def test_poly_mul_commutative_associative_random():
-    f = field_make(4)
-    rng = random.Random(5)
-    for _ in range(50):
-        a = _random_poly(f, rng, 2, 15, 4)
-        b = _random_poly(f, rng, 2, 15, 4)
-        c = _random_poly(f, rng, 2, 15, 3)
-        assert poly_mul_mod_ideal(a, b) == poly_mul_mod_ideal(b, a)
-        assert poly_mul_mod_ideal(a, poly_mul_mod_ideal(b, c)) == poly_mul_mod_ideal(
-            poly_mul_mod_ideal(a, b), c
-        )
-
-
-def test_star_transform_examples():
-    f = field_make(4)
-    n = 15
-    assert star_transform(poly_one(f, 1, n)) == poly_one(f, 1, n)
-    x = poly_from_univariate(f, (0, 1), n)
-    xs = star_transform(x)
-    assert dict(xs.coeffs) == {(n - 1,): 1}
-
-
-def test_star_transform_involution_random():
-    f = field_make(4)
-    rng = random.Random(11)
-    for _ in range(200):
-        p = _random_poly(f, rng, rng.choice([1, 2, 3]), 15, 5)
-        assert star_transform(star_transform(p)) == p
-
-
-def test_dft_evaluate_constant_is_all_ones():
-    f = field_make(4)
-    out = dft_evaluate(poly_one(f, 1, 15), f)
-    assert (out == 1).all()
-
-
-def test_dft_evaluate_x_over_gf4():
-    f = field_make(2)
-    x = poly_from_univariate(f, (0, 1), 3)
-    out = dft_evaluate(x, f)
-    # (1, w^-1, w^-2) = (1, w^2, w)
-    assert list(out) == [1, f.omega_pow(2), f.omega]
-
-
-def test_dft_vectors_lie_in_rs_code_sampled():
-    from prodexp.codes import rs_primitive
-
-    f = field_make(4)
-    code = rs_primitive(f, 1, 3)
-    rng = random.Random(3)
-    for _ in range(300):
-        coeffs = [rng.randrange(f.order) for _ in range(code.dimension)]
-        p = poly_from_univariate(f, coeffs, 15)
-        vec = dft_evaluate(p, f)
-        assert code.contains(vec)
+    acc = (1,)
+    for i in range(n):
+        acc = unipoly_mul(f, acc, (f.omega_pow(i), 1))
+    assert acc == x_pow_n_minus_1(f, n)
 
 
 def test_unipoly_divmod_roundtrip():
@@ -189,20 +97,3 @@ def test_unipoly_divmod_roundtrip():
 def test_x_pow_n_minus_1_char2():
     f = field_make(1)
     assert x_pow_n_minus_1(f, 2) == (1, 0, 1)
-
-
-def test_poly_mul_rejects_mismatched_rings():
-    a = poly_one(field_make(2), 2, 3)
-    b = poly_one(field_make(2), 2, 5)
-    with pytest.raises(ValueError):
-        poly_mul_mod_ideal(a, b)
-    c = poly_one(field_make(4), 2, 3)
-    with pytest.raises(ValueError):
-        poly_mul_mod_ideal(a, c)
-
-
-def test_dft_evaluate_requires_full_length_period():
-    f = field_make(4)
-    p = poly_from_univariate(f, (1,), 7)
-    with pytest.raises(ValueError):
-        dft_evaluate(p, f)

@@ -1,5 +1,6 @@
 """CLI harness: exit codes, determinism, serialization, config handling."""
 
+import dataclasses
 import io
 import json
 import subprocess
@@ -7,6 +8,8 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from prodexp.expansion import ExpansionCertificate, verify_certificate
 from prodexp.gf_poly import field_make
@@ -16,6 +19,7 @@ from prodexp.harness import (
     EXIT_USAGE,
     EXIT_VIOLATION,
     ExperimentConfig,
+    UsageError,
     build_parser,
     config_from_args,
     emit_report,
@@ -189,6 +193,38 @@ def test_config_file_flags_win(tmp_path):
     assert cfg.m == 3  # flag beats config
 
 
+def test_config_file_sets_every_field_like_flags(tmp_path):
+    file_values = {
+        "instance": "rs", "t": 2, "rate": [2, 5], "m": 3, "k": 2, "mode": "sampled",
+        "samples": 7, "trials": 11, "seed": 5, "jobs": 2, "fmt": "csv", "out": "r.csv",
+    }
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(file_values))
+    parser = build_parser()
+    from_file = config_from_args(parser.parse_args(["robustness", "--config", str(cfg_file)]))
+    flags = (
+        "robustness --instance rs --t 2 --rate 2/5 --m 3 --k 2 --mode sampled"
+        " --samples 7 --seed 5 --jobs 2 --format csv --out r.csv"
+    )
+    from_flags = config_from_args(parser.parse_args(flags.split()))
+    # robustness has no --trials flag
+    assert from_file == dataclasses.replace(from_flags, trials=11)
+    default = ExperimentConfig(command="robustness")
+    unset = [f.name for f in dataclasses.fields(default)
+             if f.name != "command" and getattr(from_file, f.name) == getattr(default, f.name)]
+    assert unset == []
+
+
+def test_config_file_malformed_value_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"instance": "rep2", "t": "x"}))
+    args = build_parser().parse_args(["rho-exact", "--config", str(cfg_file)])
+    with pytest.raises(UsageError, match="'x' for t"):
+        config_from_args(args)
+    assert main(["rho-exact", "--config", str(cfg_file)]) == EXIT_USAGE
+    assert "for t" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # Certificates through the CLI.
 # ----------------------------------------------------------------------
@@ -221,10 +257,10 @@ def _count_sum_membership_tests(monkeypatch, result=None):
     calls = []
     real = tensor.sum_contains_batch
 
-    def counted(words, family, method="auto"):
-        calls.append(method)
+    def counted(words, family):
+        calls.append(family)
         if result is None:
-            return real(words, family, method)
+            return real(words, family)
         return np.full(len(words), result)
 
     monkeypatch.setattr(tensor, "sum_contains_batch", counted)

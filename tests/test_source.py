@@ -1,0 +1,15 @@
+"""Rules on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "prodexp"
+
+
+def test_no_assert_in_package_source():
+    """`python -O` strips asserts, so a broken invariant must raise instead."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == [], f"assert statements in src/prodexp: {found}"

@@ -13,6 +13,8 @@ from prodexp.tensor import (
     CodeFamily,
     Flat,
     TensorWord,
+    _check_poly_kernel,
+    _dual_tensor_kernel,
     delta_to_product,
     enumerate_flats,
     line_weight,
@@ -21,7 +23,6 @@ from prodexp.tensor import (
     random_sum_codeword,
     restrict,
     sum_contains,
-    sum_contains_batch,
 )
 
 F2 = field_make(1)
@@ -136,8 +137,8 @@ def test_product_implies_sum_exhaustive_2x2():
     for bits in itertools.product((0, 1), repeat=4):
         w = W(F2, [[bits[0], bits[1]], [bits[2], bits[3]]])
         if product_contains(w, fam):
-            assert sum_contains(w, fam, "check_poly")
-            assert sum_contains(w, fam, "dual_tensor")
+            assert _check_poly_kernel(w.data[None], fam)[0]
+            assert _dual_tensor_kernel(w.data[None], fam)[0]
 
 
 def test_product_implies_sum_sampled_gf4():
@@ -156,9 +157,9 @@ def test_sum_contains_direction_words():
     rng = np.random.default_rng(1)
     word, parts = random_sum_codeword(fam, rng)
     for part in parts:
-        assert sum_contains(part, fam, "check_poly")
-    assert sum_contains(word, fam, "check_poly")
-    assert sum_contains(word, fam, "dual_tensor")
+        assert _check_poly_kernel(part.data[None], fam)[0]
+    assert _check_poly_kernel(word.data[None], fam)[0]
+    assert _dual_tensor_kernel(word.data[None], fam)[0]
 
 
 def test_sum_contains_flip_one_entry_fires_dual_check():
@@ -168,8 +169,8 @@ def test_sum_contains_flip_one_entry_fires_dual_check():
     arr = word.data.copy()
     arr[0, 1, 2] ^= 3
     flipped = TensorWord(F4, arr)
-    assert not sum_contains(flipped, fam, "check_poly")
-    assert not sum_contains(flipped, fam, "dual_tensor")
+    assert not _check_poly_kernel(flipped.data[None], fam)[0]
+    assert not _dual_tensor_kernel(flipped.data[None], fam)[0]
     # exhibit a firing dual parity check: some syndrome entry is nonzero
     from prodexp.linalg import apply_matrix_axis
 
@@ -179,24 +180,36 @@ def test_sum_contains_flip_one_entry_fires_dual_check():
     assert syn.any()
 
 
+def test_sum_contains_unequal_lengths_rs15_by_rep5():
+    """Unequal lengths select the dual-tensor kernel."""
+    f16 = field_make(4)
+    fam = CodeFamily((rs_primitive(f16, 1, 3), repetition(f16, 5)))
+    rng = np.random.default_rng(12)
+    word, _ = random_sum_codeword(fam, rng)
+    assert word.shape == (15, 5) and sum_contains(word, fam)
+    arr = word.data.copy()
+    arr[4, 2] ^= 7
+    assert not sum_contains(TensorWord(f16, arr), fam)
+
+
 def test_sum_methods_agree_on_3x3_gf4():
     fam = CodeFamily.power(C31, 2)
     rng = np.random.default_rng(3)
     words = rng.integers(0, 4, size=(100_000, 3, 3), dtype=np.uint8)
-    a = sum_contains_batch(words, fam, "check_poly")
-    b = sum_contains_batch(words, fam, "dual_tensor")
+    a = _check_poly_kernel(words, fam)
+    b = _dual_tensor_kernel(words, fam)
     assert np.array_equal(a, b)
     # the full sum-code basis and shifted cosets
     from prodexp.expansion import DecompositionSpace
 
     basis = DecompositionSpace(fam).basis.reshape(-1, 3, 3)
-    assert sum_contains_batch(basis, fam, "check_poly").all()
-    assert sum_contains_batch(basis, fam, "dual_tensor").all()
+    assert _check_poly_kernel(basis, fam).all()
+    assert _dual_tensor_kernel(basis, fam).all()
     shift = rng.integers(0, 4, size=(basis.shape[0], 3, 3), dtype=np.uint8)
     shifted = basis ^ shift
     assert np.array_equal(
-        sum_contains_batch(shifted, fam, "check_poly"),
-        sum_contains_batch(shifted, fam, "dual_tensor"),
+        _check_poly_kernel(shifted, fam),
+        _dual_tensor_kernel(shifted, fam),
     )
 
 
@@ -287,4 +300,4 @@ def test_full_code_factor_everything_is_member():
     fam = CodeFamily((C31, full_code(F4, 3)))
     rng = np.random.default_rng(7)
     word = rng.integers(0, 4, size=(3, 3), dtype=np.uint8)
-    assert sum_contains(TensorWord(F4, word), fam, "check_poly")
+    assert _check_poly_kernel(word[None], fam)[0]

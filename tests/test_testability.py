@@ -283,6 +283,25 @@ def test_robustness_ratio_upper_bounds_truth_tiny():
         assert ub >= truth
 
 
+def test_robustness_ratio_decodes_each_line_once(monkeypatch):
+    """The line test's numerator and denominator share one decode per line:
+    30 decodes for the 30 lines of an RS[15,5]^2 word."""
+    from prodexp import codes
+
+    calls = []
+    real = codes.bounded_distance_decode
+
+    def counted(code, word):
+        calls.append(1)
+        return real(code, word)
+
+    monkeypatch.setattr(codes, "bounded_distance_decode", counted)
+    rng = np.random.default_rng(5)
+    word = TensorWord(F16, rng.integers(0, 16, size=(15, 15), dtype=np.uint8))
+    assert robustness_ratio(word, line_test((15, 15)), CodeFamily.power(RS15, 2)) is not None
+    assert len(calls) == 30
+
+
 def test_rho_r_sampled_upper_deterministic_and_consistent():
     t = line_test((15, 15))
     fam = CodeFamily.power(RS15, 2)
