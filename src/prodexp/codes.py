@@ -191,10 +191,6 @@ class CyclicCode:
             raise RuntimeError("reciprocal of a check polynomial does not divide x^n - 1")
         return CyclicCode(field, n, check_dual)
 
-    def parity_matrix(self) -> np.ndarray:
-        """(n-k) x n matrix of dual-code generators; syndrome = word @ H^T."""
-        return self.dual().generator_matrix
-
 
 def repetition(field: GF2m, length: int) -> CyclicCode:
     """[n, 1] repetition code: check polynomial x - 1."""

@@ -48,10 +48,7 @@ class Decomposition:
     parts: Tuple[TensorWord, ...]
 
     def total(self) -> TensorWord:
-        acc = self.parts[0]
-        for p in self.parts[1:]:
-            acc = acc + p
-        return acc
+        return sum(self.parts[1:], self.parts[0])
 
     def cost(self) -> Fraction:
         return sum(
@@ -87,10 +84,10 @@ def counterexample_word(field: GF2m, k: int) -> TensorWord:
         raise ValueError(f"n = {n} is not divisible by 3")
     if k != n // 3:
         raise ValueError(f"expected k = n/3 = {n // 3}, got {k}")
-    i, j, l = np.indices((n, n, n), dtype=np.int32)
+    j, l = np.indices((n, n))
     pow_table = np.array([field.omega_pow(e) for e in range(n)], dtype=np.uint8)
-    vals = pow_table[(-(k * j) - 2 * k * l) % n]
-    data = np.where((i + j + l) % n == 0, vals, 0).astype(np.uint8)
+    data = np.zeros((n, n, n), dtype=np.uint8)
+    data[-(j + l) % n, j, l] = pow_table[(-(k * j) - 2 * k * l) % n]
     return TensorWord(field, data)
 
 
@@ -156,36 +153,40 @@ class ExpansionCertificate:
     tight: bool
 
     def to_text(self) -> str:
-        lines = [
+        head = [
             "product-expansion-certificate v1",
             f"instance {self.instance}",
             f"bound {self.bound.numerator}/{self.bound.denominator}",
             f"cover-lower-bound {self.cover_lower_bound}",
             f"line-disjoint {'true' if self.line_disjoint else 'false'}",
             f"tight {'true' if self.tight else 'false'}",
-            "witness",
-            self.witness.to_text().rstrip("\n"),
-            "end",
+            "witness\n",
         ]
-        return "\n".join(lines) + "\n"
+        # the witness text ends in a newline
+        return "".join(["\n".join(head), self.witness.to_text(), "end\n"])
 
     @staticmethod
     def from_text(text: str) -> "ExpansionCertificate":
-        lines = text.strip().splitlines()
-        if not lines or lines[0].strip() != "product-expansion-certificate v1":
+        """Parse the v1 text; anything malformed raises `ValueError`."""
+        start = text.find("\nwitness\n")
+        head = [ln.strip() for ln in text[: max(start, 0)].strip().splitlines()]
+        if not head or head[0] != "product-expansion-certificate v1":
             raise ValueError("not a certificate")
-        fields = {}
-        i = 1
-        while i < len(lines) and lines[i].strip() != "witness":
-            key, _, val = lines[i].strip().partition(" ")
-            fields[key] = val
-            i += 1
-        if i == len(lines) or lines[-1].strip() != "end":
-            raise ValueError("malformed certificate")
-        witness = TensorWord.from_text("\n".join(lines[i + 1 : -1]))
+        stop = text.rfind("\nend")
+        if stop <= start or text[stop + 1 :].strip() != "end":
+            raise ValueError("malformed certificate: no end line")
+        fields = dict(ln.partition(" ")[::2] for ln in head[1:] if ln)
+        keys = ("instance", "bound", "cover-lower-bound", "line-disjoint", "tight")
+        missing = [k for k in keys if k not in fields]
+        if missing:
+            raise ValueError(f"certificate lacks {', '.join(missing)}")
+        if {fields["line-disjoint"], fields["tight"]} - {"true", "false"}:
+            raise ValueError("line-disjoint and tight must be true or false")
         num, _, den = fields["bound"].partition("/")
+        if int(den) == 0:
+            raise ValueError("certificate bound has a zero denominator")
         return ExpansionCertificate(
-            witness=witness,
+            witness=TensorWord.from_text(text[start + len("\nwitness\n") : stop + 1]),
             instance=fields["instance"],
             bound=Fraction(int(num), int(den)),
             cover_lower_bound=int(fields["cover-lower-bound"]),
@@ -269,16 +270,11 @@ class DecompositionSpace:
         return linalg.solve(self.family.field, self.phi, word.data.reshape(-1))
 
     def parts_from_coeffs(self, beta: np.ndarray) -> Tuple[TensorWord, ...]:
-        field = self.family.field
-        shape = self.family.shape
-        parts = []
-        for sl in self.slices:
-            seg = beta[sl]
-            flat = np.zeros(self.N, dtype=np.uint8)
-            for idx in np.nonzero(seg)[0]:
-                flat ^= field.scale_array(int(seg[idx]), self.basis[sl][idx])
-            parts.append(TensorWord(field, flat.reshape(shape)))
-        return tuple(parts)
+        field, shape = self.family.field, self.family.shape
+        return tuple(
+            TensorWord(field, _fold_segment(field, beta[sl], self.basis[sl]).reshape(shape))
+            for sl in self.slices
+        )
 
     def _cost_weights(self) -> Tuple[List[int], int]:
         """Integer line-count weights so that cost = sum_i w_i |a_i|_i / denom."""

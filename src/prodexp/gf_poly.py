@@ -19,8 +19,8 @@ two interchangeable implementations: carry-less shift-add with reduction
 with the former).
 
 Univariate polynomials are coefficient tuples, low degree first.  Products
-in the cyclic rings F[x_1..x_m] / (x_i^n - 1) are taken on numpy arrays by
-`tensor._cyclic_convolve_axis`.
+in the cyclic rings F[x_1..x_m] / (x_i^n_i - 1) are taken on numpy arrays,
+one axis at a time, by the sum-code membership kernel `tensor._check_axis`.
 """
 
 from __future__ import annotations

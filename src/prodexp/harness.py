@@ -239,8 +239,7 @@ def _run_certify_counterexample(cfg: ExperimentConfig):
     family = CodeFamily.power(code, 3)
     word = counterexample_word(field, code.dimension)
     try:
-        # the one sum-code membership test of the run: equal lengths select
-        # the check-polynomial kernel
+        # the one sum-code membership test of the run
         cert = certify_upper_bound(word, family)
     except NotInSumCode:
         cert = None
@@ -612,9 +611,15 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
-                values.update(json.load(fh))
+                loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError("config file must hold one JSON object")
+        unknown = sorted(set(loaded) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+        values.update(loaded)
     for key, val in vars(args).items():
         if key in ("config",):
             continue

@@ -7,16 +7,18 @@ distances are exact `Fraction`s.
 A word belongs to the product code of a family (C_1, ..., C_m) iff its
 restriction to every line in every direction lies in the corresponding
 component code.  Membership in the sum code (the dual of the tensor product
-of the duals) has two kernels, and `sum_contains` picks one from the family:
-a family whose codes share one length multiplies by every check polynomial
-in the cyclic ring; any other family is tested against the dual tensor
-basis.
+of the duals) has one kernel for every family, equal lengths or not: the
+word is multiplied along each axis by that code's check polynomial modulo
+x^n - 1, keeping only n - k consecutive products per line, and it is a
+sum-code word iff everything kept is zero.
 """
 
 from __future__ import annotations
 
 import itertools
+import string
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import prod
 from typing import List, Sequence, Tuple
@@ -25,7 +27,12 @@ import numpy as np
 
 from . import linalg
 from .codes import CyclicCode, DistanceBound, beyond_radius_bound, nearest_codeword
-from .gf_poly import GF2m
+from .gf_poly import GF2m, field_make
+
+#: uint16 columns per block of `_check_axis`: a block's index array stays in cache
+_PAIR_BLOCK = 1 << 12
+#: cells per block of the text writer, characters per block of the reader
+_TEXT_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,31 +93,63 @@ class TensorWord:
         """Header `shape n_1 ... n_m field 2^m`, then hex entries row-major,
         one innermost row per line."""
         head = "shape " + " ".join(str(n) for n in self.shape)
-        head += f" field 2^{self.field.degree}"
+        parts = [head + f" field 2^{self.field.degree}\n"]
         flat = self.data.reshape(-1, self.shape[-1])
-        rows = [" ".join(format(int(v), "x") for v in row) for row in flat]
-        return "\n".join([head] + rows) + "\n"
+        step = max(1, _TEXT_BLOCK // flat.shape[1])
+        for s in range(0, flat.shape[0], step):
+            cells = _HEX_CELL[flat[s : s + step]]
+            cells[:, -1, 2] = ord("\n")
+            chars = cells.reshape(-1)
+            parts.append(chars[chars != 0].tobytes().decode("ascii"))
+        return "".join(parts)
 
     @staticmethod
     def from_text(text: str) -> "TensorWord":
-        from .gf_poly import field_make
-
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty tensor text")
-        toks = lines[0].split()
-        if toks[0] != "shape" or "field" not in toks:
-            raise ValueError(f"bad header {lines[0]!r}")
-        fi = toks.index("field")
-        shape = tuple(int(t) for t in toks[1:fi])
-        base, _, deg = toks[fi + 1].partition("^")
+        start = len(text) - len(text.lstrip())
+        eol = text.find("\n", start)
+        eol = len(text) if eol < 0 else eol
+        toks = text[start:eol].split()
+        if len(toks) < 4 or toks[0] != "shape" or toks[-2] != "field" or toks.count("field") > 1:
+            raise ValueError(f"bad header {text[start:eol]!r}")
+        base, _, deg = toks[-1].partition("^")
         if base != "2":
             raise ValueError("only characteristic-2 fields are supported")
         field = field_make(int(deg))
-        vals = [int(t, 16) for ln in lines[1:] for t in ln.split()]
-        if len(vals) != prod(shape):
+        shape = tuple(int(t) for t in toks[1:-2])
+        blocks, pos = [np.zeros(0, dtype=np.uint8)], eol
+        while pos < len(text):
+            stop = text.find("\n", pos + _TEXT_BLOCK)
+            stop = len(text) if stop < 0 else stop
+            blocks.append(_hex_entries(text[pos:stop]))
+            pos = stop
+        vals = np.concatenate(blocks)
+        if min(shape) < 1 or vals.size != prod(shape):
             raise ValueError("entry count does not match the shape")
-        return TensorWord(field, np.array(vals, dtype=np.uint8).reshape(shape))
+        return TensorWord(field, vals.reshape(shape))
+
+
+#: value -> (high hex digit or 0 when below 16, low hex digit, space)
+_HEX_CELL = np.array([[*f"{v:x}".rjust(2, "\0").encode(), 32] for v in range(256)], np.uint8)
+#: character -> hex digit value, _SPACE for whitespace (as `str.split`), _BAD otherwise
+_SPACE, _BAD = 16, 17
+_HEX_VALUE = np.array(
+    [int(c, 16) if c in string.hexdigits else _SPACE if c.isspace() else _BAD
+     for c in map(chr, range(256))],
+    dtype=np.uint8,
+)
+
+
+def _hex_entries(chunk: str) -> np.ndarray:
+    """The whitespace-separated hex entries (one or two digits) of a text."""
+    val = _HEX_VALUE[np.frombuffer(chunk.encode("ascii", "replace"), dtype=np.uint8)]
+    if (val == _BAD).any():
+        raise ValueError("tensor entries must be hex digits")
+    digit = np.concatenate(([False], val < 16, [False]))
+    first = np.flatnonzero(digit[1:-1] & ~digit[:-2])
+    last = np.flatnonzero(digit[1:-1] & ~digit[2:])
+    if (last - first > 1).any():
+        raise ValueError("tensor entry above ff")
+    return np.where(last > first, val[first] << 4, 0).astype(np.uint8) | val[last]
 
 
 @dataclass(frozen=True)
@@ -255,46 +294,56 @@ def sum_contains(word: TensorWord, family: CodeFamily) -> bool:
 
 
 def sum_contains_batch(words: np.ndarray, family: CodeFamily) -> np.ndarray:
-    """Vectorized sum-code membership for a (W, n_1, ..., n_m) array."""
+    """Vectorized sum-code membership for a (W, n_1, ..., n_m) array: a word
+    is a member iff every product that `_check_axis` keeps is zero."""
     words = np.asarray(words, dtype=np.uint8)
     if words.shape[1:] != family.shape:
         raise ValueError("word shape does not match the family")
-    if len(set(family.shape)) == 1:
-        return _check_poly_kernel(words, family)
-    return _dual_tensor_kernel(words, family)
-
-
-def _check_poly_kernel(words: np.ndarray, family: CodeFamily) -> np.ndarray:
-    """Multiply by every check polynomial p_i(x_i) modulo the cyclic ideal
-    and test for the zero residue; selected for equal-length families."""
-    acc = words
-    for axis, code in enumerate(family.codes):
-        acc = _cyclic_convolve_axis(family.field, acc, code.check_coeffs, axis + 1)
+    # each step consumes the leading axis and appends its kept products last
+    acc = np.moveaxis(words, 0, -1)
+    for code in family.codes:
+        acc = _check_axis(family.field, acc, code)
     return ~acc.reshape(words.shape[0], -1).any(axis=1)
 
 
-def _dual_tensor_kernel(words: np.ndarray, family: CodeFamily) -> np.ndarray:
-    """Contract every axis with the dual generator matrix and test the
-    syndrome tensor for zero (any family)."""
-    syn = words
-    for axis, code in enumerate(family.codes):
-        syn = linalg.apply_matrix_axis(family.field, code.parity_matrix(), syn, axis + 1)
-    return ~syn.reshape(words.shape[0], -1).any(axis=1)
+def _check_axis(field: GF2m, arr: np.ndarray, code: CyclicCode) -> np.ndarray:
+    """Coefficients k, ..., n - 1 of p(x) a(x) mod x^n - 1 along the leading
+    axis, p the check polynomial of degree k; that axis is moved to the end.
+
+    Multiplication by p has the code as its kernel and maps onto the cyclic
+    code generated by p, of dimension n - k, in which any n - k consecutive
+    positions are an information set; so the truncated map has the same
+    kernel, and the tensor product of these maps has the sum code as its
+    kernel, for any lengths.  Coefficient k + r is sum_j p_j a[r + k - j]
+    with no wrap-around, so term j reads rows k - j .. n - 1 - j, as uint16
+    pairs of cells through a pair table, a block of columns at a time."""
+    n, rest = arr.shape[0], arr.shape[1:]
+    k = code.dimension
+    keep = n - k
+    R = prod(rest)
+    slab = np.zeros((n, R + (R & 1)), dtype=np.uint8)
+    slab[:, :R] = arr.reshape(n, R)
+    pairs = slab.view(np.uint16)
+    out = np.zeros((keep, pairs.shape[1]), dtype=np.uint16)
+    terms = [(k - j, _pair_table(field, c)) for j, c in enumerate(code.check_coeffs) if c]
+    for s in range(0, pairs.shape[1], _PAIR_BLOCK):
+        idx = pairs[:, s : s + _PAIR_BLOCK].astype(np.intp)
+        acc = out[:, s : s + _PAIR_BLOCK]
+        for start, table in terms:
+            acc ^= table[idx[start : start + keep]]
+    kept = out.view(np.uint8)[:, :R].reshape((keep,) + rest)
+    return np.moveaxis(kept, 0, -1)
 
 
-def _cyclic_convolve_axis(
-    field: GF2m, arr: np.ndarray, coeffs: Sequence[int], axis: int
-) -> np.ndarray:
-    """Multiply by the univariate polynomial `coeffs` acting on one axis,
-    modulo x^n - 1 (i.e. cyclic convolution along the axis)."""
-    table = field.mul_table
-    out = np.zeros_like(arr)
-    for j, cj in enumerate(coeffs):
-        if cj == 0:
-            continue
-        rolled = np.roll(arr, j, axis=axis)
-        out ^= rolled if cj == 1 else table[cj][rolled]
-    return out
+@lru_cache(maxsize=None)
+def _pair_table(field: GF2m, c: int) -> np.ndarray:
+    """Multiplication by c on both bytes of a uint16 pair of cells."""
+    row = np.zeros(256, dtype=np.uint16)
+    row[: field.order] = field.mul_table[c]
+    v = np.arange(1 << 16, dtype=np.uint16)
+    table = row[v & 0xFF] | (row[v >> 8] << 8)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -326,10 +375,7 @@ def random_sum_codeword(
         random_direction_word(code, family.shape, axis, rng)
         for axis, code in enumerate(family.codes)
     ]
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total, parts
+    return sum(parts[1:], parts[0]), parts
 
 
 def random_product_codeword(family: CodeFamily, rng: np.random.Generator) -> TensorWord:

@@ -145,14 +145,9 @@ test_expectation.__test__ = False  # keep pytest from collecting the operation
 
 def _flat_cell_indices(shape: Tuple[int, ...], flat: Flat) -> np.ndarray:
     """Flattened cell indices of a flat, row-major over ascending free axes."""
-    grids = []
-    for i in range(len(shape)):
-        if i in flat.free_axes:
-            grids.append(np.arange(shape[i]))
-        else:
-            grids.append(np.array([flat.base[i]]))
-    mesh = np.meshgrid(*grids, indexing="ij")
-    return np.ravel_multi_index([g.reshape(-1) for g in mesh], shape)
+    cells = np.arange(prod(shape)).reshape(shape)
+    idx = tuple(slice(None) if i in flat.free_axes else b for i, b in enumerate(flat.base))
+    return cells[idx].reshape(-1)
 
 
 def _min_distance_to_rows(words: np.ndarray, rows: np.ndarray) -> np.ndarray:

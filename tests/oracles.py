@@ -6,13 +6,21 @@ straight from its definition by full enumeration.  Running the module prints
 the frozen fixture table used by the acceptance tests.
 
     python tests/oracles.py
+
+The one exception is the sum-code membership reference `orc_sum_contains`,
+which has to reach words far beyond full enumeration: it works on numpy
+arrays, but still builds its own field table and parity-check matrices from
+nothing but the field's modulus and each code's check polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
+
+import numpy as np
 
 # GF(2): elements {0,1}, add = xor, mul = and.
 GF2_MUL = ((0, 0), (0, 1))
@@ -226,6 +234,61 @@ def orc_rho_a(shape, codes):
         if ratio is not None and (best is None or ratio < best):
             best = ratio
     return best
+
+
+@lru_cache(maxsize=None)
+def orc_mul_table(degree, modulus):
+    """Multiplication table of GF(2^degree) by carry-less shift and add."""
+    q = 1 << degree
+    table = np.zeros((q, q), dtype=np.uint8)
+    for a in range(q):
+        for b in range(q):
+            p, x, y = 0, a, b
+            while y:
+                if y & 1:
+                    p ^= x
+                x <<= 1
+                if x & q:
+                    x ^= modulus
+                y >>= 1
+            table[a, b] = p
+    return table
+
+
+def orc_parity_matrix(n, check):
+    """(n - k) x n generator matrix of the dual code: the shifts
+    x^j * x^k p(1/x), j < n - k, of the check polynomial's reciprocal.
+
+    Row j dotted with a word is coefficient k + j of p(x) a(x) mod x^n - 1,
+    and these rows are independent because p has a nonzero leading term."""
+    k = len(check) - 1
+    H = np.zeros((n - k, n), dtype=np.uint8)
+    for j in range(n - k):
+        for i in range(k + 1):
+            H[j, (i + j) % n] = check[k - i]
+    return H
+
+
+def orc_sum_syndrome(words, family):
+    """Syndrome tensor of a (W, n_1, ..., n_m) array of words: every axis
+    contracted with its code's dual generator matrix.  Its kernel is the
+    dual of the tensor product of the duals, that is, the sum code."""
+    field = family.field
+    mul = orc_mul_table(field.degree, field.modulus)
+    syn = np.asarray(words, dtype=np.uint8)
+    for axis, code in enumerate(family.codes, start=1):
+        H = orc_parity_matrix(code.length, code.check_coeffs)
+        moved = np.moveaxis(syn, axis, -1)
+        out = np.zeros(moved.shape[:-1] + (H.shape[0],), dtype=np.uint8)
+        for r, c in zip(*np.nonzero(H)):
+            out[..., r] ^= mul[H[r, c]][moved[..., c]]
+        syn = np.moveaxis(out, -1, axis)
+    return syn
+
+
+def orc_sum_contains(words, family):
+    """Sum-code membership of every word of a (W, n_1, ..., n_m) array."""
+    return ~orc_sum_syndrome(words, family).reshape(len(words), -1).any(axis=1)
 
 
 REP2 = [(0, 0), (1, 1)]

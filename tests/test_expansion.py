@@ -21,7 +21,7 @@ from prodexp.expansion import (
     verify_certificate,
 )
 from prodexp.gf_poly import field_make
-from prodexp.tensor import CodeFamily, TensorWord, _check_poly_kernel, random_sum_codeword
+from prodexp.tensor import CodeFamily, TensorWord, random_sum_codeword, sum_contains_batch
 
 F2 = field_make(1)
 F4 = field_make(2)
@@ -49,7 +49,7 @@ def test_counterexample_t1_support_and_membership():
         if (i + j + l) % 3 == 0
     }
     fam = CodeFamily.power(rs_primitive(F4, 1, 3), 3)
-    assert _check_poly_kernel(w.data[None], fam)[0]
+    assert sum_contains_batch(w.data[None], fam)[0]
 
 
 def test_counterexample_entry_formula():
@@ -136,6 +136,39 @@ def test_verify_certificate_rejects_tampered_bound():
         tight=cert.tight,
     )
     assert not verify_certificate(bad, fam)
+
+
+def _t1_certificate_text():
+    fam = CodeFamily.power(rs_primitive(F4, 1, 3), 3)
+    return certify_upper_bound(counterexample_word(F4, 1), fam).to_text()
+
+
+def test_certificate_missing_bound_line_raises_value_error():
+    lines = _t1_certificate_text().splitlines(keepends=True)
+    text = "".join(ln for ln in lines if not ln.startswith("bound "))
+    with pytest.raises(ValueError, match="lacks bound"):
+        ExpansionCertificate.from_text(text)
+
+
+def test_certificate_zero_denominator_raises_value_error():
+    text = _t1_certificate_text()
+    assert "\nbound 1/3\n" in text
+    with pytest.raises(ValueError, match="zero denominator"):
+        ExpansionCertificate.from_text(text.replace("\nbound 1/3\n", "\nbound 1/0\n"))
+
+
+def test_certificate_entry_above_ff_raises_value_error():
+    text = _t1_certificate_text()
+    head, sep, body = text.partition(" field 2^2\n")
+    with pytest.raises(ValueError, match="above ff"):
+        ExpansionCertificate.from_text(head + sep + "100" + body[1:])
+
+
+def test_certificate_header_ending_in_field_raises_value_error():
+    text = _t1_certificate_text()
+    assert "shape 3 3 3 field 2^2\n" in text
+    with pytest.raises(ValueError, match="bad header"):
+        ExpansionCertificate.from_text(text.replace(" field 2^2\n", " field\n"))
 
 
 # ----------------------------------------------------------------------

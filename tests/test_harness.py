@@ -225,6 +225,16 @@ def test_config_file_malformed_value_exits_2(tmp_path, capsys):
     assert "for t" in capsys.readouterr().err
 
 
+def test_config_file_unknown_keys_exit_2(tmp_path, capsys):
+    cfg_file = tmp_path / "typo.json"
+    cfg_file.write_text(json.dumps({"instance": "rep2", "m": 2, "sampels": 5, "mdoe": "sampled"}))
+    args = build_parser().parse_args(["rho-exact", "--config", str(cfg_file)])
+    with pytest.raises(UsageError, match="unknown config keys: mdoe, sampels"):
+        config_from_args(args)
+    assert main(["rho-exact", "--config", str(cfg_file)]) == EXIT_USAGE
+    assert "sampels" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # Certificates through the CLI.
 # ----------------------------------------------------------------------

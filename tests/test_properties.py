@@ -1,4 +1,4 @@
-"""Property tests: sum-code membership kernels and certificate text."""
+"""Property tests: sum-code membership against its oracle, certificate text."""
 
 from math import prod
 
@@ -6,15 +6,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import orc_sum_contains
 from prodexp.codes import full_code, repetition, rs_primitive
 from prodexp.expansion import ExpansionCertificate, certify_upper_bound
 from prodexp.gf_poly import field_make
 from prodexp.tensor import (
     CodeFamily,
     TensorWord,
-    _check_poly_kernel,
-    _dual_tensor_kernel,
     encode_direction,
+    sum_contains_batch,
 )
 
 F2 = field_make(1)
@@ -65,12 +65,22 @@ def family_and_word(draw, families, word_strategy):
     return family, draw(word_strategy(family))
 
 
+@st.composite
+def near_sum_code_words(draw, family: CodeFamily) -> TensorWord:
+    """A sum-code word with one drawn cell changed to another value."""
+    word = draw(sum_code_words(family))
+    arr = word.data.copy()
+    cell = tuple(draw(st.integers(0, n - 1)) for n in family.shape)
+    arr[cell] ^= draw(st.integers(1, family.field.order - 1))
+    return TensorWord(family.field, arr)
+
+
 @REPRODUCIBLE
 @given(family_and_word(EQUAL_LENGTH_FAMILIES, words))
 def test_membership_kernels_agree_on_random_words(case):
     family, word = case
     batch = word.data[None]
-    assert _check_poly_kernel(batch, family)[0] == _dual_tensor_kernel(batch, family)[0]
+    assert sum_contains_batch(batch, family)[0] == orc_sum_contains(batch, family)[0]
 
 
 @REPRODUCIBLE
@@ -78,8 +88,38 @@ def test_membership_kernels_agree_on_random_words(case):
 def test_membership_kernels_accept_sum_code_words(case):
     family, word = case
     batch = word.data[None]
-    assert _check_poly_kernel(batch, family)[0]
-    assert _dual_tensor_kernel(batch, family)[0]
+    assert sum_contains_batch(batch, family)[0]
+    assert orc_sum_contains(batch, family)[0]
+
+
+UNEQUAL_LENGTH_FAMILIES = [
+    CodeFamily((rs_primitive(F16, 1, 3), repetition(F16, 5))),
+    CodeFamily((repetition(F4, 3), repetition(F4, 2), repetition(F4, 4))),
+    CodeFamily((repetition(F4, 3), full_code(F4, 2), C31)),
+    CodeFamily((repetition(F2, 3), repetition(F2, 2))),
+]
+
+
+@REPRODUCIBLE
+@given(
+    family_and_word(
+        UNEQUAL_LENGTH_FAMILIES,
+        lambda fam: st.one_of(words(fam), sum_code_words(fam), near_sum_code_words(fam)),
+    )
+)
+def test_membership_kernel_matches_oracle_unequal_lengths(case):
+    """Unequal lengths and a full-code factor (every word a member): random
+    words, sum-code words, and sum-code words with one cell changed."""
+    family, word = case
+    batch = word.data[None]
+    assert sum_contains_batch(batch, family)[0] == orc_sum_contains(batch, family)[0]
+
+
+@REPRODUCIBLE
+@given(family_and_word(UNEQUAL_LENGTH_FAMILIES, sum_code_words))
+def test_membership_kernel_accepts_sum_code_words_unequal_lengths(case):
+    family, word = case
+    assert sum_contains_batch(word.data[None], family)[0]
 
 
 CERTIFICATE_FAMILIES = [

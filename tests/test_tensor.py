@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import orc_sum_contains, orc_sum_syndrome
 from prodexp.codes import full_code, repetition, rs_primitive
 from prodexp.expansion import counterexample_word
 from prodexp.gf_poly import field_make
@@ -13,8 +14,6 @@ from prodexp.tensor import (
     CodeFamily,
     Flat,
     TensorWord,
-    _check_poly_kernel,
-    _dual_tensor_kernel,
     delta_to_product,
     enumerate_flats,
     line_weight,
@@ -23,6 +22,7 @@ from prodexp.tensor import (
     random_sum_codeword,
     restrict,
     sum_contains,
+    sum_contains_batch,
 )
 
 F2 = field_make(1)
@@ -137,8 +137,8 @@ def test_product_implies_sum_exhaustive_2x2():
     for bits in itertools.product((0, 1), repeat=4):
         w = W(F2, [[bits[0], bits[1]], [bits[2], bits[3]]])
         if product_contains(w, fam):
-            assert _check_poly_kernel(w.data[None], fam)[0]
-            assert _dual_tensor_kernel(w.data[None], fam)[0]
+            assert sum_contains_batch(w.data[None], fam)[0]
+            assert orc_sum_contains(w.data[None], fam)[0]
 
 
 def test_product_implies_sum_sampled_gf4():
@@ -157,9 +157,9 @@ def test_sum_contains_direction_words():
     rng = np.random.default_rng(1)
     word, parts = random_sum_codeword(fam, rng)
     for part in parts:
-        assert _check_poly_kernel(part.data[None], fam)[0]
-    assert _check_poly_kernel(word.data[None], fam)[0]
-    assert _dual_tensor_kernel(word.data[None], fam)[0]
+        assert sum_contains_batch(part.data[None], fam)[0]
+    assert sum_contains_batch(word.data[None], fam)[0]
+    assert orc_sum_contains(word.data[None], fam)[0]
 
 
 def test_sum_contains_flip_one_entry_fires_dual_check():
@@ -169,19 +169,14 @@ def test_sum_contains_flip_one_entry_fires_dual_check():
     arr = word.data.copy()
     arr[0, 1, 2] ^= 3
     flipped = TensorWord(F4, arr)
-    assert not _check_poly_kernel(flipped.data[None], fam)[0]
-    assert not _dual_tensor_kernel(flipped.data[None], fam)[0]
+    assert not sum_contains_batch(flipped.data[None], fam)[0]
+    assert not orc_sum_contains(flipped.data[None], fam)[0]
     # exhibit a firing dual parity check: some syndrome entry is nonzero
-    from prodexp.linalg import apply_matrix_axis
-
-    syn = flipped.data[None]
-    for axis, code in enumerate(fam.codes):
-        syn = apply_matrix_axis(F4, code.parity_matrix(), syn, axis + 1)
-    assert syn.any()
+    assert orc_sum_syndrome(flipped.data[None], fam).any()
 
 
 def test_sum_contains_unequal_lengths_rs15_by_rep5():
-    """Unequal lengths select the dual-tensor kernel."""
+    """Unequal lengths go through the same kernel as equal ones."""
     f16 = field_make(4)
     fam = CodeFamily((rs_primitive(f16, 1, 3), repetition(f16, 5)))
     rng = np.random.default_rng(12)
@@ -190,26 +185,44 @@ def test_sum_contains_unequal_lengths_rs15_by_rep5():
     arr = word.data.copy()
     arr[4, 2] ^= 7
     assert not sum_contains(TensorWord(f16, arr), fam)
+    assert orc_sum_contains(word.data[None], fam)[0]
+    assert not orc_sum_contains(arr[None], fam)[0]
+
+
+def test_sum_contains_t3_witness_and_one_changed_cell():
+    """The RS[63,21]^3 witness is a sum-code word; changing one nonzero
+    entry to another nonzero value keeps its support and leaves the code."""
+    f64 = field_make(6)
+    fam = CodeFamily.power(rs_primitive(f64, 1, 3), 3)
+    word = counterexample_word(f64, 21)
+    assert sum_contains(word, fam)
+    arr = word.data.copy()
+    cell = tuple(np.argwhere(arr)[0])
+    arr[cell] = arr[cell] % 63 + 1
+    changed = TensorWord(f64, arr)
+    assert changed.weight() == word.weight() == 63 * 63
+    assert not sum_contains(changed, fam)
+    assert orc_sum_contains(np.stack([word.data, arr]), fam).tolist() == [True, False]
 
 
 def test_sum_methods_agree_on_3x3_gf4():
     fam = CodeFamily.power(C31, 2)
     rng = np.random.default_rng(3)
     words = rng.integers(0, 4, size=(100_000, 3, 3), dtype=np.uint8)
-    a = _check_poly_kernel(words, fam)
-    b = _dual_tensor_kernel(words, fam)
+    a = sum_contains_batch(words, fam)
+    b = orc_sum_contains(words, fam)
     assert np.array_equal(a, b)
     # the full sum-code basis and shifted cosets
     from prodexp.expansion import DecompositionSpace
 
     basis = DecompositionSpace(fam).basis.reshape(-1, 3, 3)
-    assert _check_poly_kernel(basis, fam).all()
-    assert _dual_tensor_kernel(basis, fam).all()
+    assert sum_contains_batch(basis, fam).all()
+    assert orc_sum_contains(basis, fam).all()
     shift = rng.integers(0, 4, size=(basis.shape[0], 3, 3), dtype=np.uint8)
     shifted = basis ^ shift
     assert np.array_equal(
-        _check_poly_kernel(shifted, fam),
-        _dual_tensor_kernel(shifted, fam),
+        sum_contains_batch(shifted, fam),
+        orc_sum_contains(shifted, fam),
     )
 
 
@@ -291,6 +304,23 @@ def test_tensor_text_golden():
     assert w.to_text() == "shape 2 2 field 2^2\n1 2\n3 0\n"
 
 
+def test_tensor_text_blocks_match_per_entry_format(monkeypatch):
+    """The block-wise writer and reader against the per-entry hex format,
+    with blocks small enough to split the text at every row."""
+    from prodexp import tensor
+
+    rng = np.random.default_rng(4)
+    data = rng.integers(0, 256, size=(3, 5, 7), dtype=np.uint8)
+    data[0, 0, :3] = (0, 15, 16)
+    word = TensorWord(field_make(8), data)
+    rows = [" ".join(format(int(v), "x") for v in row) + "\n" for row in data.reshape(-1, 7)]
+    want = "shape 3 5 7 field 2^8\n" + "".join(rows)
+    for block in (1, 8, 1 << 20):
+        monkeypatch.setattr(tensor, "_TEXT_BLOCK", block)
+        assert word.to_text() == want
+        assert TensorWord.from_text(want) == word
+
+
 def test_tensor_text_rejects_bad_counts():
     with pytest.raises(ValueError):
         TensorWord.from_text("shape 2 2 field 2^2\n1 2 3\n")
@@ -300,4 +330,4 @@ def test_full_code_factor_everything_is_member():
     fam = CodeFamily((C31, full_code(F4, 3)))
     rng = np.random.default_rng(7)
     word = rng.integers(0, 4, size=(3, 3), dtype=np.uint8)
-    assert _check_poly_kernel(word[None], fam)[0]
+    assert sum_contains_batch(word[None], fam)[0]
