@@ -3,6 +3,9 @@
 A `CyclicCode` of length n is given by a check polynomial p | x^n - 1:
 a word (a_0..a_{n-1}) belongs to the code iff p(x) a(x) = 0 mod (x^n - 1).
 Its dimension equals deg p, its generator polynomial is (x^n - 1) / p.
+`CyclicCode.check_products` computes that product along the leading axis
+of any array, and is the one membership kernel of the package: lines here,
+product- and sum-code words in `tensor`.
 
 Distances are exact rationals (`fractions.Fraction`); where only
 bounded-distance decoding applies, operations return a `DistanceBound`
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +46,8 @@ _CACHE_LIMIT = 1 << 21
 _BRUTE_LIMIT = 1 << 24
 #: primitive RS codes with more codewords than this decode by unique decoding
 _BOUNDED_ABOVE = 1 << 16
+#: uint16 columns per block of `check_products`: a block's index array stays in cache
+_PAIR_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -143,14 +150,41 @@ class CyclicCode:
         words = np.asarray(words, dtype=np.uint8)
         if words.ndim != 2 or words.shape[1] != self.length:
             raise ValueError("expected a (W, n) array")
-        table = self.field.mul_table
-        syn = np.zeros_like(words)
-        for j, pj in enumerate(self.check_coeffs):
-            if pj == 0:
-                continue
-            rolled = np.roll(words, j, axis=1)
-            syn ^= rolled if pj == 1 else table[pj][rolled]
-        return ~syn.any(axis=1)
+        return ~self.check_products(words.T).any(axis=1)
+
+    def check_products(self, arr: np.ndarray) -> np.ndarray:
+        """Coefficients k, ..., n - 1 of p(x) a(x) mod x^n - 1 along the leading
+        axis, p the check polynomial of degree k; that axis is moved to the end.
+
+        Multiplication by p has the code as its kernel and maps onto the cyclic
+        code generated by p, of dimension n - k, in which any n - k consecutive
+        positions are an information set; so the truncated map has the same
+        kernel, and the tensor product of these maps has the sum code as its
+        kernel, for any lengths.  Coefficient k + r is sum_j p_j a[r + k - j]
+        with no wrap-around, so term j reads rows k - j .. n - 1 - j, as uint16
+        pairs of cells through a pair table of q^2 entries (`_pair_table`), a
+        block of columns at a time."""
+        n, rest = arr.shape[0], arr.shape[1:]
+        if n != self.length:
+            raise ValueError(f"leading axis {n} != {self.length}")
+        k = self.dimension
+        keep = n - k
+        R = prod(rest)
+        slab = np.zeros((n, R + (R & 1)), dtype=np.uint8)
+        slab[:, :R] = arr.reshape(n, R)
+        pairs = slab.view(np.uint16)
+        out = np.zeros((keep, pairs.shape[1]), dtype=np.uint16)
+        terms = [(k - j, _pair_table(self.field, c)) for j, c in enumerate(self.check_coeffs) if c]
+        q = self.field.order
+        for s in range(0, pairs.shape[1], _PAIR_BLOCK):
+            block = pairs[:, s : s + _PAIR_BLOCK]
+            idx = block.astype(np.intp)
+            idx -= (block >> 8) * (256 - q)  # lo + 256 hi -> lo + q hi
+            acc = out[:, s : s + _PAIR_BLOCK]
+            for start, table in terms:
+                acc ^= table[idx[start : start + keep]]
+        kept = out.view(np.uint8)[:, :R].reshape((keep,) + rest)
+        return np.moveaxis(kept, 0, -1)
 
     # -- encoding / enumeration ------------------------------------------
     def encode(self, message: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -190,6 +224,16 @@ class CyclicCode:
         if rem:
             raise RuntimeError("reciprocal of a check polynomial does not divide x^n - 1")
         return CyclicCode(field, n, check_dual)
+
+
+@lru_cache(maxsize=None)
+def _pair_table(field: GF2m, c: int) -> np.ndarray:
+    """Multiplication by c on both bytes of a uint16 pair of cells lo, hi < q,
+    at index lo + q hi: q^2 entries, 65,536 for GF(256) and 4,096 for GF(64)."""
+    row = field.mul_table[c].astype(np.uint16)
+    table = (row[None, :] | (row[:, None] << 8)).reshape(-1)
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
 
 
 def repetition(field: GF2m, length: int) -> CyclicCode:
@@ -239,23 +283,6 @@ def min_distance(code: CyclicCode) -> int:
         raise ValueError("zero code has no minimum distance")
     code._min_distance = int(nz.min())
     return code._min_distance
-
-
-def low_degree_evaluation_vectors(field: GF2m, k: int) -> np.ndarray:
-    """Evaluation vectors at (1, w^-1, ..., w^(1-n)) of every polynomial of
-    degree < k, as a (q^k, n) array.
-
-    Row r holds (p(1), p(w^-1), ..., p(w^(1-n))) where the coefficients of p
-    are the base-q digits of r.  These vectors are exactly the codewords of
-    the primitive RS code whose check polynomial has roots 1, w, .., w^(k-1).
-    """
-    n = field.order - 1
-    coeffs = linalg.enumerate_vectors(field.order, k)
-    V = np.zeros((k, n), dtype=np.uint8)
-    for j in range(k):
-        for i in range(n):
-            V[j, i] = field.omega_pow(-i * j)
-    return linalg.matmul(field, coeffs, V)
 
 
 # -- decoding ------------------------------------------------------------

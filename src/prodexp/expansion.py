@@ -115,9 +115,13 @@ def line_cover_lower_bound(word: TensorWord) -> Tuple[int, bool]:
     the support.
 
     A set of support cells no two of which share a line forces one cover
-    line per cell, so its size is a valid lower bound.  The greedy scan is
-    exact (tight=True) precisely when the whole support is line-disjoint.
+    line per cell, so its size is a valid lower bound.  The greedy scan keeps
+    every cell, and is exact (tight=True), precisely when the whole support
+    is line-disjoint; that case is answered by `line_disjoint_support`
+    without the scan.
     """
+    if line_disjoint_support(word):
+        return word.weight(), True
     cells = np.argwhere(word.data != 0)
     m = len(word.shape)
     chosen: List[Tuple[int, ...]] = []
@@ -129,8 +133,7 @@ def line_cover_lower_bound(word: TensorWord) -> Tuple[int, bool]:
         chosen.append(cell)
         for ax, key in enumerate(keys):
             seen[ax].add(key)
-    tight = len(chosen) == len(cells)
-    return len(chosen), tight
+    return len(chosen), False
 
 
 class NotInSumCode(ValueError):
@@ -203,8 +206,7 @@ def certify_upper_bound(word: TensorWord, family: CodeFamily) -> ExpansionCertif
         raise ValueError("zero word certifies nothing")
     if not sum_contains(word, family):
         raise NotInSumCode("word is not in the sum code; certificate would be vacuous")
-    L, tight = line_cover_lower_bound(word)
-    disjoint = line_disjoint_support(word)
+    L, tight = line_cover_lower_bound(word)  # tight iff the support is line-disjoint
     lines_max = max(word.size // n for n in word.shape)
     bound = word.norm() * Fraction(lines_max, L)
     return ExpansionCertificate(
@@ -212,7 +214,7 @@ def certify_upper_bound(word: TensorWord, family: CodeFamily) -> ExpansionCertif
         instance=family.label(),
         bound=bound,
         cover_lower_bound=L,
-        line_disjoint=disjoint,
+        line_disjoint=tight,
         tight=tight,
     )
 
@@ -224,10 +226,8 @@ def verify_certificate(cert: ExpansionCertificate, family: CodeFamily) -> bool:
         return False
     if not sum_contains(w, family):
         return False
-    L, tight = line_cover_lower_bound(w)
-    if L != cert.cover_lower_bound or tight != cert.tight:
-        return False
-    if line_disjoint_support(w) != cert.line_disjoint:
+    L, tight = line_cover_lower_bound(w)  # tight iff the support is line-disjoint
+    if L != cert.cover_lower_bound or tight != cert.tight or tight != cert.line_disjoint:
         return False
     lines_max = max(w.size // n for n in w.shape)
     return cert.bound == w.norm() * Fraction(lines_max, L)

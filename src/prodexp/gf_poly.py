@@ -20,7 +20,7 @@ with the former).
 
 Univariate polynomials are coefficient tuples, low degree first.  Products
 in the cyclic rings F[x_1..x_m] / (x_i^n_i - 1) are taken on numpy arrays,
-one axis at a time, by the sum-code membership kernel `tensor._check_axis`.
+one axis at a time, by the membership kernel `codes.CyclicCode.check_products`.
 """
 
 from __future__ import annotations

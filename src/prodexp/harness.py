@@ -50,7 +50,6 @@ from .testability import (
     check_pair_proximity,
     check_robust_agreement,
     derived_constants,
-    line_test,
     rho_a_exact,
     rho_r_exact,
     rho_r_sampled_upper,
@@ -245,7 +244,7 @@ def _run_certify_counterexample(cfg: ExperimentConfig):
         cert = None
     in_sum = cert is not None
     support_ok = word.weight() == n * n
-    disjoint = line_disjoint_support(word)
+    disjoint = cert.line_disjoint if in_sum else line_disjoint_support(word)
     ok = in_sum and support_ok and disjoint
     records = [
         make_record(
@@ -400,9 +399,10 @@ def _run_check_lemmas(cfg: ExperimentConfig):
     word_space_small = q ** (code.length**m) <= 1 << 24
 
     if word_space_small:
-        reports.append(check_robust_agreement(family))
-        rr = rho_r_exact(line_test(family.shape), family)
-        ra = rho_a_exact(family)
+        # each constant is enumerated once: later reports read earlier quantities
+        agreement = check_robust_agreement(family)
+        reports.append(agreement)
+        rr, ra = agreement.quantities["rho_r_T1"], agreement.quantities["rho_a"]
         reports.append(
             CheckReport(
                 name="bounds",
@@ -415,12 +415,13 @@ def _run_check_lemmas(cfg: ExperimentConfig):
             )
         )
         if m >= 2:
-            reports.append(check_hyperplane_bound(code, 2))
+            plane = check_hyperplane_bound(code, 2)
+            reports.append(plane)
+            rr21 = plane.quantities["rho_r_T2^1"]
         if m >= 3:
             reports.append(check_hyperplane_bound(code, 3))
             reports.append(check_composition(code, m, 1, 2, mode="exact"))
             # chained line-test bound through the hyperplane factors
-            rr21 = rho_r_exact(line_test((code.length,) * 2), CodeFamily.power(code, 2))
             delta = Fraction(min_distance(code), code.length)
             M = (m - 2) * (m + 3) // 2
             reports.append(

@@ -4,13 +4,14 @@ Index convention: an entry is addressed as (i_1, ..., i_m), zero-based.  A
 line in direction j fixes every coordinate except the j-th.  All weights and
 distances are exact `Fraction`s.
 
-A word belongs to the product code of a family (C_1, ..., C_m) iff its
-restriction to every line in every direction lies in the corresponding
-component code.  Membership in the sum code (the dual of the tensor product
-of the duals) has one kernel for every family, equal lengths or not: the
-word is multiplied along each axis by that code's check polynomial modulo
-x^n - 1, keeping only n - k consecutive products per line, and it is a
-sum-code word iff everything kept is zero.
+Both membership tests run the one kernel `CyclicCode.check_products`,
+which multiplies every line along an axis by that code's check polynomial
+modulo x^n - 1 and keeps only n - k consecutive products per line.  A word
+belongs to the product code of a family (C_1, ..., C_m) iff, along every
+axis taken alone, everything kept is zero.  It belongs to the sum code (the
+dual of the tensor product of the duals) iff everything kept is zero after
+the products are taken along every axis in turn; this holds for every
+family, equal lengths or not.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import itertools
 import string
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from math import prod
 from typing import List, Sequence, Tuple
@@ -29,8 +29,6 @@ from . import linalg
 from .codes import CyclicCode, DistanceBound, beyond_radius_bound, nearest_codeword
 from .gf_poly import GF2m, field_make
 
-#: uint16 columns per block of `_check_axis`: a block's index array stays in cache
-_PAIR_BLOCK = 1 << 12
 #: cells per block of the text writer, characters per block of the reader
 _TEXT_BLOCK = 1 << 20
 
@@ -74,9 +72,6 @@ class TensorWord:
         return TensorWord(self.field, self.data ^ other.data)
 
     __sub__ = __add__  # characteristic 2
-
-    def scale(self, s: int) -> "TensorWord":
-        return TensorWord(self.field, self.field.scale_array(s, self.data))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -250,12 +245,6 @@ def restrict(word: TensorWord, flat: Flat) -> TensorWord:
     return TensorWord(word.field, word.data[idx])
 
 
-def lines_as_matrix(arr: np.ndarray, axis: int) -> np.ndarray:
-    """All direction-`axis` lines of an array as rows of an (L, n) matrix."""
-    moved = np.moveaxis(arr, axis, -1)
-    return moved.reshape(-1, arr.shape[axis])
-
-
 def line_count(word: TensorWord, axis: int) -> int:
     """Number of nonzero direction-`axis` lines."""
     return int(np.any(word.data != 0, axis=axis).sum())
@@ -277,7 +266,7 @@ def in_direction_code(word: TensorWord, code: CyclicCode, axis: int) -> bool:
     """True iff every direction-`axis` line lies in `code`."""
     if word.shape[axis] != code.length:
         raise ValueError("axis length does not match the code")
-    return bool(code.contains_batch(lines_as_matrix(word.data, axis)).all())
+    return not code.check_products(np.moveaxis(word.data, axis, 0)).any()
 
 
 def product_contains(word: TensorWord, family: CodeFamily) -> bool:
@@ -295,55 +284,16 @@ def sum_contains(word: TensorWord, family: CodeFamily) -> bool:
 
 def sum_contains_batch(words: np.ndarray, family: CodeFamily) -> np.ndarray:
     """Vectorized sum-code membership for a (W, n_1, ..., n_m) array: a word
-    is a member iff every product that `_check_axis` keeps is zero."""
+    is a member iff every product that `CyclicCode.check_products` keeps,
+    taken along every axis in turn, is zero."""
     words = np.asarray(words, dtype=np.uint8)
     if words.shape[1:] != family.shape:
         raise ValueError("word shape does not match the family")
     # each step consumes the leading axis and appends its kept products last
     acc = np.moveaxis(words, 0, -1)
     for code in family.codes:
-        acc = _check_axis(family.field, acc, code)
+        acc = code.check_products(acc)
     return ~acc.reshape(words.shape[0], -1).any(axis=1)
-
-
-def _check_axis(field: GF2m, arr: np.ndarray, code: CyclicCode) -> np.ndarray:
-    """Coefficients k, ..., n - 1 of p(x) a(x) mod x^n - 1 along the leading
-    axis, p the check polynomial of degree k; that axis is moved to the end.
-
-    Multiplication by p has the code as its kernel and maps onto the cyclic
-    code generated by p, of dimension n - k, in which any n - k consecutive
-    positions are an information set; so the truncated map has the same
-    kernel, and the tensor product of these maps has the sum code as its
-    kernel, for any lengths.  Coefficient k + r is sum_j p_j a[r + k - j]
-    with no wrap-around, so term j reads rows k - j .. n - 1 - j, as uint16
-    pairs of cells through a pair table, a block of columns at a time."""
-    n, rest = arr.shape[0], arr.shape[1:]
-    k = code.dimension
-    keep = n - k
-    R = prod(rest)
-    slab = np.zeros((n, R + (R & 1)), dtype=np.uint8)
-    slab[:, :R] = arr.reshape(n, R)
-    pairs = slab.view(np.uint16)
-    out = np.zeros((keep, pairs.shape[1]), dtype=np.uint16)
-    terms = [(k - j, _pair_table(field, c)) for j, c in enumerate(code.check_coeffs) if c]
-    for s in range(0, pairs.shape[1], _PAIR_BLOCK):
-        idx = pairs[:, s : s + _PAIR_BLOCK].astype(np.intp)
-        acc = out[:, s : s + _PAIR_BLOCK]
-        for start, table in terms:
-            acc ^= table[idx[start : start + keep]]
-    kept = out.view(np.uint8)[:, :R].reshape((keep,) + rest)
-    return np.moveaxis(kept, 0, -1)
-
-
-@lru_cache(maxsize=None)
-def _pair_table(field: GF2m, c: int) -> np.ndarray:
-    """Multiplication by c on both bytes of a uint16 pair of cells."""
-    row = np.zeros(256, dtype=np.uint16)
-    row[: field.order] = field.mul_table[c]
-    v = np.arange(1 << 16, dtype=np.uint16)
-    table = row[v & 0xFF] | (row[v >> 8] << 8)
-    table.flags.writeable = False  # shared by every caller through the cache
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -407,24 +357,24 @@ def nearest_in_direction(
     Lines that a bounded-distance decoder cannot resolve are left unchanged
     and contribute a certified interval to the distance; the returned word is
     then a best-effort representative rather than a certified minimizer.
+    Errors and unresolved lines are counted as integers and turned into one
+    `DistanceBound` for the direction.
     """
     code = family.codes[axis]
-    mat = lines_as_matrix(word.data, axis).copy()
-    n = code.length
-    total = DistanceBound.exactly(Fraction(0))
-    per_line = Fraction(n, word.size)
-    for r in range(mat.shape[0]):
-        res = nearest_codeword(mat[r], code)
+    moved = np.moveaxis(word.data, axis, -1).copy()
+    errors = unresolved = 0
+    for line in moved.reshape(-1, code.length):
+        res = nearest_codeword(line, code)
         if res is None:
-            line = beyond_radius_bound(code)
+            unresolved += 1
         else:
-            cw, dist = res
-            mat[r] = cw
-            line = DistanceBound.exactly(Fraction(dist, n))
-        total = total + line.scaled(per_line)
-    moved_shape = tuple(word.shape[i] for i in range(len(word.shape)) if i != axis) + (n,)
-    arr = np.moveaxis(mat.reshape(moved_shape), -1, axis)
-    return TensorWord(word.field, arr), total
+            line[:] = res[0]
+            errors += res[1]
+    total = DistanceBound.exactly(Fraction(errors, word.size))
+    if unresolved:
+        share = Fraction(unresolved * code.length, word.size)
+        total = total + beyond_radius_bound(code).scaled(share)
+    return TensorWord(word.field, np.moveaxis(moved, -1, axis)), total
 
 
 def delta_to_product(word: TensorWord, family: CodeFamily) -> DistanceBound:

@@ -37,7 +37,6 @@ from .tensor import (
     delta_to_product,
     enumerate_flats,
     line_weight,
-    lines_as_matrix,
     nearest_in_direction,
     product_codewords,
     product_contains,
@@ -284,8 +283,8 @@ def _adversarial_pool(
     for r in range(_CORRUPTION_ROUNDS):
         base = random_product_codeword(family, rng)
         for axis, code in enumerate(family.codes):
-            arr = base.data.copy()
-            mat = lines_as_matrix(arr, axis)
+            moved = np.moveaxis(base.data, axis, -1).copy()
+            mat = moved.reshape(-1, shape[axis])
             li = int(rng.integers(0, mat.shape[0]))
             repl = code.random_codeword(rng)
             for _ in range(8):
@@ -293,10 +292,7 @@ def _adversarial_pool(
                     break
                 repl = code.random_codeword(rng)
             mat[li] = repl
-            moved_shape = tuple(shape[i] for i in range(len(shape)) if i != axis) + (
-                shape[axis],
-            )
-            word = TensorWord(field, np.moveaxis(mat.reshape(moved_shape), -1, axis))
+            word = TensorWord(field, np.moveaxis(moved, -1, axis))
             pool.append((f"line-corrupt-{r}-ax{axis}", word))
     if len(set(shape)) == 1:
         n = shape[0]
@@ -683,16 +679,15 @@ def check_pair_proximity(
 def _row_column_decode(word: TensorWord, code: CyclicCode) -> Optional[TensorWord]:
     """Unique-decode all direction-1 lines, then all direction-0 lines;
     None as soon as a line lies beyond the decoding radius."""
-    arr = word.data.copy()
+    arr = word.data
     for axis in (1, 0):
-        mat = lines_as_matrix(arr, axis).copy()
-        for r in range(mat.shape[0]):
-            res = bounded_distance_decode(code, mat[r])
+        moved = np.moveaxis(arr, axis, -1).copy()
+        for line in moved.reshape(-1, code.length):
+            res = bounded_distance_decode(code, line)
             if res is None:
                 return None
-            mat[r] = res[0]
-        lead = tuple(arr.shape[i] for i in range(arr.ndim) if i != axis)
-        arr = np.moveaxis(mat.reshape(lead + (arr.shape[axis],)), -1, axis)
+            line[:] = res[0]
+        arr = np.moveaxis(moved, -1, axis)
     return TensorWord(word.field, arr)
 
 

@@ -7,10 +7,12 @@ the frozen fixture table used by the acceptance tests.
 
     python tests/oracles.py
 
-The one exception is the sum-code membership reference `orc_sum_contains`,
-which has to reach words far beyond full enumeration: it works on numpy
-arrays, but still builds its own field table and parity-check matrices from
-nothing but the field's modulus and each code's check polynomial.
+The exceptions are the membership references `orc_sum_contains` and
+`orc_product_contains` and the Reed-Solomon evaluation vectors
+`low_degree_evaluation_vectors`, which have to reach words far beyond full
+enumeration: they work on numpy arrays, but still build their own field
+table and parity-check matrices from nothing but the field's modulus and
+each code's check polynomial.
 """
 
 from __future__ import annotations
@@ -269,6 +271,16 @@ def orc_parity_matrix(n, check):
     return H
 
 
+def _orc_axis_syndrome(arr, axis, code, mul):
+    """`arr` with `axis` contracted with the code's dual generator matrix."""
+    H = orc_parity_matrix(code.length, code.check_coeffs)
+    moved = np.moveaxis(arr, axis, -1)
+    out = np.zeros(moved.shape[:-1] + (H.shape[0],), dtype=np.uint8)
+    for r, c in zip(*np.nonzero(H)):
+        out[..., r] ^= mul[H[r, c]][moved[..., c]]
+    return np.moveaxis(out, -1, axis)
+
+
 def orc_sum_syndrome(words, family):
     """Syndrome tensor of a (W, n_1, ..., n_m) array of words: every axis
     contracted with its code's dual generator matrix.  Its kernel is the
@@ -277,18 +289,48 @@ def orc_sum_syndrome(words, family):
     mul = orc_mul_table(field.degree, field.modulus)
     syn = np.asarray(words, dtype=np.uint8)
     for axis, code in enumerate(family.codes, start=1):
-        H = orc_parity_matrix(code.length, code.check_coeffs)
-        moved = np.moveaxis(syn, axis, -1)
-        out = np.zeros(moved.shape[:-1] + (H.shape[0],), dtype=np.uint8)
-        for r, c in zip(*np.nonzero(H)):
-            out[..., r] ^= mul[H[r, c]][moved[..., c]]
-        syn = np.moveaxis(out, -1, axis)
+        syn = _orc_axis_syndrome(syn, axis, code, mul)
     return syn
 
 
 def orc_sum_contains(words, family):
     """Sum-code membership of every word of a (W, n_1, ..., n_m) array."""
     return ~orc_sum_syndrome(words, family).reshape(len(words), -1).any(axis=1)
+
+
+def orc_product_contains(word, family):
+    """Product-code membership of one (n_1, ..., n_m) array: each axis alone
+    contracted with its code's dual generator matrix gives zero."""
+    field = family.field
+    mul = orc_mul_table(field.degree, field.modulus)
+    arr = np.asarray(word, dtype=np.uint8)
+    return all(
+        not _orc_axis_syndrome(arr, axis, code, mul).any()
+        for axis, code in enumerate(family.codes)
+    )
+
+
+def low_degree_evaluation_vectors(field, k):
+    """Evaluation vectors at (1, w^-1, ..., w^(1-n)) of every polynomial of
+    degree < k, as a (q^k, n) array, n = q - 1 and w the class of x.
+
+    Row r holds (p(1), p(w^-1), ..., p(w^(1-n))) where the coefficients of p,
+    lowest degree first, are the base-q digits of r, most significant first.
+    These vectors are exactly the codewords of the primitive RS code whose
+    check polynomial has roots 1, w, .., w^(k-1)."""
+    q = 1 << field.degree
+    n = q - 1
+    mul = orc_mul_table(field.degree, field.modulus)
+    powers = [1]  # w^0, w^1, ..., w^(n-1)
+    for _ in range(n - 1):
+        powers.append(int(mul[powers[-1], 2 % q]))
+    # V[j, i] = (w^-i)^j = w^(-ij mod n)
+    V = np.array([[powers[(-i * j) % n] for i in range(n)] for j in range(k)], dtype=np.uint8)
+    coeffs = np.indices((q,) * k, dtype=np.uint8).reshape(k, -1).T
+    out = np.zeros((len(coeffs), n), dtype=np.uint8)
+    for j in range(k):
+        out ^= mul[coeffs[:, j][:, None], V[j][None, :]]
+    return out
 
 
 REP2 = [(0, 0), (1, 1)]

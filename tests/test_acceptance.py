@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import oracles
-from prodexp.codes import low_degree_evaluation_vectors, repetition, rs_primitive
+from oracles import low_degree_evaluation_vectors
+from prodexp.codes import repetition, rs_primitive
 from prodexp.expansion import ExpansionCertificate, verify_certificate
 from prodexp.gf_poly import field_make
 from prodexp.harness import build_parser, config_from_args, run

@@ -6,13 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import low_degree_evaluation_vectors
 from prodexp import linalg
 from prodexp.codes import (
     bounded_distance_decode,
     brute_nearest,
     delta_to_code,
     full_code,
-    low_degree_evaluation_vectors,
     min_distance,
     nearest_codeword,
     repetition,

@@ -1,5 +1,6 @@
 """Expansion constants: witnesses, certificates, decomposition search."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +137,25 @@ def test_verify_certificate_rejects_tampered_bound():
         tight=cert.tight,
     )
     assert not verify_certificate(bad, fam)
+
+
+@pytest.mark.parametrize("field_name", ["line_disjoint", "tight"])
+def test_verify_certificate_rejects_flipped_cover_flag(field_name):
+    """Both flags come from one predicate; each is still checked."""
+    fam = CodeFamily.power(rs_primitive(F4, 1, 3), 3)
+    cert = certify_upper_bound(counterexample_word(F4, 1), fam)
+    bad = dataclasses.replace(cert, **{field_name: False})
+    assert not verify_certificate(bad, fam)
+
+
+def test_certificate_of_word_with_shared_lines_uses_greedy_cover():
+    fam = CodeFamily.power(rs_primitive(F4, 1, 3), 2)
+    word = TensorWord(F4, np.full((3, 3), 2, dtype=np.uint8))  # in the product code
+    cert = certify_upper_bound(word, fam)
+    assert not cert.line_disjoint and not cert.tight
+    assert cert.cover_lower_bound == 3  # greedy keeps one cell per row and column
+    assert verify_certificate(cert, fam)
+    assert not verify_certificate(dataclasses.replace(cert, line_disjoint=True), fam)
 
 
 def _t1_certificate_text():

@@ -74,6 +74,24 @@ def test_check_lemmas_rep2_exits_0():
     assert records and all(r["holds"] for r in records)
 
 
+def test_check_lemmas_enumerates_rho_a_once(monkeypatch):
+    """The `bounds` report reads rho_a from the robust-agreement report
+    instead of enumerating it a second time."""
+    from prodexp import harness, testability
+
+    calls = []
+    real = testability.rho_a_exact
+
+    def counted(family):
+        calls.append(family)
+        return real(family)
+
+    monkeypatch.setattr(testability, "rho_a_exact", counted)
+    monkeypatch.setattr(harness, "rho_a_exact", counted)
+    code, _ = run_cli(["check-lemmas", "--instance", "rep2", "--m", "3"])
+    assert code == EXIT_OK and len(calls) == 1
+
+
 def test_violation_exit_code_from_failed_check(monkeypatch):
     from prodexp import harness
     from prodexp.testability import CheckReport

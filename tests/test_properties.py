@@ -1,4 +1,5 @@
-"""Property tests: sum-code membership against its oracle, certificate text."""
+"""Property tests: line, product and sum-code membership against their
+oracles, certificate text."""
 
 from math import prod
 
@@ -6,7 +7,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import orc_sum_contains
+from oracles import orc_product_contains, orc_sum_contains
 from prodexp.codes import full_code, repetition, rs_primitive
 from prodexp.expansion import ExpansionCertificate, certify_upper_bound
 from prodexp.gf_poly import field_make
@@ -14,13 +15,16 @@ from prodexp.tensor import (
     CodeFamily,
     TensorWord,
     encode_direction,
+    product_contains,
     sum_contains_batch,
 )
 
 F2 = field_make(1)
 F4 = field_make(2)
 F16 = field_make(4)
+F64 = field_make(6)
 C31 = rs_primitive(F4, 1, 3)
+RS15 = rs_primitive(F16, 1, 3)
 
 # reproducible runs that write no example database
 REPRODUCIBLE = settings(database=None, derandomize=True, deadline=None)
@@ -66,13 +70,32 @@ def family_and_word(draw, families, word_strategy):
 
 
 @st.composite
-def near_sum_code_words(draw, family: CodeFamily) -> TensorWord:
-    """A sum-code word with one drawn cell changed to another value."""
-    word = draw(sum_code_words(family))
+def product_code_words(draw, family: CodeFamily) -> TensorWord:
+    """A drawn message array encoded along every axis in turn."""
+    arr = draw(_symbols(family, prod(c.dimension for c in family.codes)))
+    arr = arr.reshape([c.dimension for c in family.codes])
+    for axis, code in enumerate(family.codes):
+        arr = encode_direction(code, arr, axis).data
+    return TensorWord(family.field, arr)
+
+
+def _one_cell_changed(draw, family: CodeFamily, word: TensorWord) -> TensorWord:
     arr = word.data.copy()
     cell = tuple(draw(st.integers(0, n - 1)) for n in family.shape)
     arr[cell] ^= draw(st.integers(1, family.field.order - 1))
     return TensorWord(family.field, arr)
+
+
+@st.composite
+def near_sum_code_words(draw, family: CodeFamily) -> TensorWord:
+    """A sum-code word with one drawn cell changed to another value."""
+    return _one_cell_changed(draw, family, draw(sum_code_words(family)))
+
+
+@st.composite
+def near_product_code_words(draw, family: CodeFamily) -> TensorWord:
+    """A product-code word with one drawn cell changed to another value."""
+    return _one_cell_changed(draw, family, draw(product_code_words(family)))
 
 
 @REPRODUCIBLE
@@ -135,3 +158,62 @@ def test_certificate_text_roundtrip(case):
     assume(word.weight() > 0)  # the zero word certifies nothing
     cert = certify_upper_bound(word, family)
     assert ExpansionCertificate.from_text(cert.to_text()) == cert
+
+
+LINE_CODES = [
+    repetition(F2, 2),  # repeated root: x^2 - 1 = (x - 1)^2
+    C31,
+    RS15,
+    rs_primitive(F64, 1, 3),
+    full_code(F4, 3),
+    repetition(F16, 5),
+]
+
+
+@st.composite
+def code_and_lines(draw):
+    """A code and a batch of one to five lines: random words, codewords and
+    codewords with one symbol changed."""
+    code = draw(st.sampled_from(LINE_CODES))
+    family = CodeFamily((code,))
+    kinds = st.one_of(
+        words(family),
+        product_code_words(family),
+        near_product_code_words(family),
+    )
+    lines = draw(st.lists(kinds, min_size=1, max_size=5))
+    return code, np.stack([w.data for w in lines])
+
+
+@REPRODUCIBLE
+@given(code_and_lines())
+def test_line_membership_matches_oracle(case):
+    """`CyclicCode.contains_batch` against the dual-generator oracle."""
+    code, lines = case
+    want = orc_sum_contains(lines, CodeFamily((code,)))
+    assert code.contains_batch(lines).tolist() == want.tolist()
+
+
+PRODUCT_FAMILIES = [
+    CodeFamily.power(C31, 3),
+    CodeFamily((RS15, repetition(F16, 5))),
+]
+
+
+@REPRODUCIBLE
+@given(
+    family_and_word(
+        PRODUCT_FAMILIES,
+        lambda fam: st.one_of(
+            words(fam),
+            product_code_words(fam),
+            near_product_code_words(fam),
+            sum_code_words(fam),
+        ),
+    )
+)
+def test_product_membership_matches_oracle(case):
+    """Random words, product-code words, product-code words with one cell
+    changed, and sum-code words (in the product code only by chance)."""
+    family, word = case
+    assert product_contains(word, family) == orc_product_contains(word.data, family)

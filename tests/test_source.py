@@ -13,3 +13,10 @@ def test_no_assert_in_package_source():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == [], f"assert statements in src/prodexp: {found}"
+
+
+def test_no_np_roll_in_package_source():
+    """Cyclic products go through the one check-polynomial kernel,
+    `CyclicCode.check_products`, not through shifted copies."""
+    found = [path.name for path in sorted(SRC.glob("*.py")) if "np.roll" in path.read_text()]
+    assert found == [], f"np.roll in src/prodexp: {found}"

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from oracles import orc_sum_contains, orc_sum_syndrome
-from prodexp.codes import full_code, repetition, rs_primitive
+from prodexp.codes import (
+    DistanceBound,
+    delta_to_code,
+    full_code,
+    nearest_codeword,
+    repetition,
+    rs_primitive,
+)
 from prodexp.expansion import counterexample_word
 from prodexp.gf_poly import field_make
 from prodexp.tensor import (
@@ -279,6 +286,27 @@ def test_nearest_in_direction_matches_exhaustive_oracle():
         _got, dist = nearest_in_direction(w, fam, 0)
         oracle = min(int(np.count_nonzero(arr ^ m)) for m in members)
         assert dist.value == Fraction(oracle, 9)
+
+
+def test_nearest_in_direction_sums_per_line_intervals():
+    """RS[15,5] columns that are codewords, decodable, or beyond the radius:
+    the integer accounting equals the sum of the per-line intervals, and
+    only the resolved columns change."""
+    f16 = field_make(4)
+    code = rs_primitive(f16, 1, 3)
+    rng = np.random.default_rng(11)
+    arr = rng.integers(0, 16, size=(15, 15), dtype=np.uint8)
+    for j in range(10):
+        arr[:, j] = code.random_codeword(rng)
+        arr[: j // 2, j] ^= 1  # 0..4 errors, within the radius 5
+    got, dist = nearest_in_direction(TensorWord(f16, arr), CodeFamily.power(code, 2), 0)
+    want = DistanceBound.exactly(Fraction(0))
+    for j in range(15):
+        res = nearest_codeword(arr[:, j], code)
+        want = want + delta_to_code(arr[:, j], code).scaled(Fraction(15, 225))
+        expected = arr[:, j] if res is None else res[0]
+        assert np.array_equal(got.data[:, j], expected)
+    assert not dist.exact and dist == want
 
 
 def test_delta_to_product_on_member_and_nonmember():
