@@ -171,7 +171,7 @@ class CyclicCode:
         keep = n - k
         R = prod(rest)
         slab = np.zeros((n, R + (R & 1)), dtype=np.uint8)
-        slab[:, :R] = arr.reshape(n, R)
+        slab[:, :R].reshape(arr.shape)[...] = arr  # splitting an axis keeps the view
         pairs = slab.view(np.uint16)
         out = np.zeros((keep, pairs.shape[1]), dtype=np.uint16)
         terms = [(k - j, _pair_table(self.field, c)) for j, c in enumerate(self.check_coeffs) if c]

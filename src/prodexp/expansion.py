@@ -30,14 +30,15 @@ from .gf_poly import GF2m
 from .tensor import (
     CodeFamily,
     TensorWord,
+    _exact_ratio_min,
     in_direction_code,
     line_weight,
     random_sum_codeword,
     sum_contains,
+    xor_line_counts,
 )
 
 _AMBIGUITY_LIMIT = 1 << 24  # max splittings scanned per word, and in all by rho_exact
-_CHUNK = 1 << 16  # combos per vectorized block in the exhaustive search
 _SEARCH_BUDGET = 8  # pool words whose splittings rho_upper_sampled searches exhaustively
 
 
@@ -260,6 +261,10 @@ class DecompositionSpace:
         self.D = self.basis.shape[0]
         self.phi = self.basis.T.copy()  # (N, D)
         self.kernel = linalg.kernel_basis(family.field, self.phi)  # (K, D)
+        # integer line-count weights: cost = sum_i weights[i] |a_i|_i / denom
+        counts = [self.N // n for n in shape]
+        self.denom = math.lcm(*counts)
+        self.weights = [self.denom // c for c in counts]
 
     @property
     def ambiguity_dim(self) -> int:
@@ -269,70 +274,43 @@ class DecompositionSpace:
         """One coefficient vector with Phi beta = word, or None."""
         return linalg.solve(self.family.field, self.phi, word.data.reshape(-1))
 
+    def axis_parts(self, coeffs: np.ndarray) -> List[np.ndarray]:
+        """Per axis, the flat (W, N) parts of the (W, D) coefficient rows."""
+        field = self.family.field
+        return [linalg.matmul(field, coeffs[:, sl], self.basis[sl]) for sl in self.slices]
+
     def parts_from_coeffs(self, beta: np.ndarray) -> Tuple[TensorWord, ...]:
         field, shape = self.family.field, self.family.shape
-        return tuple(
-            TensorWord(field, _fold_segment(field, beta[sl], self.basis[sl]).reshape(shape))
-            for sl in self.slices
-        )
+        return tuple(TensorWord(field, p[0].reshape(shape)) for p in self.axis_parts(beta[None]))
 
-    def _cost_weights(self) -> Tuple[List[int], int]:
-        """Integer line-count weights so that cost = sum_i w_i |a_i|_i / denom."""
-        shape = self.family.shape
-        counts = [self.N // n for n in shape]
-        denom = math.lcm(*counts)
-        return [denom // c for c in counts], denom
+    def cost_table(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(R, C) integer costs, over `denom`, of the splittings with
+        coefficients rows[r] ^ cols[c]: the parts are linear in the
+        coefficients, so each axis is one XOR line-count table."""
+        table = np.zeros((rows.shape[0], cols.shape[0]), dtype=np.int64)
+        for axis, (r, c) in enumerate(zip(self.axis_parts(rows), self.axis_parts(cols))):
+            table += self.weights[axis] * xor_line_counts(r, c, self.family.shape, axis)
+        return table
 
     def search_min(self, base: np.ndarray) -> Tuple[np.ndarray, int, int]:
         """Exhaustive scan of the ambiguity coset for the cheapest splitting.
 
         Returns (coefficients, cost_numerator, cost_denominator); ties go to
-        the lexicographically smallest coefficient vector.  The enumeration
-        is chunked so memory stays bounded for large cosets.
+        the lexicographically smallest coefficient vector: the table's rows
+        are `base` plus the combinations of the first K // 2 kernel vectors,
+        its columns those of the rest, so its flattened order is lexicographic.
         """
         field = self.family.field
-        q = field.order
-        K = self.ambiguity_dim
-        total = q**K
-        if total > _AMBIGUITY_LIMIT:
+        q, K = field.order, self.ambiguity_dim
+        if q**K > _AMBIGUITY_LIMIT:
             raise ValueError("ambiguity space too large for exhaustive search")
-        weights, denom = self._cost_weights()
-        shape = self.family.shape
-        table = field.mul_table
-        base_parts = [
-            _fold_segment(field, base[sl], self.basis[sl]) for sl in self.slices
-        ]
-        kern_parts = [
-            [_fold_segment(field, self.kernel[j][sl], self.basis[sl]) for j in range(K)]
-            for sl in self.slices
-        ]
-        best_cost: Optional[int] = None
-        best_coeffs: Optional[np.ndarray] = None
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            combos = linalg.enumerate_vectors(q, K, start, stop)
-            W = combos.shape[0]
-            costs = np.zeros(W, dtype=np.int64)
-            for axis, sl in enumerate(self.slices):
-                flat = np.broadcast_to(base_parts[axis], (W, self.N)).copy()
-                for j in range(K):
-                    seg = kern_parts[axis][j]
-                    if not seg.any():
-                        continue
-                    col = combos[:, j]
-                    nz = col != 0
-                    if nz.any():
-                        flat[nz] ^= table[col[nz][:, None], seg[None, :]]
-                cube = flat.reshape((W,) + shape)
-                lines = np.any(cube != 0, axis=axis + 1).reshape(W, -1).sum(axis=1)
-                costs += weights[axis] * lines
-            idx = int(np.argmin(costs))
-            if best_cost is None or int(costs[idx]) < best_cost:
-                best_cost = int(costs[idx])
-                best_coeffs = combos[idx].copy()
-        if best_cost is None or best_coeffs is None:
-            raise RuntimeError("the ambiguity coset scan visited no splitting")
-        return best_coeffs, best_cost, denom
+        K1 = K // 2
+        first = linalg.enumerate_vectors(q, K1)
+        second = linalg.enumerate_vectors(q, K - K1)
+        rows = base[None] ^ linalg.matmul(field, first, self.kernel[:K1])
+        table = self.cost_table(rows, linalg.matmul(field, second, self.kernel[K1:]))
+        r, c = divmod(int(np.argmin(table)), table.shape[1])
+        return np.concatenate([first[r], second[c]]), int(table[r, c]), self.denom
 
 
 def _space_feasible(family: CodeFamily) -> bool:
@@ -345,13 +323,6 @@ def _space_feasible(family: CodeFamily) -> bool:
     N = prod(family.shape)
     D = sum(c.dimension * (N // c.length) for c in family.codes)
     return N <= 2048 and D <= 512
-
-
-def _fold_segment(field: GF2m, seg: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    flat = np.zeros(basis.shape[1], dtype=np.uint8)
-    for idx in np.nonzero(seg)[0]:
-        flat ^= field.scale_array(int(seg[idx]), basis[idx])
-    return flat
 
 
 def _direction_basis(code: CyclicCode, shape: Sequence[int], axis: int) -> np.ndarray:
@@ -385,11 +356,7 @@ def min_decomposition(
     if base is None:
         raise ValueError("word is not in the sum code; no decomposition exists")
     coeffs, cost_num, denom = space.search_min(base)
-    beta = base.copy()
-    for j in range(space.ambiguity_dim):
-        c = int(coeffs[j])
-        if c:
-            beta ^= family.field.scale_array(c, space.kernel[j])
+    beta = base ^ linalg.matmul(family.field, coeffs[None], space.kernel)[0]
     cost = Fraction(cost_num, denom)
     dec = Decomposition(space.parts_from_coeffs(beta))
     dec.validate(family, word)
@@ -411,30 +378,33 @@ def sum_code_words(family: CodeFamily, space: Optional[DecompositionSpace] = Non
 def rho_exact(family: CodeFamily) -> Fraction:
     """Exact expansion constant by full enumeration (tiny instances).
 
-    Every sum-code word has q^(ambiguity dim) splittings to scan, so the
-    whole search costs q^(sum-code dim + ambiguity dim) = q^D, where D is
-    the number of direction-code basis words; it is refused above
-    `_AMBIGUITY_LIMIT`.
+    Word msg . image has the splittings beta(msg) + kernel combinations, with
+    beta(msg) = msg . B linear in the message (B: one particular solution per
+    image row), so one `cost_table` of all q^D coefficient vectors (D
+    direction-code basis words; refused above `_AMBIGUITY_LIMIT`) gives every
+    word's exact cost as a row minimum.  The minimizing word is split again
+    by `min_decomposition`, which validates, and must cost the same.
     """
     space = DecompositionSpace(family)
-    if family.field.order**space.D > _AMBIGUITY_LIMIT:
-        raise ValueError(
-            f"rho_exact would scan {family.field.order}^{space.D} splittings; too large"
-        )
-    words = sum_code_words(family, space)
-    N = space.N
-    best: Optional[Fraction] = None
-    for row in words:
-        wt = int(np.count_nonzero(row))
-        if wt == 0:
-            continue
-        word = TensorWord(family.field, row.reshape(family.shape))
-        _, cost = min_decomposition(word, family, space=space)
-        ratio = Fraction(wt, N) / cost
-        if best is None or ratio < best:
-            best = ratio
-    if best is None:
+    field = family.field
+    if field.order**space.D > _AMBIGUITY_LIMIT:
+        raise ValueError(f"rho_exact would scan {field.order}^{space.D} splittings; too large")
+    image = linalg.row_space_basis(field, space.basis)
+    B = np.array([linalg.solve(field, space.phi, row) for row in image], np.uint8)
+    msgs = linalg.enumerate_vectors(field.order, image.shape[0])
+    kernel_combos = linalg.enumerate_vectors(field.order, space.ambiguity_dim)
+    costs = space.cost_table(
+        linalg.matmul(field, msgs, B.reshape(-1, space.D)),
+        linalg.matmul(field, kernel_combos, space.kernel),
+    ).min(axis=1)
+    if not costs.any():
         raise ValueError("sum code is trivial; expansion constant undefined")
+    words = linalg.matmul(field, msgs, image)
+    best, idx = _exact_ratio_min(np.count_nonzero(words, axis=1), costs, space.N, space.denom)
+    want = Fraction(int(costs[idx]), space.denom)
+    _, cost = min_decomposition(TensorWord(field, words[idx].reshape(family.shape)), family, space)
+    if cost != want:
+        raise RuntimeError(f"the cost table gives {want}, the splitting costs {cost}")
     return best
 
 
@@ -450,6 +420,8 @@ class SampledExpansionReport:
     certified_bound: Optional[Fraction]
     heuristic_min: Optional[Fraction]
     details: Tuple[Tuple[str, Fraction], ...]
+    exact_split_bound: Optional[Fraction]  # min of certificates and exact word ratios
+    exact_split_words: int  # pool words whose splittings were searched exhaustively
 
 
 def rho_upper_sampled(
@@ -464,7 +436,9 @@ def rho_upper_sampled(
     directly (a known generating splitting, or, for the first
     `_SEARCH_BUDGET` words, an exhaustive search of a small ambiguity space)
     additionally contribute a heuristic ratio, which is labeled as such
-    because a found splitting only upper-bounds the cost.
+    because a found splitting only upper-bounds the cost.  An exhaustively
+    searched word's ratio is exact, so it is an upper bound on rho too:
+    `exact_split_bound` is the minimum of the certificate ratios and these.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -490,6 +464,7 @@ def rho_upper_sampled(
     certified: Optional[Fraction] = None
     heuristic: Optional[Fraction] = None
     details: List[Tuple[str, Fraction]] = []
+    exact_split: Optional[Fraction] = None
     searched = 0
     for name, word, known in pool:
         if word.weight() == 0:
@@ -498,6 +473,7 @@ def rho_upper_sampled(
         details.append((f"{name}:certificate", cert.bound))
         if certified is None or cert.bound < certified:
             certified = cert.bound
+        exact_split = cert.bound if exact_split is None else min(exact_split, cert.bound)
         best_cost: Optional[Fraction] = None
         if known is not None:
             known.validate(family, word)
@@ -505,6 +481,7 @@ def rho_upper_sampled(
         if searchable and searched < _SEARCH_BUDGET:
             _, cost = min_decomposition(word, family, space=space)
             searched += 1
+            exact_split = min(exact_split, word.norm() / cost)
             if best_cost is None or cost < best_cost:
                 best_cost = cost
         if best_cost is not None and best_cost > 0:
@@ -519,4 +496,6 @@ def rho_upper_sampled(
         certified_bound=certified,
         heuristic_min=heuristic,
         details=tuple(details),
+        exact_split_bound=exact_split,
+        exact_split_words=searched,
     )

@@ -135,14 +135,6 @@ class GF2m:
             self._mul_table = table
         return self._mul_table
 
-    def scale_array(self, s: int, arr: np.ndarray) -> np.ndarray:
-        """s * arr elementwise; arr is a uint8 array of field elements."""
-        if s == 0:
-            return np.zeros_like(arr)
-        if s == 1:
-            return arr.copy()
-        return self.mul_table[s][arr]
-
     def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.mul_table[a, b]
 

@@ -287,31 +287,24 @@ def _run_rho_sampled(cfg: ExperimentConfig):
     family = _build_family(cfg)
     samples = cfg.samples if cfg.samples is not None else 32
     rep = rho_upper_sampled(family, samples, cfg.seed)
-    reports = []
-    if rep.certified_bound is not None:
-        reports.append(
-            TestReport(
-                quantity="rho",
-                value=rep.certified_bound,
-                mode="certificate",
-                instance=rep.instance,
-                seed=rep.seed,
-                sample_count=rep.sample_count,
-                detail={"upper_bound": "min_certificate_ratio"},
-            )
+    split_words = str(rep.exact_split_words)
+    reports = [
+        TestReport(
+            quantity="rho",
+            value=value,
+            mode=mode,
+            instance=rep.instance,
+            seed=rep.seed,
+            sample_count=rep.sample_count,
+            detail=detail,
         )
-    if rep.heuristic_min is not None:
-        reports.append(
-            TestReport(
-                quantity="rho",
-                value=rep.heuristic_min,
-                mode="sampled",
-                instance=rep.instance,
-                seed=rep.seed,
-                sample_count=rep.sample_count,
-                detail={"heuristic": "best_found_decomposition"},
-            )
+        for value, mode, detail in (
+            (rep.certified_bound, "certificate", {"upper_bound": "min_certificate_ratio"}),
+            (rep.heuristic_min, "sampled", {"heuristic": "best_found_decomposition"}),
+            (rep.exact_split_bound, "exact-split", {"words_split_exactly": split_words}),
         )
+        if value is not None
+    ]
     return EXIT_OK, [record_from_test_report(r) for r in reports], []
 
 

@@ -31,6 +31,8 @@ from .gf_poly import GF2m, field_make
 
 #: cells per block of the text writer, characters per block of the reader
 _TEXT_BLOCK = 1 << 20
+#: (row, column) pairs per block of `xor_line_counts`
+_XOR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,9 +247,24 @@ def restrict(word: TensorWord, flat: Flat) -> TensorWord:
     return TensorWord(word.field, word.data[idx])
 
 
-def line_count(word: TensorWord, axis: int) -> int:
-    """Number of nonzero direction-`axis` lines."""
-    return int(np.any(word.data != 0, axis=axis).sum())
+def line_counts(words: np.ndarray, shape: Sequence[int], axis: int) -> np.ndarray:
+    """Number of nonzero direction-`axis` lines of each flat word: an int64
+    array of shape (...) for words of shape (..., N), N = prod(shape)."""
+    lead = words.shape[:-1]
+    nonzero = np.any(words.reshape(lead + tuple(shape)) != 0, axis=len(lead) + axis)
+    return nonzero.reshape(lead + (-1,)).sum(axis=-1, dtype=np.int64)
+
+
+def xor_line_counts(
+    rows: np.ndarray, cols: np.ndarray, shape: Sequence[int], axis: int
+) -> np.ndarray:
+    """(R, C) table of `line_counts(rows[r] ^ cols[c])` for flat (R, N) and
+    (C, N) words, a block of at most `_XOR_BLOCK` pairs at a time."""
+    table = np.empty((rows.shape[0], cols.shape[0]), dtype=np.int64)
+    step = max(1, _XOR_BLOCK // max(1, cols.shape[0]))
+    for s in range(0, rows.shape[0], step):
+        table[s : s + step] = line_counts(rows[s : s + step, None] ^ cols[None], shape, axis)
+    return table
 
 
 def line_weight(word: TensorWord, axis: int) -> Fraction:
@@ -255,7 +272,23 @@ def line_weight(word: TensorWord, axis: int) -> Fraction:
     if not 0 <= axis < len(word.shape):
         raise ValueError("axis out of range")
     total = word.size // word.shape[axis]
-    return Fraction(line_count(word, axis), total)
+    return Fraction(int(line_counts(word.data.reshape(-1), word.shape, axis)), total)
+
+
+def _exact_ratio_min(
+    num: np.ndarray, den: np.ndarray, num_scale: int, den_scale: int
+) -> Tuple[Fraction, int]:
+    """Exact min over i with den[i] > 0 of (num[i]/num_scale) / (den[i]/den_scale),
+    and the first index attaining it.
+
+    A float pass only shortlists the near-minimal entries; every comparison
+    that decides the result is between exact fractions."""
+    mask = den > 0
+    approx = num[mask] / den[mask]
+    shortlist = np.flatnonzero(mask)[approx <= approx.min() * (1 + 1e-9) + 1e-12]
+    return min(
+        (Fraction(int(num[i]) * den_scale, int(den[i]) * num_scale), int(i)) for i in shortlist
+    )
 
 
 # ----------------------------------------------------------------------

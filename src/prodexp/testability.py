@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +34,7 @@ from .tensor import (
     CodeFamily,
     Flat,
     TensorWord,
+    _exact_ratio_min,
     delta_to_product,
     enumerate_flats,
     line_weight,
@@ -42,6 +43,7 @@ from .tensor import (
     product_contains,
     random_product_codeword,
     restrict,
+    xor_line_counts,
 )
 
 _WORD_SPACE_LIMIT = 1 << 24
@@ -156,25 +158,6 @@ def _min_distance_to_rows(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
         d = np.count_nonzero(words ^ row[None, :], axis=1)
         np.minimum(best, d, out=best)
     return best
-
-
-def _exact_ratio_min(
-    num: np.ndarray, den: np.ndarray, num_scale: int, den_scale: int
-) -> Tuple[Fraction, int]:
-    """Exact min over i of (num[i]/num_scale) / (den[i]/den_scale), den>0."""
-    mask = den > 0
-    approx = num[mask].astype(np.float64) / den[mask].astype(np.float64)
-    m0 = approx.min()
-    shortlist = np.nonzero(mask)[0][approx <= m0 * (1 + 1e-9) + 1e-12]
-    best: Optional[Fraction] = None
-    best_idx = -1
-    for i in shortlist:
-        r = Fraction(int(num[i]) * den_scale, int(den[i]) * num_scale)
-        if best is None or r < best:
-            best, best_idx = r, int(i)
-    if best is None:
-        raise RuntimeError("the ratio shortlist is empty")
-    return best, best_idx
 
 
 def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
@@ -396,7 +379,11 @@ def rho_a_exact(family: CodeFamily) -> Fraction:
 
     Pairwise disagreement uses the plain normalized Hamming weight; the
     distance to the common product codeword uses direction line weights, as
-    the two sides of the definition prescribe.
+    the two sides of the definition prescribe.  Both are sums of per-axis
+    tables broadcast over the tuple grid, a block of first-axis words at a
+    time: min_p sum_i w_i M_i[a_i, p], M_i the XOR line counts of C^(i)
+    against the product codewords, and sum_{i<j} 2 H_ij[a_i, a_j], H_ij the
+    Hamming distances between C^(i) and C^(j).
     """
     m = family.m
     if m < 2:
@@ -404,40 +391,42 @@ def rho_a_exact(family: CodeFamily) -> Fraction:
     shape = family.shape
     N = prod(shape)
     spaces = [_direction_space_words(family, axis) for axis in range(m)]
-    total = prod(s.shape[0] for s in spaces)
-    if total > 1 << 20:
+    grid = tuple(words.shape[0] for words in spaces)
+    if prod(grid) > 1 << 20:
         raise ValueError("tuple space too large for exact agreement testability")
     prod_cws = product_codewords(family)
-    line_totals = [N // n for n in shape]
+    L = lcm(*(N // n for n in shape))
+    dist = [
+        L // (N // shape[i]) * xor_line_counts(words, prod_cws, shape, i)
+        for i, words in enumerate(spaces)
+    ]
+    # a cell is a line of length one, so these are Hamming distances
+    ham = {
+        (i, j): 2 * xor_line_counts(spaces[i], spaces[j], (N, 1), 1)
+        for i in range(m)
+        for j in range(i + 1, m)
+    }
 
-    def line_count_flat(flat: np.ndarray, axis: int) -> int:
-        cube = flat.reshape(shape)
-        return int(np.any(cube != 0, axis=axis).sum())
+    def at(table: np.ndarray, *axes: int) -> np.ndarray:
+        """`table` with its leading axes at grid axes `axes`, for broadcasting."""
+        return np.expand_dims(table, [k for k in range(m) if k not in axes])
 
     best: Optional[Fraction] = None
-    import itertools as _it
-
-    for choice in _it.product(*(range(s.shape[0]) for s in spaces)):
-        cs = [spaces[i][choice[i]] for i in range(m)]
-        pair_sum = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                pair_sum += 2 * int(np.count_nonzero(cs[i] ^ cs[j]))
-        if pair_sum == 0:
-            continue  # fully agreeing tuple: both sides vanish
-        num = Fraction(pair_sum, m * m * N)
-        den_best: Optional[Fraction] = None
-        for cw in prod_cws:
-            s = Fraction(0)
-            for i in range(m):
-                s += Fraction(line_count_flat(cs[i] ^ cw, i), line_totals[i])
-            if den_best is None or s < den_best:
-                den_best = s
-        if den_best is None or den_best == 0:
+    step = max(1, (1 << 16) // (prod(grid[1:]) * prod_cws.shape[0]))
+    for start in range(0, grid[0], step):
+        block = slice(start, start + step)
+        den = sum(at(d[block] if i == 0 else d, i) for i, d in enumerate(dist)).min(axis=-1)
+        num = sum(at(h[block] if i == 0 else h, i, j) for (i, j), h in ham.items())
+        num, den = np.broadcast_arrays(num, den)
+        keep = num > 0  # fully agreeing tuples: both sides vanish
+        if not keep.any():
+            continue
+        num, den = num[keep], den[keep]
+        if not den.all():
             raise RuntimeError("a disagreeing tuple is at distance 0 from the product code")
-        ratio = num / (den_best / m)
-        if best is None or ratio < best:
-            best = ratio
+        value, _ = _exact_ratio_min(num, den, m * N, L)
+        if best is None or value < best:
+            best = value
     if best is None:
         raise ValueError("no non-degenerate tuple exists")
     return best
@@ -449,10 +438,12 @@ def agreement_ratio_sampled(
     """Heuristic agreement ratio of one tuple on larger instances.
 
     The inner minimization over product codewords is replaced by the best of
-    the iterated directional decodes of each c_i, so the returned value only
-    estimates the tuple's true ratio (the candidate codeword upper-bounds the
-    denominator's minimum).  Exact computation should be preferred whenever
-    the instance allows it.
+    a few candidates for each c_i, so the returned value only estimates the
+    tuple's true ratio (a candidate codeword upper-bounds the denominator's
+    minimum).  The candidates are the iterated directional decodes of c_i,
+    when they reach the product code, and the product codeword that agrees
+    with c_i on the first k_j positions of every axis j, which always exists.
+    Exact computation should be preferred whenever the instance allows it.
     """
     m = family.m
     N = prod(family.shape)
@@ -473,19 +464,25 @@ def agreement_ratio_sampled(
                 break
         if product_contains(cand, family):
             candidates.append(cand)
-    if not candidates:
-        return None
-    den_best: Optional[Fraction] = None
-    for cand in candidates:
-        s = sum(
-            (line_weight(tuple_words[i] + cand, i) for i in range(m)),
-            start=Fraction(0),
-        )
-        if den_best is None or s < den_best:
-            den_best = s
+        candidates.append(_systematic_reencode(tuple_words[i], family))
+    den_best = min(
+        sum((line_weight(tuple_words[i] + cand, i) for i in range(m)), start=Fraction(0))
+        for cand in candidates
+    )
     if den_best == 0:
         return None
     return num / (den_best / m)
+
+
+def _systematic_reencode(word: TensorWord, family: CodeFamily) -> TensorWord:
+    """The product codeword equal to `word` on the product of every factor's
+    first k positions, an information set of a cyclic code: each axis is
+    encoded by the systematic generator [I | A] that `row_space_basis` gives."""
+    arr = word.data[tuple(slice(0, code.dimension) for code in family.codes)]
+    for axis, code in enumerate(family.codes):
+        systematic = linalg.row_space_basis(family.field, code.generator_matrix)
+        arr = linalg.apply_matrix_axis(family.field, systematic.T, arr, axis)
+    return TensorWord(family.field, arr)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Expansion constants: witnesses, certificates, decomposition search."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -311,3 +312,119 @@ def test_rho_upper_sampled_heuristic_above_exact_when_fully_searched(monkeypatch
     rep = rho_upper_sampled(fam, samples=32, seed=1)
     assert rep.heuristic_min is not None
     assert rep.heuristic_min >= exact
+
+
+# ----------------------------------------------------------------------
+# Cost tables against brute force.
+# ----------------------------------------------------------------------
+
+C31 = rs_primitive(F4, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "fam, shape, codes",
+    [
+        (CodeFamily.power(REP2, 3), (2, 2, 2), "rep2"),
+        (CodeFamily.power(C31, 2), (3, 3), "gf4_rep3"),
+    ],
+    ids=["rep2_m3", "gf4_m2"],
+)
+def test_min_decomposition_matches_oracle_on_every_word(fam, shape, codes):
+    """The two-half coset table gives every sum-code word the minimum
+    splitting cost of the oracle's enumeration of all part tuples."""
+    import oracles
+
+    orc_codes = oracles.rep2_codes(fam.m) if codes == "rep2" else [oracles.gf4_rep3()] * fam.m
+    costs = oracles.orc_sum_code_with_costs(shape, orc_codes)
+    space = DecompositionSpace(fam)
+    assert len(costs) == fam.field.order ** (space.D - space.ambiguity_dim)
+    for word, want in costs.items():
+        w = TensorWord(fam.field, np.array(word, dtype=np.uint8).reshape(shape))
+        _, got = min_decomposition(w, fam, space=space)
+        assert got == want, word
+
+
+def _brute_first_minimizer(space, base):
+    """First coefficient vector, in lexicographic order, of a cheapest
+    splitting; parts folded by hand from the field's multiplication table."""
+    field = space.family.field
+    mul = field.mul_table
+    best = None
+    for v in itertools.product(range(field.order), repeat=space.ambiguity_dim):
+        beta = base.copy()
+        for j, c in enumerate(v):
+            beta ^= mul[c][space.kernel[j]]
+        parts = []
+        for sl in space.slices:
+            flat = np.zeros(space.N, dtype=np.uint8)
+            for coef, row in zip(beta[sl], space.basis[sl]):
+                flat ^= mul[coef][row]
+            parts.append(TensorWord(field, flat.reshape(space.family.shape)))
+        cost = Decomposition(tuple(parts)).cost()
+        if best is None or cost < best[1]:
+            best = (list(v), cost)
+    return best
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [CodeFamily.power(REP2, 3), CodeFamily.power(repetition(F4, 2), 3)],
+    ids=["rep2_m3", "gf4_rep2_m3"],
+)
+def test_search_min_ties_go_to_first_brute_force_minimizer(fam):
+    space = DecompositionSpace(fam)
+    assert space.ambiguity_dim >= 2  # both halves of the table are used
+    rng = np.random.default_rng(3)
+    words = [TensorWord.zeros(fam.field, fam.shape)]
+    words += [random_sum_codeword(fam, rng)[0] for _ in range(6)]
+    for word in words:
+        base = space.particular(word)
+        coeffs, num, den = space.search_min(base)
+        want_coeffs, want_cost = _brute_first_minimizer(space, base)
+        assert coeffs.tolist() == want_coeffs
+        assert Fraction(num, den) == want_cost
+
+
+def test_rho_exact_unequal_lengths_matches_oracle():
+    """Lines of the two directions carry weights 1/3 and 1/2."""
+    import oracles
+
+    fam = CodeFamily((REP2, repetition(F2, 3)))
+    rep3 = [(0, 0, 0), (1, 1, 1)]
+    assert rho_exact(fam) == oracles.orc_rho((2, 3), [oracles.REP2, rep3])
+
+
+def test_rho_exact_revalidates_the_minimizing_word(monkeypatch):
+    fam = CodeFamily.power(REP2, 2)
+    real = expansion.min_decomposition
+    calls = []
+
+    def off_by_one(word, family, space=None):
+        dec, cost = real(word, family, space)
+        calls.append(word)
+        return dec, cost + 1
+
+    monkeypatch.setattr(expansion, "min_decomposition", off_by_one)
+    with pytest.raises(RuntimeError, match="cost table"):
+        rho_exact(fam)
+    assert len(calls) == 1 and calls[0].weight() > 0
+
+
+def test_rho_upper_sampled_exact_split_bound():
+    """The witness of RS[3,1]^3 is searched exhaustively: its exact splitting
+    cost is 11/9, so its ratio 3/11 bounds rho and beats the certificates'
+    1/3; the first `_SEARCH_BUDGET` pool words are split exactly."""
+    fam = CodeFamily.power(C31, 3)
+    rep = rho_upper_sampled(fam, samples=32, seed=1)
+    assert rep.certified_bound == Fraction(1, 3)
+    assert rep.exact_split_bound == Fraction(3, 11)
+    assert rep.exact_split_words == expansion._SEARCH_BUDGET
+
+
+def test_rho_upper_sampled_exact_split_without_search_is_certificate():
+    """RS[15,5]^3 is too large to split: the bound falls back to the
+    certificates, and no word counts as split exactly."""
+    fam = CodeFamily.power(rs_primitive(F16, 1, 3), 3)
+    rep = rho_upper_sampled(fam, samples=1, seed=1)
+    assert rep.exact_split_words == 0
+    assert rep.exact_split_bound == rep.certified_bound == Fraction(1, 15)

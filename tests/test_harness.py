@@ -332,6 +332,18 @@ def test_rho_sampled_cli_gf4_triple():
     assert cert and Fraction(*map(int, cert[0]["value"].split("/"))) <= Fraction(1, 3)
 
 
+def test_rho_sampled_cli_exact_split_record():
+    """The certificate and sampled records keep their values; the third
+    record is the witness's exact ratio, a valid upper bound on rho."""
+    code, out = run_cli(["rho-sampled", "--instance", "rs", "--t", "1", "--m", "3", "--seed", "1"])
+    assert code == EXIT_OK
+    recs = {r["mode"]: r for r in map(json.loads, out.splitlines())}
+    assert list(recs) == ["certificate", "sampled", "exact-split"]
+    assert recs["certificate"]["value"] == "1/3" and recs["sampled"]["value"] == "3/11"
+    assert recs["exact-split"]["value"] == "3/11"
+    assert recs["exact-split"]["detail"] == "words_split_exactly=8"
+
+
 def test_agreement_cli_exact():
     code, out = run_cli(["agreement", "--instance", "rep2", "--m", "2", "--mode", "exact"])
     assert code == EXIT_OK
@@ -349,6 +361,17 @@ def test_agreement_cli_sampled_deterministic():
     (rec,) = [json.loads(line) for line in out1.splitlines()]
     assert rec["mode"] == "sampled" and rec["value"] == "1/2"
     assert "estimate=heuristic" in rec["detail"].split(";")
+
+
+def test_agreement_cli_sampled_beyond_decoding_radius_exits_0():
+    """No iterated decode of these RS[15,5]^2 tuples reaches the product
+    code; the systematically re-encoded candidate always does."""
+    argv = ["agreement", "--instance", "rs", "--t", "2", "--m", "2", "--mode", "sampled"]
+    code, out = run_cli(argv + ["--samples", "4", "--seed", "3"])
+    assert code == EXIT_OK
+    (rec,) = [json.loads(line) for line in out.splitlines()]
+    assert rec["value"] == "208/375"
+    assert rec["detail"] == "tuples_used=4;estimate=heuristic"
 
 
 def test_rho_exact_refuses_oversized_instance(capsys):

@@ -20,3 +20,18 @@ def test_no_np_roll_in_package_source():
     `CyclicCode.check_products`, not through shifted copies."""
     found = [path.name for path in sorted(SRC.glob("*.py")) if "np.roll" in path.read_text()]
     assert found == [], f"np.roll in src/prodexp: {found}"
+
+
+def test_one_line_count_implementation():
+    """Nonzero lines are counted only by `tensor.line_counts`: no other
+    function of the package calls `np.any`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.any":
+                    found.append(f"{path.name}:{func.name}")
+    assert found == ["tensor.py:line_counts"], found

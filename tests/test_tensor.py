@@ -16,6 +16,7 @@ from prodexp.codes import (
     rs_primitive,
 )
 from prodexp.expansion import counterexample_word
+from prodexp import tensor
 from prodexp.gf_poly import field_make
 from prodexp.tensor import (
     CodeFamily,
@@ -23,11 +24,13 @@ from prodexp.tensor import (
     TensorWord,
     delta_to_product,
     enumerate_flats,
+    line_counts,
     line_weight,
     nearest_in_direction,
     product_contains,
     random_sum_codeword,
     restrict,
+    xor_line_counts,
     sum_contains,
     sum_contains_batch,
 )
@@ -108,6 +111,43 @@ def test_counterexample_line_weight_is_one_everywhere():
     w = counterexample_word(F4, 1)
     for axis in range(3):
         assert line_weight(w, axis) == 1
+
+
+def test_line_counts_match_per_line_scan():
+    """Batched counts of (W, N) words equal a count of the nonzero lines read
+    one at a time, on every axis of grids of equal and unequal sides."""
+    rng = np.random.default_rng(5)
+    for shape in ((2, 2), (3, 2), (2, 3, 4), (3, 1, 2)):
+        words = rng.integers(0, 4, size=(6, int(np.prod(shape))), dtype=np.uint8)
+        words[rng.random(words.shape) < 0.6] = 0
+        for axis in range(len(shape)):
+            want = [
+                sum(
+                    bool(np.moveaxis(w.reshape(shape), axis, -1)[idx].any())
+                    for idx in np.ndindex(*(n for i, n in enumerate(shape) if i != axis))
+                )
+                for w in words
+            ]
+            got = line_counts(words, shape, axis)
+            assert got.dtype == np.int64 and got.tolist() == want
+            assert int(line_counts(words[0], shape, axis)) == want[0]
+
+
+def test_xor_line_counts_table_matches_pairs():
+    """Entry (r, c) is the line count of rows[r] ^ cols[c], also when the
+    table is cut into blocks of one row."""
+    rng = np.random.default_rng(6)
+    shape = (3, 2, 2)
+    rows = rng.integers(0, 2, size=(5, 12), dtype=np.uint8)
+    cols = rng.integers(0, 2, size=(7, 12), dtype=np.uint8)
+    for axis in range(3):
+        want = [[int(line_counts(r ^ c, shape, axis)) for c in cols] for r in rows]
+        assert xor_line_counts(rows, cols, shape, axis).tolist() == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_XOR_BLOCK", 1)
+        assert xor_line_counts(rows, cols, shape, 1).tolist() == [
+            [int(line_counts(r ^ c, shape, 1)) for c in cols] for r in rows
+        ]
 
 
 def test_sandwich_inequality_random():

@@ -16,9 +16,11 @@ from prodexp.tensor import (
     delta_to_product,
     line_weight,
     product_codewords,
+    product_contains,
 )
 from prodexp.testability import (
     FlatTest,
+    _systematic_reencode,
     agreement_ratio_sampled,
     check_composition,
     check_hyperplane_bound,
@@ -142,6 +144,40 @@ def test_rho_r_exact_rejects_degenerate_family():
     fam = CodeFamily.power(full_code(F2, 2), 2)
     with pytest.raises(ValueError):
         rho_r_exact(line_test((2, 2)), fam)
+
+
+def test_rho_a_exact_unequal_lengths_matches_oracle():
+    """Lines of the two directions carry weights 1/3 and 1/2."""
+    fam = CodeFamily((REP2, repetition(F2, 3)))
+    rep3 = [(0, 0, 0), (1, 1, 1)]
+    assert rho_a_exact(fam) == oracles.orc_rho_a((2, 3), [oracles.REP2, rep3])
+
+
+def test_rho_a_exact_reports_disagreeing_tuple_at_distance_zero(monkeypatch):
+    """A zero denominator under a nonzero numerator is a bug, not a value."""
+    from prodexp import testability
+
+    real = testability.xor_line_counts
+
+    def no_distance(rows, cols, shape, axis):
+        table = real(rows, cols, shape, axis)
+        return 0 * table if tuple(shape) == FAM2.shape else table  # Hamming tables kept
+
+    monkeypatch.setattr(testability, "xor_line_counts", no_distance)
+    with pytest.raises(RuntimeError, match="distance 0"):
+        rho_a_exact(FAM2)
+
+
+def test_systematic_reencode_is_product_codeword_agreeing_on_information_set():
+    rng = np.random.default_rng(4)
+    for fam in (CodeFamily.power(RS15, 2), CodeFamily((C31, repetition(F4, 2), C31))):
+        for _ in range(3):
+            arr = rng.integers(0, fam.field.order, fam.shape, dtype=np.uint8)
+            word = TensorWord(fam.field, arr)
+            cand = _systematic_reencode(word, fam)
+            info = tuple(slice(0, c.dimension) for c in fam.codes)
+            assert product_contains(cand, fam)
+            assert np.array_equal(cand.data[info], word.data[info])
 
 
 def test_rho_a_excludes_fully_agreeing_tuples():
