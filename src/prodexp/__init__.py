@@ -4,6 +4,7 @@ from .codes import (
     CyclicCode,
     DistanceBound,
     bounded_distance_decode,
+    decode_lines,
     delta_to_code,
     full_code,
     min_distance,

@@ -14,9 +14,10 @@ interval instead of pretending to know the exact value.
 Decoder rule: a word of a primitive RS code with more than 2^16 codewords
 is decoded by unique (bounded-distance) decoding, a word of any other code
 by an exhaustive nearest-codeword scan.  `nearest_codeword` applies this
-rule, and every line distance and line decode in the package goes through
-it; only the pair-proximity check calls `bounded_distance_decode` itself,
-because that check is defined by unique decoding.
+rule to one word.  Batches of lines, every direction of the line test and
+of the pair-proximity check (which is defined by unique decoding), go
+through `decode_lines`, the batched syndrome decoder that gives the same
+result as the single-word `bounded_distance_decode` on every line.
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ class CyclicCode:
         self._codewords: Optional[np.ndarray] = None
         self._min_distance: Optional[int] = None
         self._decode_ctx = None
+        self._syndrome_ctx = None
 
     # -- basic structure ------------------------------------------------
     @property
@@ -384,6 +386,126 @@ def bounded_distance_decode(
     return cw, dist
 
 
+def _syndrome_context(code: CyclicCode):
+    """Tables of the syndrome decoder, built once per code: the syndrome
+    matrix w^((k+t)i), the evaluation matrix w^(-iu) of polynomials of degree
+    at most e at X^-1 = w^-i, the Forney factors X^(1-k), and field inverses
+    (0 -> 0)."""
+    if code._syndrome_ctx is None:
+        field, n, k = code.field, code.length, code.dimension
+        e = (n - k) // 2
+        i = np.arange(n)
+        exp = np.array([field.omega_pow(j) for j in range(n)], dtype=np.uint8)
+        syndrome = exp[np.outer(i, k + np.arange(n - k)) % n]
+        evaluate = exp[np.outer(np.arange(e + 1), -i) % n]
+        forney = exp[i * (1 - k) % n]
+        inv = np.array([0] + [field.inv(a) for a in range(1, field.order)], dtype=np.uint8)
+        code._syndrome_ctx = (e, syndrome, evaluate, forney, inv)
+    return code._syndrome_ctx
+
+
+def decode_lines(
+    code: CyclicCode, lines: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique decoding of a (W, n) batch of lines of a primitive RS code
+    within radius e = floor((n - k)/2): the batched twin of
+    `bounded_distance_decode`, with the same codeword, distance and failure
+    for every line.
+
+    Returns (codewords, dists, resolved).  A resolved line holds the unique
+    codeword within distance e and that distance; an unresolved line, which
+    has no codeword that close, keeps the received word at distance 0.
+
+    Codewords vanish at w^k .. w^(n-1), so an error pattern of values Y_j at
+    X_j = w^(i_j) has syndromes S_t = sum_j Y_j X_j^k X_j^t.  Berlekamp-Massey
+    (Massey 1969) runs its 2e steps on every line at once and gives the
+    locator Lambda(x) = prod_j (1 - X_j x); the Chien search finds its roots
+    X_j^-1; Forney's formula (Forney 1965) gives Y_j = X_j^(1-k)
+    Omega(X_j^-1) / Lambda'(X_j^-1) with Omega = S Lambda mod x^(2e).  A line
+    is resolved only when every step is consistent and the corrected word
+    is a codeword within distance e, which is then the only one.
+    """
+    if not code.is_rs_primitive:
+        raise ValueError("bounded-distance decoding requires a primitive RS code")
+    field, n = code.field, code.length
+    lines = np.asarray(lines, dtype=np.uint8)
+    if lines.ndim != 2 or lines.shape[1] != n:
+        raise ValueError("expected a (W, n) array of lines")
+    e, syndrome, evaluate, forney, inv = _syndrome_context(code)
+    S = linalg.matmul(field, lines, syndrome)
+    codewords = lines.copy()
+    dists = np.zeros(lines.shape[0], dtype=np.int64)
+    resolved = ~S.any(axis=1)  # zero syndromes: a codeword at distance 0
+    todo = np.flatnonzero(~resolved)
+    if e == 0 or todo.size == 0:
+        return codewords, dists, resolved
+    table = field.mul_table
+    S = S[todo, : 2 * e]
+    locator, length = _berlekamp_massey(table, inv, S)
+    lam = locator[:, : e + 1]
+    # Lambda generates S, so S Lambda mod x^(2e) has degree below L: when
+    # L <= e, its first e terms are all of Omega
+    omega = np.zeros((todo.size, e), dtype=np.uint8)
+    for u in range(e):
+        omega[:, u:] ^= table[lam[:, u : u + 1], S[:, : e - u]]
+    deriv = np.zeros((todo.size, e), dtype=np.uint8)
+    deriv[:, 0::2] = lam[:, 1::2]  # characteristic 2: only odd powers survive
+    roots = linalg.matmul(field, lam, evaluate) == 0
+    slope = linalg.matmul(field, deriv, evaluate[:e])
+    values = table[table[forney, linalg.matmul(field, omega, evaluate[:e])], inv[slope]]
+    errors = np.where(roots, values, 0)
+    dist = np.count_nonzero(errors, axis=1)
+    ok = (
+        (length <= e)
+        & ~locator[:, e + 1 :].any(axis=1)
+        & (roots.sum(axis=1) == length)
+        & ~(roots & (slope == 0)).any(axis=1)
+        & (dist >= 1)
+        & (dist <= e)
+    )
+    ok[ok] = code.contains_batch(lines[todo[ok]] ^ errors[ok])
+    done = todo[ok]
+    codewords[done] ^= errors[ok]
+    dists[done] = dist[ok]
+    resolved[done] = True
+    return codewords, dists, resolved
+
+
+def _berlekamp_massey(
+    table: np.ndarray, inv: np.ndarray, S: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Shortest LFSR (connection polynomial C, length L) of every row of a
+    (W, N) syndrome array, N steps of Massey's algorithm on all rows at once.
+    The branch on the discrepancy d becomes a mask; x^m B is a per-row
+    gather.  Returns C as a (W, N + 1) coefficient array and L."""
+    W, N = S.shape
+    C = np.zeros((W, N + 1), dtype=np.uint8)
+    C[:, 0] = 1
+    B = C.copy()
+    L = np.zeros(W, dtype=np.int64)
+    m = np.ones(W, dtype=np.int64)
+    b = np.ones(W, dtype=np.uint8)
+    rows = np.arange(W)[:, None]
+    cols = np.arange(N + 1)[None, :]
+    for r in range(N):
+        d = np.bitwise_xor.reduce(table[C[:, : r + 1], S[:, r::-1]], axis=1)
+        shift = cols - m[:, None]
+        shifted = np.where(shift >= 0, B[rows, np.maximum(shift, 0)], 0)
+        grow = (d != 0) & (2 * L <= r)
+        B = np.where(grow[:, None], C, B)
+        C = C ^ table[table[d, inv[b]][:, None], shifted]  # d = 0 leaves C as it is
+        L = np.where(grow, r + 1 - L, L)
+        b = np.where(grow, d, b)
+        m = np.where(grow, 1, m + 1)
+    return C, L
+
+
+def _decodes_within_radius(code: CyclicCode) -> bool:
+    """The decoder rule: unique decoding for primitive RS codes with more
+    than 2^16 codewords, an exhaustive scan for every other code."""
+    return code.is_rs_primitive and code.field.order**code.dimension > _BOUNDED_ABOVE
+
+
 def nearest_codeword(
     word: Sequence[int] | np.ndarray, code: CyclicCode
 ) -> Optional[Tuple[np.ndarray, int]]:
@@ -392,7 +514,7 @@ def nearest_codeword(
     Returns None only for a primitive RS code decoded within its radius,
     when no codeword lies that close.
     """
-    if code.is_rs_primitive and code.field.order**code.dimension > _BOUNDED_ABOVE:
+    if _decodes_within_radius(code):
         return bounded_distance_decode(code, word)
     return brute_nearest(word, code)
 

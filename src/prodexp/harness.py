@@ -636,6 +636,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 resolved[f.name] = str(val)
         except (TypeError, ValueError, IndexError) as exc:
             raise UsageError(f"bad value {val!r} for {f.name}") from exc
+    # the witness is built for three factors only; the default m = 2 is not a request
+    if resolved["command"] == "certify-counterexample" and resolved.get("m", 3) != 3:
+        raise UsageError("certify-counterexample builds the m=3 witness; --m must be 3")
     return ExperimentConfig(**resolved)
 
 

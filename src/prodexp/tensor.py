@@ -26,7 +26,14 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .codes import CyclicCode, DistanceBound, beyond_radius_bound, nearest_codeword
+from .codes import (
+    CyclicCode,
+    DistanceBound,
+    _decodes_within_radius,
+    beyond_radius_bound,
+    brute_nearest,
+    decode_lines,
+)
 from .gf_poly import GF2m, field_make
 
 #: cells per block of the text writer, characters per block of the reader
@@ -394,20 +401,22 @@ def nearest_in_direction(
     `DistanceBound` for the direction.
     """
     code = family.codes[axis]
-    moved = np.moveaxis(word.data, axis, -1).copy()
-    errors = unresolved = 0
-    for line in moved.reshape(-1, code.length):
-        res = nearest_codeword(line, code)
-        if res is None:
-            unresolved += 1
-        else:
-            line[:] = res[0]
-            errors += res[1]
+    moved = np.moveaxis(word.data, axis, -1)
+    if _decodes_within_radius(code):
+        lines, dists, resolved = decode_lines(code, moved.reshape(-1, code.length))
+        errors, unresolved = int(dists.sum()), int(np.count_nonzero(~resolved))
+    else:
+        lines = moved.reshape(-1, code.length).copy()
+        errors = unresolved = 0
+        for line in lines:
+            codeword, dist = brute_nearest(line, code)
+            line[:] = codeword
+            errors += dist
     total = DistanceBound.exactly(Fraction(errors, word.size))
     if unresolved:
         share = Fraction(unresolved * code.length, word.size)
         total = total + beyond_radius_bound(code).scaled(share)
-    return TensorWord(word.field, np.moveaxis(moved, -1, axis)), total
+    return TensorWord(word.field, np.moveaxis(lines.reshape(moved.shape), -1, axis)), total
 
 
 def delta_to_product(word: TensorWord, family: CodeFamily) -> DistanceBound:

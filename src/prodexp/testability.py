@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .codes import CyclicCode, DistanceBound, bounded_distance_decode, min_distance
+from .codes import CyclicCode, DistanceBound, decode_lines, min_distance
 from .expansion import rs_triple_witness
 from .tensor import (
     CodeFamily,
@@ -674,17 +674,15 @@ def check_pair_proximity(
 
 
 def _row_column_decode(word: TensorWord, code: CyclicCode) -> Optional[TensorWord]:
-    """Unique-decode all direction-1 lines, then all direction-0 lines;
-    None as soon as a line lies beyond the decoding radius."""
+    """Unique-decode all direction-1 lines, then all direction-0 lines, one
+    batch per direction; None when a line lies beyond the decoding radius."""
     arr = word.data
     for axis in (1, 0):
-        moved = np.moveaxis(arr, axis, -1).copy()
-        for line in moved.reshape(-1, code.length):
-            res = bounded_distance_decode(code, line)
-            if res is None:
-                return None
-            line[:] = res[0]
-        arr = np.moveaxis(moved, -1, axis)
+        moved = np.moveaxis(arr, axis, -1)
+        codewords, _dists, resolved = decode_lines(code, moved.reshape(-1, code.length))
+        if not resolved.all():
+            return None
+        arr = np.moveaxis(codewords.reshape(moved.shape), -1, axis)
     return TensorWord(word.field, arr)
 
 

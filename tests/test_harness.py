@@ -276,6 +276,28 @@ def test_certify_counterexample_defaults_instance(tmp_path):
     assert code == EXIT_OK and out.exists()
 
 
+def test_certify_counterexample_rejects_other_m(tmp_path, capsys):
+    """Only the m=3 witness exists: an explicit --m other than 3, from a flag
+    or a config file, exits 2 and writes nothing; --m 3 and the default
+    (no --m) certify the same bytes."""
+    out = tmp_path / "c"
+    assert main(["certify-counterexample", "--t", "1", "--m", "5", "--out", str(out)]) == EXIT_USAGE
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"m": 2}))
+    argv = ["certify-counterexample", "--t", "1", "--config", str(cfg_file), "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert not out.exists()
+    assert "--m must be 3" in capsys.readouterr().err
+    certs, reports = [], []
+    for extra in ([], ["--m", "3"]):
+        certs.append(tmp_path / f"c{len(extra)}")
+        argv = ["certify-counterexample", "--t", "1", *extra, "--out", str(certs[-1])]
+        assert main(argv) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert certs[0].read_bytes() == certs[1].read_bytes()
+    assert reports[0] == reports[1] and json.loads(reports[0])["holds"] is True
+
+
 def _count_sum_membership_tests(monkeypatch, result=None):
     """Count every sum-code membership test; optionally force its answer."""
     import numpy as np

@@ -1,5 +1,5 @@
 """Property tests: line, product and sum-code membership against their
-oracles, certificate text."""
+oracles, certificate text, batched line decoding against per-line decoding."""
 
 from math import prod
 
@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import orc_product_contains, orc_sum_contains
-from prodexp.codes import full_code, repetition, rs_primitive
+from prodexp.codes import bounded_distance_decode, decode_lines, full_code, repetition, rs_primitive
 from prodexp.expansion import ExpansionCertificate, certify_upper_bound
 from prodexp.gf_poly import field_make
 from prodexp.tensor import (
@@ -25,6 +25,8 @@ F16 = field_make(4)
 F64 = field_make(6)
 C31 = rs_primitive(F4, 1, 3)
 RS15 = rs_primitive(F16, 1, 3)
+RS63 = rs_primitive(F64, 1, 3)
+RS255 = rs_primitive(field_make(8), 1, 3)
 
 # reproducible runs that write no example database
 REPRODUCIBLE = settings(database=None, derandomize=True, deadline=None)
@@ -217,3 +219,55 @@ def test_product_membership_matches_oracle(case):
     changed, and sum-code words (in the product code only by chance)."""
     family, word = case
     assert product_contains(word, family) == orc_product_contains(word.data, family)
+
+
+@st.composite
+def code_and_noisy_lines(draw, codes, max_lines):
+    """A primitive RS code and a batch of lines, each a uniform word or a
+    codeword with a drawn number of symbol errors: none, exactly e, exactly
+    e + 1, or anything up to 2e + 2.  Half the batches use one kind for every
+    line, so all-codeword batches (every syndrome zero) occur."""
+    code = draw(st.sampled_from(codes))
+    n, q = code.length, code.field.order
+    e = (n - code.dimension) // 2
+    kind = st.one_of(st.none(), st.sampled_from([0, e, e + 1]), st.integers(0, 2 * e + 2))
+    count = draw(st.integers(1, max_lines))
+    kinds = [draw(kind)] * count if draw(st.booleans()) else [draw(kind) for _ in range(count)]
+    symbols = lambda size, low: st.lists(st.integers(low, q - 1), min_size=size, max_size=size)
+    lines = []
+    for errors in kinds:
+        if errors is None:
+            lines.append(np.array(draw(symbols(n, 0)), dtype=np.uint8))
+            continue
+        line = code.encode(draw(symbols(code.dimension, 0)))
+        where = draw(st.lists(st.integers(0, n - 1), min_size=errors, max_size=errors, unique=True))
+        line[where] ^= np.array(draw(symbols(errors, 1)), dtype=np.uint8)
+        lines.append(line)
+    return code, np.stack(lines)
+
+
+def _assert_decode_lines_matches_bounded(code, lines):
+    codewords, dists, resolved = decode_lines(code, lines)
+    for line, codeword, dist, ok in zip(lines, codewords, dists, resolved):
+        want = bounded_distance_decode(code, line)
+        if want is None:
+            assert not ok and dist == 0 and np.array_equal(codeword, line)
+        else:
+            assert ok and dist == want[1] and np.array_equal(codeword, want[0])
+
+
+@REPRODUCIBLE
+@given(code_and_noisy_lines([RS15, RS63, rs_primitive(F16, 2, 3)], max_lines=6))
+def test_decode_lines_matches_bounded_distance_decode(case):
+    """The batched syndrome decoder gives, line for line, the codeword, the
+    distance and the failures of Berlekamp-Welch `bounded_distance_decode`.
+    RS[15,10] has an odd count n - k = 5 of syndromes, one more than
+    Berlekamp-Massey reads, so there only the final membership test rejects
+    some wrong corrections."""
+    _assert_decode_lines_matches_bounded(*case)
+
+
+@settings(REPRODUCIBLE, max_examples=4)
+@given(code_and_noisy_lines([RS255], max_lines=3))
+def test_decode_lines_matches_bounded_distance_decode_rs255(case):
+    _assert_decode_lines_matches_bounded(*case)

@@ -35,3 +35,28 @@ def test_one_line_count_implementation():
                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.any":
                     found.append(f"{path.name}:{func.name}")
     assert found == ["tensor.py:line_counts"], found
+
+
+def test_one_batched_line_decoder():
+    """Batches of lines go through `codes.decode_lines`: no module but
+    `codes` calls `bounded_distance_decode`, and `tensor` and `testability`
+    run no Python loop that calls `nearest_codeword` line by line."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if ast.unparse(node.func).rpartition(".")[2] == "bounded_distance_decode":
+                if path.name != "codes.py":
+                    found.append(f"{path.name}:{node.lineno}")
+        if path.name not in ("tensor.py", "testability.py"):
+            continue
+        for loop in ast.walk(tree):
+            if not isinstance(loop, loops):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("nearest_codeword"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == [], found

@@ -321,21 +321,21 @@ def test_robustness_ratio_upper_bounds_truth_tiny():
 
 def test_robustness_ratio_decodes_each_line_once(monkeypatch):
     """The line test's numerator and denominator share one decode per line:
-    30 decodes for the 30 lines of an RS[15,5]^2 word."""
-    from prodexp import codes
+    the 30 lines of an RS[15,5]^2 word pass through `decode_lines` once."""
+    from prodexp import tensor
 
-    calls = []
-    real = codes.bounded_distance_decode
+    batches = []
+    real = tensor.decode_lines
 
-    def counted(code, word):
-        calls.append(1)
-        return real(code, word)
+    def counted(code, lines):
+        batches.append(len(lines))
+        return real(code, lines)
 
-    monkeypatch.setattr(codes, "bounded_distance_decode", counted)
+    monkeypatch.setattr(tensor, "decode_lines", counted)
     rng = np.random.default_rng(5)
     word = TensorWord(F16, rng.integers(0, 16, size=(15, 15), dtype=np.uint8))
     assert robustness_ratio(word, line_test((15, 15)), CodeFamily.power(RS15, 2)) is not None
-    assert len(calls) == 30
+    assert sum(batches) == 30
 
 
 def test_rho_r_sampled_upper_deterministic_and_consistent():
@@ -370,6 +370,16 @@ def test_pair_proximity_nonzero_budget_rate_2_15():
     assert rep.line_budget == 2
     assert rep.max_observed_delta > 0
     assert rep.holds
+
+
+def test_pair_proximity_rs63_replaces_one_line():
+    """The paper's rate-1/3 square at n=63: the budget (1/6)^2 admits one
+    re-randomized line per trial, and row-column decoding recovers a product
+    codeword close enough every time."""
+    rep = check_pair_proximity(rs_primitive(field_make(6), 1, 3), trials=5, seed=7)
+    assert rep.line_budget == 1
+    assert rep.max_observed_delta > 0
+    assert rep.failures == 0
 
 
 def test_pair_proximity_rejects_high_rate():
