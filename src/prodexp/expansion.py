@@ -190,7 +190,7 @@ class ExpansionCertificate:
         if int(den) == 0:
             raise ValueError("certificate bound has a zero denominator")
         return ExpansionCertificate(
-            witness=TensorWord.from_text(text[start + len("\nwitness\n") : stop + 1]),
+            witness=TensorWord.from_text(text, start + len("\nwitness\n"), stop + 1),
             instance=fields["instance"],
             bound=Fraction(int(num), int(den)),
             cover_lower_bound=int(fields["cover-lower-bound"]),

@@ -105,21 +105,7 @@ def apply_matrix_axis(field: GF2m, M: np.ndarray, arr: np.ndarray, axis: int) ->
     n = moved.shape[-1]
     if M.shape[1] != n:
         raise ValueError("axis length mismatch")
-    flat = moved.reshape(-1, n)
-    table = field.mul_table
-    out = np.zeros((flat.shape[0], M.shape[0]), dtype=np.uint8)
-    for a in range(M.shape[0]):
-        row = M[a]
-        acc = out[:, a]
-        for t in range(n):
-            coef = int(row[t])
-            if coef == 0:
-                continue
-            if coef == 1:
-                acc ^= flat[:, t]
-            else:
-                acc ^= table[coef][flat[:, t]]
-        out[:, a] = acc
+    out = matmul(field, moved.reshape(-1, n), M.T)
     return np.moveaxis(out.reshape(lead + (M.shape[0],)), -1, axis)
 
 

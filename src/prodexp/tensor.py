@@ -17,11 +17,12 @@ family, equal lengths or not.
 from __future__ import annotations
 
 import itertools
+import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .codes import (
 from .gf_poly import GF2m, field_make
 
 #: cells per block of the text writer, characters per block of the reader
-_TEXT_BLOCK = 1 << 20
+_TEXT_BLOCK = 1 << 18
 #: (row, column) pairs per block of `xor_line_counts`
 _XOR_BLOCK = 1 << 16
 
@@ -50,10 +51,12 @@ class TensorWord:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.uint8)
+        self._hold(np.array(self.data, dtype=np.uint8))  # a copy
+
+    def _hold(self, arr: np.ndarray) -> None:
+        """Take `arr`, a uint8 array no one else holds, as the read-only data."""
         if arr.max(initial=0) >= self.field.order:
             raise ValueError("entry outside the field")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -108,10 +111,15 @@ class TensorWord:
         return "".join(parts)
 
     @staticmethod
-    def from_text(text: str) -> "TensorWord":
-        start = len(text) - len(text.lstrip())
-        eol = text.find("\n", start)
-        eol = len(text) if eol < 0 else eol
+    def from_text(text: str, start: int = 0, stop: Optional[int] = None) -> "TensorWord":
+        """Parse the `to_text` form held in text[start:stop] (the whole text by
+        default) without copying it: the entries fill one preallocated array,
+        a block of `_TEXT_BLOCK` characters at a time, that the word then
+        holds as its data.  Anything malformed raises `ValueError`."""
+        stop = len(text) if stop is None else stop
+        start = _LEADING_SPACE.match(text, start, stop).end()
+        eol = text.find("\n", start, stop)
+        eol = stop if eol < 0 else eol
         toks = text[start:eol].split()
         if len(toks) < 4 or toks[0] != "shape" or toks[-2] != "field" or toks.count("field") > 1:
             raise ValueError(f"bad header {text[start:eol]!r}")
@@ -120,20 +128,37 @@ class TensorWord:
             raise ValueError("only characteristic-2 fields are supported")
         field = field_make(int(deg))
         shape = tuple(int(t) for t in toks[1:-2])
-        blocks, pos = [np.zeros(0, dtype=np.uint8)], eol
-        while pos < len(text):
-            stop = text.find("\n", pos + _TEXT_BLOCK)
-            stop = len(text) if stop < 0 else stop
-            blocks.append(_hex_entries(text[pos:stop]))
-            pos = stop
-        vals = np.concatenate(blocks)
-        if min(shape) < 1 or vals.size != prod(shape):
+        size = prod(shape)
+        # no text holds more entries than characters, so a larger shape is
+        # refused after the entries are read, without allocating it
+        fits = min(shape) >= 1 and size <= stop - eol
+        vals = np.empty(size if fits else 0, dtype=np.uint8)
+        count, pos = 0, eol
+        while pos < stop:
+            end = text.find("\n", pos + _TEXT_BLOCK, stop)
+            end = stop if end < 0 else end
+            entries = _hex_entries(text[pos:end])
+            if count + entries.size <= vals.size:
+                vals[count : count + entries.size] = entries
+            count += entries.size
+            pos = end
+        if not fits or count != size:
             raise ValueError("entry count does not match the shape")
-        return TensorWord(field, vals.reshape(shape))
+        return TensorWord._adopt(field, vals.reshape(shape))
+
+    @staticmethod
+    def _adopt(field: GF2m, arr: np.ndarray) -> "TensorWord":
+        """The word holding `arr` itself instead of a copy (see `_hold`)."""
+        word = object.__new__(TensorWord)
+        object.__setattr__(word, "field", field)
+        word._hold(arr)
+        return word
 
 
 #: value -> (high hex digit or 0 when below 16, low hex digit, space)
 _HEX_CELL = np.array([[*f"{v:x}".rjust(2, "\0").encode(), 32] for v in range(256)], np.uint8)
+#: the leading whitespace that `str.lstrip` removes
+_LEADING_SPACE = re.compile(r"\s*")
 #: character -> hex digit value, _SPACE for whitespace (as `str.split`), _BAD otherwise
 _SPACE, _BAD = 16, 17
 _HEX_VALUE = np.array(
@@ -329,7 +354,8 @@ def sum_contains_batch(words: np.ndarray, family: CodeFamily) -> np.ndarray:
     words = np.asarray(words, dtype=np.uint8)
     if words.shape[1:] != family.shape:
         raise ValueError("word shape does not match the family")
-    # each step consumes the leading axis and appends its kept products last
+    # each step consumes the leading axis and appends its kept products last,
+    # C-contiguous, so that the next step reads its input without a copy
     acc = np.moveaxis(words, 0, -1)
     for code in family.codes:
         acc = code.check_products(acc)

@@ -271,7 +271,7 @@ def orc_parity_matrix(n, check):
     return H
 
 
-def _orc_axis_syndrome(arr, axis, code, mul):
+def orc_axis_syndrome(arr, axis, code, mul):
     """`arr` with `axis` contracted with the code's dual generator matrix."""
     H = orc_parity_matrix(code.length, code.check_coeffs)
     moved = np.moveaxis(arr, axis, -1)
@@ -289,7 +289,7 @@ def orc_sum_syndrome(words, family):
     mul = orc_mul_table(field.degree, field.modulus)
     syn = np.asarray(words, dtype=np.uint8)
     for axis, code in enumerate(family.codes, start=1):
-        syn = _orc_axis_syndrome(syn, axis, code, mul)
+        syn = orc_axis_syndrome(syn, axis, code, mul)
     return syn
 
 
@@ -305,7 +305,7 @@ def orc_product_contains(word, family):
     mul = orc_mul_table(field.degree, field.modulus)
     arr = np.asarray(word, dtype=np.uint8)
     return all(
-        not _orc_axis_syndrome(arr, axis, code, mul).any()
+        not orc_axis_syndrome(arr, axis, code, mul).any()
         for axis, code in enumerate(family.codes)
     )
 

@@ -2,12 +2,13 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from prodexp import expansion
+from prodexp import expansion, tensor
 from prodexp.codes import full_code, repetition, rs_primitive
 from prodexp.expansion import (
     Decomposition,
@@ -124,6 +125,26 @@ def test_certificate_text_roundtrip_and_verify():
     again = ExpansionCertificate.from_text(text)
     assert again == cert
     assert verify_certificate(again, fam)
+
+
+def test_certificate_reader_holds_one_witness_and_one_block(monkeypatch):
+    """Reading the t=3 certificate (RS[63,21]^3: 250,047 cells in 0.5 MB of
+    text) allocates the witness once plus per-block temporaries, and never
+    a copy of the text: with 4,096-character blocks the tracemalloc peak
+    stays within twice the cell count plus 32 bytes per block character."""
+    f64 = field_make(6)
+    fam = CodeFamily.power(rs_primitive(f64, 1, 3), 3)
+    text = certify_upper_bound(counterexample_word(f64, 21), fam).to_text()
+    block = 1 << 12
+    monkeypatch.setattr(tensor, "_TEXT_BLOCK", block)
+    tracemalloc.start()
+    try:
+        cert = ExpansionCertificate.from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.witness == counterexample_word(f64, 21)
+    assert peak <= 2 * 63**3 + 32 * block
 
 
 def test_verify_certificate_rejects_tampered_bound():

@@ -1,14 +1,27 @@
-"""Property tests: line, product and sum-code membership against their
-oracles, certificate text, batched line decoding against per-line decoding."""
+"""Property tests: the membership kernel, line, product and sum-code
+membership against their oracles, certificate text, batched line decoding
+against per-line decoding."""
 
+import math
+from contextlib import contextmanager
+from functools import lru_cache
 from math import prod
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import orc_product_contains, orc_sum_contains
-from prodexp.codes import bounded_distance_decode, decode_lines, full_code, repetition, rs_primitive
+from oracles import orc_axis_syndrome, orc_mul_table, orc_product_contains, orc_sum_contains
+from prodexp import codes
+from prodexp.codes import (
+    CyclicCode,
+    bounded_distance_decode,
+    decode_lines,
+    full_code,
+    repetition,
+    rs_primitive,
+)
 from prodexp.expansion import ExpansionCertificate, certify_upper_bound
 from prodexp.gf_poly import field_make
 from prodexp.tensor import (
@@ -194,6 +207,77 @@ def test_line_membership_matches_oracle(case):
     code, lines = case
     want = orc_sum_contains(lines, CodeFamily((code,)))
     assert code.contains_batch(lines).tolist() == want.tolist()
+
+
+#: GF(2), GF(4), GF(64) and GF(256); the binary cyclic [7, 4] code has the
+#: check polynomial (x + 1)(x^3 + x + 1)
+KERNEL_CODES = [
+    CyclicCode(F2, 7, (1, 0, 1, 1, 1)),
+    repetition(F2, 3),
+    C31,
+    full_code(F4, 3),
+    RS63,
+    RS255,
+]
+#: one column, a 64-cell word boundary on either side, and several blocks
+#: at every length here
+KERNEL_WIDTHS = (1, 63, 64, 65, 4097)
+
+
+@lru_cache(maxsize=None)
+def _oracle_mul(field):
+    return orc_mul_table(field.degree, field.modulus)
+
+
+@contextmanager
+def _kernel_layout(layout):
+    """`check_products` forced onto one layout, whatever the width."""
+    saved = codes._BITSLICE_FROM
+    codes._BITSLICE_FROM = {"pair": math.inf, "bitsliced": 0, "by width": saved}[layout]
+    try:
+        yield
+    finally:
+        codes._BITSLICE_FROM = saved
+
+
+@st.composite
+def kernel_inputs(draw, code, width):
+    """An (n, batch, width) view of batch * width columns of a code's length
+    (the leading axis strided, as `contains_batch` passes it): codewords,
+    codewords with one cell changed in about half the columns, or uniform
+    cells."""
+    batch = draw(st.integers(1, 3 if code.length * width < 1 << 20 else 1))
+    kind = draw(st.sampled_from(["members", "near members", "uniform"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, q = code.length, code.field.order
+    if kind == "uniform":
+        cols = rng.integers(0, q, size=(batch * width, n), dtype=np.uint8)
+    else:  # sums of two of 32 codewords
+        base = code.encode_batch(rng.integers(0, q, size=(32, code.dimension), dtype=np.uint8))
+        cols = base[rng.integers(0, 32, size=batch * width)] ^ base[rng.integers(0, 32, size=batch * width)]
+    if kind == "near members":
+        hit = np.flatnonzero(rng.random(batch * width) < 0.5)
+        cols[hit, rng.integers(0, n, size=hit.size)] ^= rng.integers(1, q, size=hit.size, dtype=np.uint8)
+    return kind, np.moveaxis(cols.reshape(batch, width, n), -1, 0)
+
+
+@pytest.mark.parametrize("width", KERNEL_WIDTHS)
+@pytest.mark.parametrize("code", KERNEL_CODES, ids=repr)
+@settings(REPRODUCIBLE, max_examples=2)
+@given(data=st.data())
+def test_check_products_matches_axis_syndrome(code, width, data):
+    """Both layouts of `CyclicCode.check_products`, and the one the width
+    rule picks, equal the oracle's dual-generator syndrome product for
+    product; codeword columns give zeros."""
+    kind, arr = data.draw(kernel_inputs(code, width))
+    want = np.moveaxis(orc_axis_syndrome(arr, 0, code, _oracle_mul(code.field)), 0, -1)
+    for layout in ("pair", "bitsliced", "by width"):
+        with _kernel_layout(layout):
+            got = code.check_products(arr)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want), layout
+    if kind == "members":
+        assert not want.any()
 
 
 PRODUCT_FAMILIES = [

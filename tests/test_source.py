@@ -60,3 +60,26 @@ def test_one_batched_line_decoder():
                 if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("nearest_codeword"):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == [], found
+
+
+def test_one_membership_kernel():
+    """Only `codes` multiplies by check coefficients: no other module reads
+    `check_coeffs` or the kernel's private layouts, and `tensor` tests
+    membership through `CyclicCode.check_products` alone, never through
+    `contains` or `contains_batch`."""
+    kernel = {"check_coeffs", "_pair_products", "_pair_table", "_bitsliced_products", "_bitslice_terms"}
+    found, kernel_calls = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in kernel and path.name != "codes.py":
+                found.append(f"{path.name}:{node.lineno}:{name}")
+            if path.name == "tensor.py" and isinstance(node, ast.Call):
+                called = ast.unparse(node.func).rpartition(".")[2]
+                if called in ("contains", "contains_batch"):
+                    found.append(f"tensor.py:{node.lineno}:{called}")
+                if called == "check_products":
+                    kernel_calls.append(node.lineno)
+    assert found == [], found
+    assert len(kernel_calls) == 2, kernel_calls  # in_direction_code, sum_contains_batch

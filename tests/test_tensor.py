@@ -16,7 +16,7 @@ from prodexp.codes import (
     rs_primitive,
 )
 from prodexp.expansion import counterexample_word
-from prodexp import tensor
+from prodexp import codes, tensor
 from prodexp.gf_poly import field_make
 from prodexp.tensor import (
     CodeFamily,
@@ -236,13 +236,20 @@ def test_sum_contains_unequal_lengths_rs15_by_rep5():
     assert not orc_sum_contains(arr[None], fam)[0]
 
 
-def test_sum_contains_t3_witness_and_one_changed_cell():
+def test_sum_contains_t3_witness_and_one_changed_cell(monkeypatch):
     """The RS[63,21]^3 witness is a sum-code word; changing one nonzero
-    entry to another nonzero value keeps its support and leaves the code."""
+    entry to another nonzero value keeps its support and leaves the code.
+    Every step is wide enough (3,969, 2,646 and 1,764 columns) for the
+    bit-sliced layout of the kernel."""
+    layouts = []
+    for name in ("_pair_products", "_bitsliced_products"):
+        real = getattr(codes, name)
+        monkeypatch.setattr(codes, name, lambda *a, real=real, name=name: layouts.append(name) or real(*a))
     f64 = field_make(6)
     fam = CodeFamily.power(rs_primitive(f64, 1, 3), 3)
     word = counterexample_word(f64, 21)
     assert sum_contains(word, fam)
+    assert layouts == ["_bitsliced_products"] * 3
     arr = word.data.copy()
     cell = tuple(np.argwhere(arr)[0])
     arr[cell] = arr[cell] % 63 + 1
@@ -392,6 +399,21 @@ def test_tensor_text_blocks_match_per_entry_format(monkeypatch):
 def test_tensor_text_rejects_bad_counts():
     with pytest.raises(ValueError):
         TensorWord.from_text("shape 2 2 field 2^2\n1 2 3\n")
+    # a shape larger than the text could hold is refused, not allocated
+    with pytest.raises(ValueError, match="entry count"):
+        TensorWord.from_text("shape 100000 100000 100000 field 2^8\n1 2\n")
+    with pytest.raises(ValueError, match="hex digits"):
+        TensorWord.from_text("shape 0 2 field 2^8\n1 g\n")
+
+
+def test_tensor_text_reads_a_slice_of_a_longer_text():
+    """`from_text` with offsets reads only text[start:stop]."""
+    w = W(F4, [[1, 2], [3, 0]])
+    text = "prefix " + w.to_text() + "suffix 5 5"
+    start = len("prefix ")
+    assert TensorWord.from_text(text, start, start + len(w.to_text())) == w
+    with pytest.raises(ValueError):
+        TensorWord.from_text(text, start)
 
 
 def test_full_code_factor_everything_is_member():
