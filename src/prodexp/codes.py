@@ -22,10 +22,12 @@ interval instead of pretending to know the exact value.
 Decoder rule: a word of a primitive RS code with more than 2^16 codewords
 is decoded by unique (bounded-distance) decoding, a word of any other code
 by an exhaustive nearest-codeword scan.  `nearest_codeword` applies this
-rule to one word.  Batches of lines, every direction of the line test and
-of the pair-proximity check (which is defined by unique decoding), go
-through `decode_lines`, the batched syndrome decoder that gives the same
-result as the single-word `bounded_distance_decode` on every line.
+rule to one word.  `decode_lines`, the batched syndrome decoder, is the one
+unique decoder: batches of lines, every direction of the line test and of
+the pair-proximity check (which is defined by unique decoding), go through
+it, and `bounded_distance_decode` is its one-row view.  The Berlekamp-Welch
+decoder it replaced is the reference `orc_bounded_distance_decode` in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ from .gf_poly import (
     x_pow_n_minus_1,
 )
 
-#: enumeration guards: full codeword arrays are cached below this size,
-#: brute-force scans are refused above the second bound.
+#: enumeration guard: codes with more codewords are neither enumerated nor
+#: scanned exhaustively
 _CACHE_LIMIT = 1 << 21
-_BRUTE_LIMIT = 1 << 24
 #: primitive RS codes with more codewords than this decode by unique decoding
 _BOUNDED_ABOVE = 1 << 16
 #: cells per block of `check_products`: a block's bit planes and products
@@ -87,14 +88,6 @@ class DistanceBound:
             raise ValueError(f"distance only known to lie in {self}")
         return self.lower
 
-    def __add__(self, other: "DistanceBound") -> "DistanceBound":
-        return DistanceBound(self.lower + other.lower, self.upper + other.upper)
-
-    def scaled(self, f: Fraction) -> "DistanceBound":
-        if f < 0:
-            raise ValueError("negative scale")
-        return DistanceBound(self.lower * f, self.upper * f)
-
     def __repr__(self) -> str:
         if self.exact:
             return f"DistanceBound({self.lower})"
@@ -124,7 +117,6 @@ class CyclicCode:
         self._rs_root_count: Optional[int] = None  # set by rs_primitive
         self._codewords: Optional[np.ndarray] = None
         self._min_distance: Optional[int] = None
-        self._decode_ctx = None
         self._syndrome_ctx = None
         self._bitslice_terms: Optional[List[Tuple[int, int, int]]] = None
 
@@ -389,9 +381,6 @@ def min_distance(code: CyclicCode) -> int:
     """Exact minimum Hamming weight of a nonzero codeword."""
     if code._min_distance is not None:
         return code._min_distance
-    count = code.field.order**code.dimension
-    if count > _BRUTE_LIMIT:
-        raise ValueError("instance too large for exhaustive minimum distance")
     cws = code.codewords()
     weights = np.count_nonzero(cws, axis=1)
     nz = weights[weights > 0]
@@ -407,97 +396,28 @@ def brute_nearest(
     word: Sequence[int] | np.ndarray, code: CyclicCode
 ) -> Tuple[np.ndarray, int]:
     """Exhaustive nearest-codeword scan; ties go to the lexicographically
-    smallest codeword."""
+    smallest codeword.  Refused, as by `CyclicCode.codewords`, for codes of
+    more than 2^21 codewords."""
     w = np.asarray(word, dtype=np.uint8)
-    count = code.field.order**code.dimension
-    if count > _BRUTE_LIMIT:
-        raise ValueError("instance too large for brute-force decoding")
-    chunks = [code.codewords()] if count <= _CACHE_LIMIT else _codeword_chunks(code)
-    best: Optional[int] = None
-    best_row: Optional[Tuple[int, ...]] = None
-    for cws in chunks:
-        dists = np.count_nonzero(cws ^ w[None, :], axis=1)
-        d = int(dists.min())
-        if best is not None and d > best:
-            continue
-        row = min(map(tuple, cws[dists == d].tolist()))
-        if best is None or d < best or (d == best and row < best_row):
-            best, best_row = d, row
-    return np.array(best_row, dtype=np.uint8), best
-
-
-def _codeword_chunks(code: CyclicCode):
-    """Stream codewords in blocks for scans too large to cache."""
-    q = code.field.order
-    k = code.dimension
-    basis = code.generator_matrix
-    total = q**k
-    block = 1 << 18
-    for start in range(0, total, block):
-        msgs = linalg.enumerate_vectors(q, k, start, min(start + block, total))
-        yield linalg.matmul(code.field, msgs, basis)
-
-
-def _decode_context(code: CyclicCode):
-    """Precomputed evaluation points / power tables for the RS decoder."""
-    if code._decode_ctx is None:
-        field, n, k = code.field, code.length, code.dimension
-        e = (n - k) // 2
-        pts = np.array([field.omega_pow(-i) for i in range(n)], dtype=np.uint8)
-        maxdeg = max(e + k, e + 1)
-        powers = np.zeros((n, maxdeg), dtype=np.uint8)
-        powers[:, 0] = 1
-        for u in range(1, maxdeg):
-            powers[:, u] = field.mul_arrays(powers[:, u - 1], pts)
-        code._decode_ctx = (e, pts, powers)
-    return code._decode_ctx
+    cws = code.codewords()
+    dists = np.count_nonzero(cws ^ w[None, :], axis=1)
+    d = int(dists.min())
+    return np.array(min(map(tuple, cws[dists == d].tolist())), dtype=np.uint8), d
 
 
 def bounded_distance_decode(
     code: CyclicCode, word: Sequence[int] | np.ndarray
 ) -> Optional[Tuple[np.ndarray, int]]:
-    """Unique decoding of a primitive RS code within radius floor((d-1)/2).
-
-    Solves for an error locator E (monic, degree e) and a product polynomial
-    Q (degree < e + k) with Q(x_i) = r_i E(x_i) at every evaluation point,
-    then recovers the message polynomial as Q / E.  Returns (codeword,
-    distance) or None when no codeword lies within the radius.
-    """
+    """Unique decoding of one word of a primitive RS code within radius
+    floor((d-1)/2): the one-row view of `decode_lines`.  Returns (codeword,
+    distance) or None when no codeword lies within the radius."""
     if not code.is_rs_primitive:
         raise ValueError("bounded-distance decoding requires a primitive RS code")
-    field, n, k = code.field, code.length, code.dimension
     w = np.asarray(word, dtype=np.uint8)
-    if w.shape != (n,):
+    if w.shape != (code.length,):
         raise ValueError("word length mismatch")
-    if code.contains(w):
-        return w.copy(), 0
-    e, pts, powers = _decode_context(code)
-    if e == 0:
-        return None
-    table = field.mul_table
-    # unknowns: E_0..E_{e-1}, Q_0..Q_{e+k-1}; row i is the constraint at x_i
-    A = np.zeros((n, 2 * e + k), dtype=np.uint8)
-    A[:, :e] = table[w[:, None], powers[:, :e]]
-    A[:, e:] = powers[:, : e + k]
-    rhs = table[w, powers[:, e]]
-    sol = linalg.solve(field, A, rhs)
-    if sol is None:
-        return None
-    E = list(int(v) for v in sol[:e]) + [1]
-    Q = [int(v) for v in sol[e:]]
-    f, rem = unipoly_divmod(field, Q, E)
-    if rem:
-        return None
-    if len(f) > k:
-        return None
-    # evaluate f at the points by Horner
-    cw = np.zeros(n, dtype=np.uint8)
-    for c in reversed(unipoly_trim(f) or (0,)):
-        cw = table[cw, pts] ^ c
-    dist = int(np.count_nonzero(cw ^ w))
-    if dist > e:
-        return None
-    return cw, dist
+    codewords, dists, resolved = decode_lines(code, w[None, :])
+    return (codewords[0], int(dists[0])) if resolved[0] else None
 
 
 def _syndrome_context(code: CyclicCode):
@@ -522,9 +442,7 @@ def decode_lines(
     code: CyclicCode, lines: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unique decoding of a (W, n) batch of lines of a primitive RS code
-    within radius e = floor((n - k)/2): the batched twin of
-    `bounded_distance_decode`, with the same codeword, distance and failure
-    for every line.
+    within radius e = floor((n - k)/2), the package's one unique decoder.
 
     Returns (codewords, dists, resolved).  A resolved line holds the unique
     codeword within distance e and that distance; an unresolved line, which

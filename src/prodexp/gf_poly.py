@@ -135,9 +135,6 @@ class GF2m:
             self._mul_table = table
         return self._mul_table
 
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.mul_table[a, b]
-
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GF2m) and other.degree == self.degree

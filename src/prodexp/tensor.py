@@ -31,9 +31,9 @@ from .codes import (
     CyclicCode,
     DistanceBound,
     _decodes_within_radius,
-    beyond_radius_bound,
     brute_nearest,
     decode_lines,
+    decoding_radius,
 )
 from .gf_poly import GF2m, field_make
 
@@ -420,11 +420,12 @@ def nearest_in_direction(
 ) -> Tuple[TensorWord, DistanceBound]:
     """Line-by-line nearest decoding in one direction.
 
-    Lines that a bounded-distance decoder cannot resolve are left unchanged
-    and contribute a certified interval to the distance; the returned word is
-    then a best-effort representative rather than a certified minimizer.
-    Errors and unresolved lines are counted as integers and turned into one
-    `DistanceBound` for the direction.
+    Lines that a bounded-distance decoder cannot resolve are left unchanged;
+    the returned word is then a best-effort representative rather than a
+    certified minimizer.  The errors on resolved lines and the number u of
+    unresolved lines are counted as integers and become one interval
+    [(errors + u (e + 1)) / N, (errors + u (n - k)) / N]: an unresolved line
+    lies beyond the decoding radius e and within the covering radius n - k.
     """
     code = family.codes[axis]
     moved = np.moveaxis(word.data, axis, -1)
@@ -438,16 +439,20 @@ def nearest_in_direction(
             codeword, dist = brute_nearest(line, code)
             line[:] = codeword
             errors += dist
-    total = DistanceBound.exactly(Fraction(errors, word.size))
+    lower = upper = errors
     if unresolved:
-        share = Fraction(unresolved * code.length, word.size)
-        total = total + beyond_radius_bound(code).scaled(share)
-    return TensorWord(word.field, np.moveaxis(lines.reshape(moved.shape), -1, axis)), total
+        lower += unresolved * (decoding_radius(code) + 1)
+        upper += unresolved * (code.length - code.dimension)
+    bound = DistanceBound(Fraction(lower, word.size), Fraction(upper, word.size))
+    return TensorWord(word.field, np.moveaxis(lines.reshape(moved.shape), -1, axis)), bound
+
+
+def _product_distance(word: TensorWord, family: CodeFamily) -> int:
+    """Hamming distance to the product code by brute enumeration."""
+    flat = word.data.reshape(-1)
+    return int(np.count_nonzero(product_codewords(family) ^ flat[None, :], axis=1).min())
 
 
 def delta_to_product(word: TensorWord, family: CodeFamily) -> DistanceBound:
     """Normalized distance to the product code by brute enumeration."""
-    cws = product_codewords(family)
-    flat = word.data.reshape(-1)
-    dists = np.count_nonzero(cws ^ flat[None, :], axis=1)
-    return DistanceBound.exactly(Fraction(int(dists.min()), word.size))
+    return DistanceBound.exactly(Fraction(_product_distance(word, family), word.size))

@@ -35,6 +35,7 @@ from .tensor import (
     Flat,
     TensorWord,
     _exact_ratio_min,
+    _product_distance,
     delta_to_product,
     enumerate_flats,
     line_weight,
@@ -115,26 +116,26 @@ def _line_distances(word: TensorWord, family: CodeFamily) -> List[DistanceBound]
     return [nearest_in_direction(word, family, axis)[1] for axis in range(family.m)]
 
 
-def _mean(bounds: Sequence[DistanceBound]) -> DistanceBound:
-    return sum(bounds, DistanceBound.exactly(Fraction(0))).scaled(Fraction(1, len(bounds)))
-
-
 def test_expectation(word: TensorWord, test: FlatTest, family: CodeFamily) -> DistanceBound:
     """E over flats of the distance from the restriction to the restricted
     product code; exact whenever every restriction is decodable exactly.
 
     For the line test a direction-j line carries weight n_j / (m N), so the
-    expectation is the mean over directions of the distance to C^(j)."""
+    expectation is the mean over directions of the distance to C^(j).  A
+    k-flat f carries weight |f| / sum |f|, so for k >= 2 the expectation is
+    the sum of the flats' Hamming distances over the sum of their sizes."""
     if word.shape != test.shape or word.shape != family.shape:
         raise ValueError("shape mismatch")
     if test.k == 1:
-        return _mean(_line_distances(word, family))
-    total = DistanceBound.exactly(Fraction(0))
-    for flat, weight in test.flats:
+        dists = _line_distances(word, family)
+        m = len(dists)
+        return DistanceBound(sum(d.lower for d in dists) / m, sum(d.upper for d in dists) / m)
+    dist = size = 0
+    for flat, _weight in test.flats:
         sub = restrict(word, flat)
-        d = delta_to_product(sub, family.restrict(flat.free_axes))
-        total = total + d.scaled(weight)
-    return total
+        dist += _product_distance(sub, family.restrict(flat.free_axes))
+        size += sub.size
+    return DistanceBound.exactly(Fraction(dist, size))
 
 
 test_expectation.__test__ = False  # keep pytest from collecting the operation
@@ -220,14 +221,14 @@ def robustness_ratio(
         return None
     if test.k == 1:
         dists = _line_distances(word, family)
-        num = _mean(dists)
+        num_upper = sum(d.upper for d in dists) / len(dists)
         den_lower = max(d.lower for d in dists)
     else:
         num = test_expectation(word, test, family)
-        den_lower = num.lower
+        num_upper, den_lower = num.upper, num.lower
     if den_lower == 0:
         raise ValueError("word outside the product code has zero distance bound")
-    return num.upper / den_lower
+    return num_upper / den_lower
 
 
 def _exact_word_ratio(

@@ -8,11 +8,14 @@ the frozen fixture table used by the acceptance tests.
     python tests/oracles.py
 
 The exceptions are the membership references `orc_sum_contains` and
-`orc_product_contains` and the Reed-Solomon evaluation vectors
-`low_degree_evaluation_vectors`, which have to reach words far beyond full
+`orc_product_contains`, the Reed-Solomon evaluation vectors
+`low_degree_evaluation_vectors` and the Berlekamp-Welch decoder
+`orc_bounded_distance_decode`, which have to reach words far beyond full
 enumeration: they work on numpy arrays, but still build their own field
 table and parity-check matrices from nothing but the field's modulus and
-each code's check polynomial.
+each code's check polynomial.  The decoder alone takes two package
+routines, the linear solver `prodexp.linalg.solve` and the polynomial
+division `prodexp.gf_poly.unipoly_divmod`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from functools import lru_cache
 from math import prod
 
 import numpy as np
+
+from prodexp.gf_poly import unipoly_divmod
+from prodexp.linalg import solve
 
 # GF(2): elements {0,1}, add = xor, mul = and.
 GF2_MUL = ((0, 0), (0, 1))
@@ -331,6 +337,54 @@ def low_degree_evaluation_vectors(field, k):
     for j in range(k):
         out ^= mul[coeffs[:, j][:, None], V[j][None, :]]
     return out
+
+
+@lru_cache(maxsize=None)
+def _orc_rs_powers(degree, modulus, k):
+    """(mul table, radius e, points x_i = w^-i, powers x_i^u for
+    u < max(e + k, e + 1)) of the Berlekamp-Welch decoder for RS[n, k]."""
+    mul = orc_mul_table(degree, modulus)
+    n = (1 << degree) - 1
+    e = (n - k) // 2
+    w = [1]  # w^0, w^1, ..., w^(n-1)
+    for _ in range(n - 1):
+        w.append(int(mul[w[-1], 2 % (n + 1)]))
+    pts = np.array([w[-i % n] for i in range(n)], dtype=np.uint8)
+    powers = np.ones((n, max(e + k, e + 1)), dtype=np.uint8)
+    for u in range(1, powers.shape[1]):
+        powers[:, u] = mul[powers[:, u - 1], pts]
+    return mul, e, pts, powers
+
+
+def orc_bounded_distance_decode(code, word):
+    """Berlekamp-Welch unique decoding of one word of a primitive RS code
+    within radius e = floor((n - k)/2): (codeword, distance), or None when no
+    codeword lies that close.
+
+    Solves for an error locator E (monic, degree e) and a product polynomial
+    Q (degree < e + k) with Q(x_i) = r_i E(x_i) at every evaluation point,
+    then recovers the message polynomial as Q / E.  When a codeword lies
+    within e, every solution gives its message polynomial, a codeword's own
+    included."""
+    field, n, k = code.field, code.length, code.dimension
+    w = np.asarray(word, dtype=np.uint8)
+    mul, e, pts, powers = _orc_rs_powers(field.degree, field.modulus, k)
+    # unknowns: E_0..E_{e-1}, Q_0..Q_{e+k-1}; row i is the constraint at x_i
+    A = np.zeros((n, 2 * e + k), dtype=np.uint8)
+    A[:, :e] = mul[w[:, None], powers[:, :e]]
+    A[:, e:] = powers[:, : e + k]
+    sol = solve(field, A, mul[w, powers[:, e]])
+    if sol is None:
+        return None
+    E = [int(v) for v in sol[:e]] + [1]
+    f, rem = unipoly_divmod(field, [int(v) for v in sol[e:]], E)
+    if rem or len(f) > k:
+        return None
+    cw = np.zeros(n, dtype=np.uint8)
+    for c in reversed(f):  # Horner at every point
+        cw = mul[cw, pts] ^ c
+    dist = int(np.count_nonzero(cw ^ w))
+    return (cw, dist) if dist <= e else None
 
 
 REP2 = [(0, 0), (1, 1)]

@@ -11,6 +11,7 @@ from prodexp import linalg
 from prodexp.codes import (
     bounded_distance_decode,
     brute_nearest,
+    decode_lines,
     delta_to_code,
     full_code,
     min_distance,
@@ -155,9 +156,11 @@ def test_bounded_distance_failure_signalled(rs15):
 
 def test_brute_matches_bounded_inside_radius(rs15):
     """Planted corruptions within floor((d-1)/2) decode back to the plant,
-    which by uniqueness is also the brute-force answer."""
+    which by uniqueness is also the brute-force answer; all 10,000 go
+    through `decode_lines` as one batch."""
     rng = np.random.default_rng(4)
     e = (rs15.length - rs15.dimension) // 2
+    plants, words = [], []
     for trial in range(10_000):
         cw = rs15.random_codeword(rng)
         nerr = int(rng.integers(0, e + 1))
@@ -165,10 +168,13 @@ def test_brute_matches_bounded_inside_radius(rs15):
         pos = rng.choice(rs15.length, size=nerr, replace=False)
         for p in pos:
             bad[p] ^= rng.integers(1, 16)
-        res = bounded_distance_decode(rs15, bad)
-        assert res is not None
-        assert np.array_equal(res[0], cw)
-        assert res[1] == int(np.count_nonzero(bad ^ cw))
+        plants.append(cw)
+        words.append(bad)
+    plants, words = np.array(plants), np.array(words)
+    codewords, dists, resolved = decode_lines(rs15, words)
+    assert resolved.all()
+    assert np.array_equal(codewords, plants)
+    assert np.array_equal(dists, np.count_nonzero(words ^ plants, axis=1))
 
 
 def test_brute_vs_bounded_explicit_crosscheck(rs15):
@@ -203,21 +209,16 @@ def test_brute_vs_bounded_exhaustive_gf4_rep3():
             assert bounded is None
 
 
-def test_brute_chunked_scan_matches_cached():
-    """Force the streaming path and compare against the cached-array path."""
-    from prodexp import codes as codes_mod
-
-    rs = rs_primitive(field_make(4), 2, 15)  # [15, 2]: 256 codewords
-    rng = np.random.default_rng(11)
-    word = rng.integers(0, 16, size=15, dtype=np.uint8)
-    fast = brute_nearest(word, rs)
-    old = codes_mod._CACHE_LIMIT
-    codes_mod._CACHE_LIMIT = 1  # everything takes the chunked route
-    try:
-        slow = brute_nearest(word, rs)
-    finally:
-        codes_mod._CACHE_LIMIT = old
-    assert fast[1] == slow[1] and np.array_equal(fast[0], slow[0])
+def test_brute_refuses_codes_too_large_to_enumerate():
+    """RS[15,6] has 2^24 codewords, above the 2^21 that `codewords()`
+    enumerates: the exhaustive scan and the minimum distance refuse it
+    without building a single codeword."""
+    rs = rs_primitive(field_make(4), 6, 15)
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        brute_nearest(np.zeros(15, dtype=np.uint8), rs)
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        min_distance(rs)
+    assert rs._codewords is None
 
 
 def test_brute_tie_break_lexicographic():

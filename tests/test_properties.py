@@ -1,6 +1,6 @@
 """Property tests: the membership kernel, line, product and sum-code
 membership against their oracles, certificate text, batched line decoding
-against per-line decoding."""
+against per-line Berlekamp-Welch decoding."""
 
 import math
 from contextlib import contextmanager
@@ -12,7 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import orc_axis_syndrome, orc_mul_table, orc_product_contains, orc_sum_contains
+from oracles import (
+    orc_axis_syndrome,
+    orc_bounded_distance_decode,
+    orc_mul_table,
+    orc_product_contains,
+    orc_sum_contains,
+)
 from prodexp import codes
 from prodexp.codes import (
     CyclicCode,
@@ -333,18 +339,22 @@ def code_and_noisy_lines(draw, codes, max_lines):
 def _assert_decode_lines_matches_bounded(code, lines):
     codewords, dists, resolved = decode_lines(code, lines)
     for line, codeword, dist, ok in zip(lines, codewords, dists, resolved):
-        want = bounded_distance_decode(code, line)
+        want = orc_bounded_distance_decode(code, line)
+        one = bounded_distance_decode(code, line)
         if want is None:
             assert not ok and dist == 0 and np.array_equal(codeword, line)
+            assert one is None
         else:
             assert ok and dist == want[1] and np.array_equal(codeword, want[0])
+            assert one[1] == want[1] and np.array_equal(one[0], want[0])
 
 
 @REPRODUCIBLE
 @given(code_and_noisy_lines([RS15, RS63, rs_primitive(F16, 2, 3)], max_lines=6))
 def test_decode_lines_matches_bounded_distance_decode(case):
-    """The batched syndrome decoder gives, line for line, the codeword, the
-    distance and the failures of Berlekamp-Welch `bounded_distance_decode`.
+    """The batched syndrome decoder and its one-row view
+    `bounded_distance_decode` give, line for line, the codeword, the distance
+    and the failures of the Berlekamp-Welch reference decoder.
     RS[15,10] has an odd count n - k = 5 of syndromes, one more than
     Berlekamp-Massey reads, so there only the final membership test rejects
     some wrong corrections."""

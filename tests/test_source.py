@@ -1,9 +1,20 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "prodexp"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "prodexp"
+
+# arguments that the benchmark's observers read from a call, in order
+OBSERVED_ARGS = {
+    "codes.bounded_distance_decode": ("code", "word"),
+    "codes.delta_to_code": ("word", "code"),
+    "tensor.sum_contains": ("word", "family"),
+}
 
 
 def test_no_assert_in_package_source():
@@ -39,8 +50,10 @@ def test_one_line_count_implementation():
 
 def test_one_batched_line_decoder():
     """Batches of lines go through `codes.decode_lines`: no module but
-    `codes` calls `bounded_distance_decode`, and `tensor` and `testability`
-    run no Python loop that calls `nearest_codeword` line by line."""
+    `codes` calls `bounded_distance_decode`, no module but `expansion` solves
+    linear systems (`linalg.solve`, which a per-line decoder would need), and
+    `tensor` and `testability` run no Python loop that calls
+    `nearest_codeword` line by line."""
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -48,9 +61,11 @@ def test_one_batched_line_decoder():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            if ast.unparse(node.func).rpartition(".")[2] == "bounded_distance_decode":
-                if path.name != "codes.py":
-                    found.append(f"{path.name}:{node.lineno}")
+            called = ast.unparse(node.func).rpartition(".")[2]
+            if called == "bounded_distance_decode" and path.name != "codes.py":
+                found.append(f"{path.name}:{node.lineno}")
+            if called == "solve" and path.name != "expansion.py":
+                found.append(f"{path.name}:{node.lineno}:solve")
         if path.name not in ("tensor.py", "testability.py"):
             continue
         for loop in ast.walk(tree):
@@ -83,3 +98,51 @@ def test_one_membership_kernel():
                     kernel_calls.append(node.lineno)
     assert found == [], found
     assert len(kernel_calls) == 2, kernel_calls  # in_direction_code, sum_contains_batch
+
+
+def _traceable(module, qual: str):
+    """The function that the benchmark's tracer wraps for `qual` (`f` or
+    `Class.f` in `module`), or None: a public callable whose `__module__` is
+    the module, or a public function or static method defined on a public
+    class of it."""
+    owner_name, _, attr = qual.rpartition(".")
+    if attr.startswith("_") or owner_name.startswith("_"):
+        return None
+    if not owner_name:
+        obj = vars(module).get(attr)
+        if obj is None or inspect.isclass(obj) or not callable(obj):
+            return None
+        return obj if getattr(obj, "__module__", None) == module.__name__ else None
+    owner = vars(module).get(owner_name)
+    if not inspect.isclass(owner) or owner.__module__ != module.__name__:
+        return None
+    member = vars(owner).get(attr)
+    if isinstance(member, staticmethod):
+        member = member.__func__
+    return member if inspect.isfunction(member) else None
+
+
+def test_benchmark_per_layer_names_resolve():
+    """Every per-layer metric of BENCHMARK.json names a function that the
+    benchmark's tracer can still wrap; a metric whose function is gone,
+    private, moved or re-exported from another module silently drops out of
+    the benchmark's result.  The observed functions keep the arguments that
+    their observers read."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    missing, names = [], set()
+    for metric in spec["per_layer"]:
+        name = metric["name"]
+        if name.endswith(".self_s") or name.startswith("trace."):
+            continue
+        module_name, _, rest = name.rpartition(".")[0].partition(".")
+        names.add(f"{module_name}.{rest}")
+        fn = _traceable(importlib.import_module(f"prodexp.{module_name}"), rest)
+        if fn is None:
+            missing.append(name)
+        elif f"{module_name}.{rest}" in OBSERVED_ARGS:
+            want = OBSERVED_ARGS[f"{module_name}.{rest}"]
+            params = tuple(inspect.signature(fn).parameters)[: len(want)]
+            if params != want:
+                missing.append(f"{name}: arguments {params}, observer reads {want}")
+    assert missing == [], missing
+    assert set(OBSERVED_ARGS) <= names

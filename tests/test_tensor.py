@@ -347,13 +347,15 @@ def test_nearest_in_direction_sums_per_line_intervals():
         arr[:, j] = code.random_codeword(rng)
         arr[: j // 2, j] ^= 1  # 0..4 errors, within the radius 5
     got, dist = nearest_in_direction(TensorWord(f16, arr), CodeFamily.power(code, 2), 0)
-    want = DistanceBound.exactly(Fraction(0))
+    lower = upper = Fraction(0)
     for j in range(15):
         res = nearest_codeword(arr[:, j], code)
-        want = want + delta_to_code(arr[:, j], code).scaled(Fraction(15, 225))
+        line = delta_to_code(arr[:, j], code)
+        lower += line.lower * Fraction(15, 225)
+        upper += line.upper * Fraction(15, 225)
         expected = arr[:, j] if res is None else res[0]
         assert np.array_equal(got.data[:, j], expected)
-    assert not dist.exact and dist == want
+    assert not dist.exact and dist == DistanceBound(lower, upper)
 
 
 def test_delta_to_product_on_member_and_nonmember():
