@@ -365,16 +365,6 @@ def min_decomposition(
     return dec, cost
 
 
-def sum_code_words(family: CodeFamily, space: Optional[DecompositionSpace] = None) -> np.ndarray:
-    """All words of the sum code, flattened to (count, N)."""
-    if space is None:
-        space = DecompositionSpace(family)
-    field = family.field
-    image = linalg.row_space_basis(field, space.basis)
-    msgs = linalg.enumerate_vectors(field.order, image.shape[0])
-    return linalg.matmul(field, msgs, image)
-
-
 def rho_exact(family: CodeFamily) -> Fraction:
     """Exact expansion constant by full enumeration (tiny instances).
 

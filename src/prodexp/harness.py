@@ -41,6 +41,7 @@ from .expansion import (
 from .gf_poly import field_make
 from .tensor import CodeFamily
 from .testability import (
+    _WORD_SPACE_LIMIT,
     CheckReport,
     FlatTest,
     TestReport,
@@ -146,14 +147,10 @@ def make_record(
 
 
 def record_from_test_report(rep: TestReport) -> Dict[str, object]:
-    if isinstance(rep.value, Fraction):
-        value = frac_str(rep.value)
-    else:
-        value = f"{frac_str(rep.value[0])}..{frac_str(rep.value[1])}"
     return make_record(
         kind="test",
         quantity=rep.quantity,
-        value=value,
+        value=frac_str(rep.value),
         mode=rep.mode,
         instance=rep.instance,
         test=rep.detail.get("test", ""),
@@ -389,7 +386,7 @@ def _run_check_lemmas(cfg: ExperimentConfig):
     records: List[Dict[str, object]] = []
     reports: List[CheckReport] = []
     q = code.field.order
-    word_space_small = q ** (code.length**m) <= 1 << 24
+    word_space_small = q ** (code.length**m) <= _WORD_SPACE_LIMIT
 
     if word_space_small:
         # each constant is enumerated once: later reports read earlier quantities
@@ -416,7 +413,7 @@ def _run_check_lemmas(cfg: ExperimentConfig):
             reports.append(check_composition(code, m, 1, 2, mode="exact"))
             # chained line-test bound through the hyperplane factors
             delta = Fraction(min_distance(code), code.length)
-            M = (m - 2) * (m + 3) // 2
+            M = derived_constants(m).M
             reports.append(
                 CheckReport(
                     name="line_test_chain",
@@ -475,33 +472,14 @@ def _run_constants(cfg: ExperimentConfig):
     c = derived_constants(cfg.m)
     records = [
         make_record(
-            kind="constants",
-            quantity="M",
-            value=str(c.M),
-            mode="exact",
-            instance=f"m={cfg.m}",
-        ),
-        make_record(
-            kind="constants",
-            quantity="alpha_r",
-            value=frac_str(c.alpha_r),
-            mode="exact",
-            instance=f"m={cfg.m}",
-        ),
-        make_record(
-            kind="constants",
-            quantity="alpha_a",
-            value=frac_str(c.alpha_a),
-            mode="exact",
-            instance=f"m={cfg.m}",
-        ),
-        make_record(
-            kind="constants",
-            quantity="alpha",
-            value=f"rho^{c.alpha_exponent}/{c.alpha_denominator}",
-            mode="exact",
-            instance=f"m={cfg.m}",
-        ),
+            kind="constants", quantity=quantity, value=value, mode="exact", instance=f"m={cfg.m}"
+        )
+        for quantity, value in (
+            ("M", str(c.M)),
+            ("alpha_r", frac_str(c.alpha_r)),
+            ("alpha_a", frac_str(c.alpha_a)),
+            ("alpha", f"rho^{c.alpha_exponent}/{c.alpha_denominator}"),
+        )
     ]
     return EXIT_OK, records, []
 
@@ -636,6 +614,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 resolved[f.name] = str(val)
         except (TypeError, ValueError, IndexError) as exc:
             raise UsageError(f"bad value {val!r} for {f.name}") from exc
+    # rep2 is one fixed code: a field or a rate would be silently ignored
+    ignored = [name for name in ("t", "rate") if name in resolved]
+    if resolved.get("instance") == "rep2" and ignored:
+        raise UsageError(f"--{ignored[0]} applies to the rs instance only")
     # the witness is built for three factors only; the default m = 2 is not a request
     if resolved["command"] == "certify-counterexample" and resolved.get("m", 3) != 3:
         raise UsageError("certify-counterexample builds the m=3 witness; --m must be 3")

@@ -2,7 +2,8 @@
 
 Index convention: an entry is addressed as (i_1, ..., i_m), zero-based.  A
 line in direction j fixes every coordinate except the j-th.  All weights and
-distances are exact `Fraction`s.
+distances are exact `Fraction`s.  `enumerate_flats` lists plain `Flat`s; a
+flat test weighs each flat by its size.
 
 Both membership tests run the one kernel `CyclicCode.check_products`,
 which multiplies every line along an axis by that code's check polynomial
@@ -243,29 +244,22 @@ class CodeFamily:
 # Flats and restrictions.
 # ----------------------------------------------------------------------
 
-def enumerate_flats(shape: Sequence[int], k: int) -> List[Tuple[Flat, Fraction]]:
-    """All k-flats with size-proportional probability weights.
-
-    Each flat of free-axis set I has size prod(shape[i], i in I); its weight
-    is that size divided by the total over all k-flats.  Weights sum to 1,
-    and are uniform whenever all n_i agree.
-    """
+def enumerate_flats(shape: Sequence[int], k: int) -> List[Flat]:
+    """All k-flats: the free-axis sets in lexicographic order, and for each
+    set every base point over the fixed axes, row-major."""
     shape = tuple(shape)
     m = len(shape)
     if not 1 <= k <= m - 1:
         raise ValueError(f"flat dimension {k} outside [1, {m - 1}]")
-    out: List[Tuple[Flat, Fraction]] = []
-    total = 0
+    out: List[Flat] = []
     for axes in itertools.combinations(range(m), k):
-        size = prod(shape[i] for i in axes)
         fixed = [i for i in range(m) if i not in axes]
-        total += size * prod(shape[i] for i in fixed)
         for coords in itertools.product(*(range(shape[i]) for i in fixed)):
             base = [0] * m
             for i, v in zip(fixed, coords):
                 base[i] = v
-            out.append((Flat(axes, tuple(base)), Fraction(size)))
-    return [(flat, Fraction(size, total)) for flat, size in out]
+            out.append(Flat(axes, tuple(base)))
+    return out
 
 
 def restrict(word: TensorWord, flat: Flat) -> TensorWord:
@@ -445,6 +439,20 @@ def nearest_in_direction(
         upper += unresolved * (code.length - code.dimension)
     bound = DistanceBound(Fraction(lower, word.size), Fraction(upper, word.size))
     return TensorWord(word.field, np.moveaxis(lines.reshape(moved.shape), -1, axis)), bound
+
+
+def decode_to_product(word: TensorWord, family: CodeFamily) -> Optional[TensorWord]:
+    """The product codeword reached by sweeps of `nearest_in_direction` over
+    the axes 0 ... m-1, testing membership after each sweep; None when m
+    sweeps do not reach it.  A result within half the product code's minimum
+    distance prod_i d_i of the word is its unique nearest codeword (Elias,
+    "Error-free coding", IRE Trans. PGIT 1954); another need not be nearest."""
+    for _ in range(family.m):
+        for axis in range(family.m):
+            word, _bound = nearest_in_direction(word, family, axis)
+        if product_contains(word, family):
+            return word
+    return None
 
 
 def _product_distance(word: TensorWord, family: CodeFamily) -> int:

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .codes import CyclicCode, DistanceBound, decode_lines, min_distance
+from .codes import CyclicCode, DistanceBound, min_distance
 from .expansion import rs_triple_witness
 from .tensor import (
     CodeFamily,
@@ -36,6 +36,7 @@ from .tensor import (
     TensorWord,
     _exact_ratio_min,
     _product_distance,
+    decode_to_product,
     delta_to_product,
     enumerate_flats,
     line_weight,
@@ -58,7 +59,7 @@ class FlatTest:
 
     shape: Tuple[int, ...]
     k: int
-    flats: Tuple[Tuple[Flat, Fraction], ...]
+    flats: Tuple[Flat, ...]
 
     @staticmethod
     def build(shape: Sequence[int], k: int) -> "FlatTest":
@@ -77,16 +78,12 @@ class TestReport:
     """Outcome of one estimated or exactly computed constant."""
 
     quantity: str  # rho | rho_r | rho_a
-    value: Fraction | Tuple[Fraction, Fraction]
+    value: Fraction
     mode: str  # exact | sampled | certificate
     instance: str
     seed: Optional[int] = None
     sample_count: Optional[int] = None
     detail: Dict[str, str] = dc_field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.mode == "exact" and not isinstance(self.value, Fraction):
-            raise ValueError("exact mode requires a point value")
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ def test_expectation(word: TensorWord, test: FlatTest, family: CodeFamily) -> Di
         m = len(dists)
         return DistanceBound(sum(d.lower for d in dists) / m, sum(d.upper for d in dists) / m)
     dist = size = 0
-    for flat, _weight in test.flats:
+    for flat in test.flats:
         sub = restrict(word, flat)
         dist += _product_distance(sub, family.restrict(flat.free_axes))
         size += sub.size
@@ -178,7 +175,7 @@ def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
     flat_idx = []
     size_total = 0
     sub_cws_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-    for flat, _weight in test.flats:
+    for flat in test.flats:
         idx = _flat_cell_indices(shape, flat)
         size_total += idx.size
         key = flat.free_axes
@@ -441,8 +438,8 @@ def agreement_ratio_sampled(
     The inner minimization over product codewords is replaced by the best of
     a few candidates for each c_i, so the returned value only estimates the
     tuple's true ratio (a candidate codeword upper-bounds the denominator's
-    minimum).  The candidates are the iterated directional decodes of c_i,
-    when they reach the product code, and the product codeword that agrees
+    minimum).  The candidates are `decode_to_product` of c_i, when it
+    reaches the product code, and the product codeword that agrees
     with c_i on the first k_j positions of every axis j, which always exists.
     Exact computation should be preferred whenever the instance allows it.
     """
@@ -457,13 +454,8 @@ def agreement_ratio_sampled(
     num = Fraction(pair_sum, m * m * N)
     candidates: List[TensorWord] = []
     for i in range(m):
-        cand = tuple_words[i]
-        for _ in range(m):
-            for axis in range(m):
-                cand, _d = nearest_in_direction(cand, family, axis)
-            if product_contains(cand, family):
-                break
-        if product_contains(cand, family):
+        cand = decode_to_product(tuple_words[i], family)
+        if cand is not None:
             candidates.append(cand)
         candidates.append(_systematic_reencode(tuple_words[i], family))
     den_best = min(
@@ -626,10 +618,10 @@ def check_pair_proximity(
     Each trial plants c in C (x) C and derives c1 (every column a codeword)
     and c2 (every row a codeword) by re-randomizing whole lines within a
     budget that keeps delta(c1, c2) <= (1/2 - k/n)^2.  The verifier then
-    row-column decodes c1 without knowledge of c and must find a product
-    codeword within 2*delta(c1, c2) of c1.  At rates where the budget is
-    zero the pairs are forced to coincide with the planted codeword and the
-    decode path is exercised on exact members.
+    decodes c1 with `decode_to_product`, without knowledge of c, and must
+    find a product codeword within 2*delta(c1, c2) of c1.  At rates where
+    the budget is zero the pairs are forced to coincide with the planted
+    codeword and the decode path is exercised on exact members.
     """
     field, n, k = code.field, code.length, code.dimension
     if not code.is_rs_primitive or not 1 <= k or k >= n / 2:
@@ -651,14 +643,13 @@ def check_pair_proximity(
         for row in rng.choice(n, size=r2, replace=False) if r2 else []:
             c2[row, :] = code.random_codeword(rng)
         w1 = TensorWord(field, c1)
-        w2 = TensorWord(field, c2)
         delta12 = Fraction(int(np.count_nonzero(c1 ^ c2)), n * n)
         if delta12 > bound:
             failures += 1
             continue
         max_delta = max(max_delta, delta12)
-        decoded = _row_column_decode(w1, code)
-        if decoded is None or not product_contains(decoded, fam):
+        decoded = decode_to_product(w1, fam)
+        if decoded is None:
             failures += 1
             continue
         dist = Fraction((w1 + decoded).weight(), n * n)
@@ -672,19 +663,6 @@ def check_pair_proximity(
         line_budget=budget,
         max_observed_delta=max_delta,
     )
-
-
-def _row_column_decode(word: TensorWord, code: CyclicCode) -> Optional[TensorWord]:
-    """Unique-decode all direction-1 lines, then all direction-0 lines, one
-    batch per direction; None when a line lies beyond the decoding radius."""
-    arr = word.data
-    for axis in (1, 0):
-        moved = np.moveaxis(arr, axis, -1)
-        codewords, _dists, resolved = decode_lines(code, moved.reshape(-1, code.length))
-        if not resolved.all():
-            return None
-        arr = np.moveaxis(codewords.reshape(moved.shape), -1, axis)
-    return TensorWord(word.field, arr)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,9 @@ enumeration: they work on numpy arrays, but still build their own field
 table and parity-check matrices from nothing but the field's modulus and
 each code's check polynomial.  The decoder alone takes two package
 routines, the linear solver `prodexp.linalg.solve` and the polynomial
-division `prodexp.gf_poly.unipoly_divmod`.
+division `prodexp.gf_poly.unipoly_divmod`.  `sum_code_words` lists a sum
+code from the package's own `DecompositionSpace`, for tests that need every
+word of it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from math import prod
 
 import numpy as np
 
+from prodexp import linalg
+from prodexp.expansion import DecompositionSpace
 from prodexp.gf_poly import unipoly_divmod
 from prodexp.linalg import solve
 
@@ -385,6 +389,17 @@ def orc_bounded_distance_decode(code, word):
         cw = mul[cw, pts] ^ c
     dist = int(np.count_nonzero(cw ^ w))
     return (cw, dist) if dist <= e else None
+
+
+def sum_code_words(family, space=None):
+    """All words of the sum code of a `prodexp.tensor.CodeFamily`, flattened
+    to (count, N)."""
+    if space is None:
+        space = DecompositionSpace(family)
+    field = family.field
+    image = linalg.row_space_basis(field, space.basis)
+    msgs = linalg.enumerate_vectors(field.order, image.shape[0])
+    return linalg.matmul(field, msgs, image)
 
 
 REP2 = [(0, 0), (1, 1)]

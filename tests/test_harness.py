@@ -253,6 +253,28 @@ def test_config_file_unknown_keys_exit_2(tmp_path, capsys):
     assert "sampels" in capsys.readouterr().err
 
 
+def test_rep2_rejects_rate_flag_and_config_key(tmp_path, capsys):
+    """rep2 is one fixed code, so a rate would be silently ignored."""
+    assert main(["rho-exact", "--instance", "rep2", "--m", "2", "--rate", "1/2"]) == EXIT_USAGE
+    assert "--rate applies to the rs instance only" in capsys.readouterr().err
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"instance": "rep2", "rate": [1, 2]}))
+    args = build_parser().parse_args(["rho-exact", "--config", str(cfg_file)])
+    with pytest.raises(UsageError, match="--rate"):
+        config_from_args(args)
+
+
+def test_rep2_rejects_t_flag_and_config_key(tmp_path, capsys):
+    """rep2 lives over GF(2), so a field size would be silently ignored."""
+    assert main(["rho-exact", "--instance", "rep2", "--m", "2", "--t", "3"]) == EXIT_USAGE
+    assert "--t applies to the rs instance only" in capsys.readouterr().err
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"instance": "rep2", "t": 3}))
+    args = build_parser().parse_args(["rho-exact", "--config", str(cfg_file)])
+    with pytest.raises(UsageError, match="--t"):
+        config_from_args(args)
+
+
 # ----------------------------------------------------------------------
 # Certificates through the CLI.
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Property tests: the membership kernel, line, product and sum-code
 membership against their oracles, certificate text, batched line decoding
-against per-line Berlekamp-Welch decoding."""
+against per-line Berlekamp-Welch decoding, and the product decoder against
+brute-force nearest codewords."""
 
 import math
 from contextlib import contextmanager
@@ -25,6 +26,7 @@ from prodexp.codes import (
     bounded_distance_decode,
     decode_lines,
     full_code,
+    min_distance,
     repetition,
     rs_primitive,
 )
@@ -33,8 +35,11 @@ from prodexp.gf_poly import field_make
 from prodexp.tensor import (
     CodeFamily,
     TensorWord,
+    decode_to_product,
     encode_direction,
+    product_codewords,
     product_contains,
+    random_direction_word,
     sum_contains_batch,
 )
 
@@ -365,3 +370,55 @@ def test_decode_lines_matches_bounded_distance_decode(case):
 @given(code_and_noisy_lines([RS255], max_lines=3))
 def test_decode_lines_matches_bounded_distance_decode_rs255(case):
     _assert_decode_lines_matches_bounded(*case)
+
+
+# ----------------------------------------------------------------------
+# The product decoder.
+# ----------------------------------------------------------------------
+
+DECODER_FAMILIES = [
+    CodeFamily.power(repetition(F2, 2), 3),
+    CodeFamily.power(C31, 2),
+    CodeFamily.power(C31, 3),
+]
+
+
+@st.composite
+def noisy_product_code_words(draw, family: CodeFamily) -> TensorWord:
+    """A product-code word with up to four drawn cells changed."""
+    word = draw(product_code_words(family))
+    for _ in range(draw(st.integers(0, 4))):
+        word = _one_cell_changed(draw, family, word)
+    return word
+
+
+@REPRODUCIBLE
+@given(
+    family_and_word(
+        DECODER_FAMILIES, lambda fam: st.one_of(words(fam), noisy_product_code_words(fam))
+    )
+)
+def test_decode_to_product_within_half_distance_is_unique_nearest(case):
+    """The decoder returns None or a product codeword c; when 2 d(x, c) is
+    below the product code's minimum distance prod_i d_i, c is the one
+    product codeword nearest to x."""
+    family, word = case
+    decoded = decode_to_product(word, family)
+    if decoded is None:
+        return
+    assert product_contains(decoded, family)
+    dist = (word + decoded).weight()
+    if 2 * dist < prod(min_distance(code) for code in family.codes):
+        dists = np.count_nonzero(product_codewords(family) ^ word.data.reshape(-1), axis=1)
+        assert dist == dists.min() and np.count_nonzero(dists == dist) == 1
+
+
+def test_decode_to_product_none_beyond_decoding_radius():
+    """The RS[15,5]^2 tuples of `agreement --t 2 --m 2 --mode sampled
+    --samples 4 --seed 3`: no word of them reaches the product code."""
+    family = CodeFamily.power(RS15, 2)
+    rng = np.random.Generator(np.random.PCG64(3))
+    for _ in range(4):
+        for axis, code in enumerate(family.codes):
+            word = random_direction_word(code, family.shape, axis, rng)
+            assert decode_to_product(word, family) is None

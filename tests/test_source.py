@@ -77,6 +77,30 @@ def test_one_batched_line_decoder():
     assert found == [], found
 
 
+def test_one_line_decoding_path_and_one_product_decoder():
+    """Batches of lines reach `decode_lines` only from `codes` and from
+    `tensor.nearest_in_direction`, and a product codeword is sought only by
+    `tensor.decode_to_product`: no other function calls both
+    `nearest_in_direction` and `product_contains`."""
+    decoders, sweeps = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            called = {
+                ast.unparse(node.func).rpartition(".")[2]
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+            }
+            if "decode_lines" in called and path.name != "codes.py":
+                decoders.append(f"{path.name}:{func.name}")
+            if {"nearest_in_direction", "product_contains"} <= called:
+                sweeps.append(f"{path.name}:{func.name}")
+    assert decoders == ["tensor.py:nearest_in_direction"], decoders
+    assert sweeps == ["tensor.py:decode_to_product"], sweeps
+
+
 def test_one_membership_kernel():
     """Only `codes` multiplies by check coefficients: no other module reads
     `check_coeffs` or the kernel's private layouts, and `tensor` tests

@@ -1,7 +1,9 @@
 """Robustness and agreement testability: exact values, checks, sampling."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -56,16 +58,26 @@ def W(field, nested):
 # ----------------------------------------------------------------------
 
 def test_flat_test_weights_sum_to_one():
+    """A flat's weight is its size over the total size.  Each free-axis set
+    I has prod_{i not in I} n_i flats, which cover the grid once, so the
+    weights of every set sum to 1/C(m, k) and all of them to one."""
     for shape, k in (((2, 2), 1), ((3, 3, 3), 1), ((3, 3, 3), 2), ((2, 3, 4), 2)):
         t = FlatTest.build(shape, k)
-        assert sum(wt for _, wt in t.flats) == 1
-        assert all(wt > 0 for _, wt in t.flats)
+        counts = Counter(flat.free_axes for flat in t.flats)
+        assert sorted(counts) == list(itertools.combinations(range(len(shape)), k))
+        for axes, count in counts.items():
+            assert count == prod(n for i, n in enumerate(shape) if i not in axes)
+            assert count * prod(shape[i] for i in axes) == prod(shape)
 
 
 def test_flat_weights_uniform_iff_equal_sides():
-    t = FlatTest.build((3, 3, 3), 2)
-    weights = {wt for _, wt in t.flats}
-    assert weights == {Fraction(1, 9)}
+    """Size-proportional weights are uniform iff all flats have one size."""
+
+    def sizes(shape, k):
+        return {prod(shape[i] for i in flat.free_axes) for flat in FlatTest.build(shape, k).flats}
+
+    assert sizes((3, 3, 3), 2) == {9}
+    assert sizes((2, 3, 4), 2) == {6, 8, 12}
 
 
 def test_test_expectation_zero_on_codeword():
