@@ -8,7 +8,7 @@ from .codes import (
     delta_to_code,
     full_code,
     min_distance,
-    nearest_codeword,
+    nearest_lines,
     repetition,
     rs_primitive,
 )
@@ -38,7 +38,6 @@ from .tensor import (
 from .testability import (
     CheckReport,
     FlatTest,
-    TestReport,
     check_composition,
     check_hyperplane_bound,
     check_pair_proximity,

@@ -19,15 +19,17 @@ Distances are exact rationals (`fractions.Fraction`); where only
 bounded-distance decoding applies, operations return a `DistanceBound`
 interval instead of pretending to know the exact value.
 
-Decoder rule: a word of a primitive RS code with more than 2^16 codewords
-is decoded by unique (bounded-distance) decoding, a word of any other code
-by an exhaustive nearest-codeword scan.  `nearest_codeword` applies this
-rule to one word.  `decode_lines`, the batched syndrome decoder, is the one
-unique decoder: batches of lines, every direction of the line test and of
-the pair-proximity check (which is defined by unique decoding), go through
-it, and `bounded_distance_decode` is its one-row view.  The Berlekamp-Welch
-decoder it replaced is the reference `orc_bounded_distance_decode` in
-`tests/oracles.py`.
+Decoder rule: a line of a primitive RS code with more than 2^16 codewords
+is decoded by unique (bounded-distance) decoding, a line of any other code
+by an exhaustive nearest-codeword scan.  `nearest_lines` applies this rule
+once per batch of lines, and every line distance of the package goes
+through it: each direction of the line test and of the pair-proximity check
+(which is defined by unique decoding), and `delta_to_code`, its one-row
+view.  `distance_bound` turns what it returns into a certified interval.
+`decode_lines`, the batched syndrome decoder, is the one unique decoder, and
+`bounded_distance_decode` is its one-row view.  The per-word scan and the
+Berlekamp-Welch decoder that these replaced are the references
+`brute_nearest` and `orc_bounded_distance_decode` in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ from .gf_poly import (
 _CACHE_LIMIT = 1 << 21
 #: primitive RS codes with more codewords than this decode by unique decoding
 _BOUNDED_ABOVE = 1 << 16
+#: cells per block of the (lines, codewords) table of `nearest_lines`' scan
+_SCAN_CELLS = 1 << 20
 #: cells per block of `check_products`: a block's bit planes and products
 #: stay within a 2 MB cache at GF(256)
 _BLOCK_CELLS = 1 << 19
@@ -211,13 +215,15 @@ class CyclicCode:
         return linalg.matmul(self.field, messages, self.generator_matrix)
 
     def codewords(self) -> np.ndarray:
-        """All q^k codewords as a (q^k, n) array (cached; small codes only)."""
+        """All q^k codewords as a (q^k, n) array in lexicographic order
+        (cached; small codes only)."""
         count = self.field.order**self.dimension
         if count > _CACHE_LIMIT:
             raise ValueError(f"code with {count} words is too large to enumerate")
         if self._codewords is None:
             msgs = linalg.enumerate_vectors(self.field.order, self.dimension)
-            self._codewords = self.encode_batch(msgs)
+            cws = self.encode_batch(msgs)
+            self._codewords = cws[np.lexsort(cws.T[::-1])]
         return self._codewords
 
     def random_codeword(self, rng: np.random.Generator) -> np.ndarray:
@@ -392,19 +398,6 @@ def min_distance(code: CyclicCode) -> int:
 
 # -- decoding ------------------------------------------------------------
 
-def brute_nearest(
-    word: Sequence[int] | np.ndarray, code: CyclicCode
-) -> Tuple[np.ndarray, int]:
-    """Exhaustive nearest-codeword scan; ties go to the lexicographically
-    smallest codeword.  Refused, as by `CyclicCode.codewords`, for codes of
-    more than 2^21 codewords."""
-    w = np.asarray(word, dtype=np.uint8)
-    cws = code.codewords()
-    dists = np.count_nonzero(cws ^ w[None, :], axis=1)
-    d = int(dists.min())
-    return np.array(min(map(tuple, cws[dists == d].tolist())), dtype=np.uint8), d
-
-
 def bounded_distance_decode(
     code: CyclicCode, word: Sequence[int] | np.ndarray
 ) -> Optional[Tuple[np.ndarray, int]]:
@@ -532,45 +525,55 @@ def _berlekamp_massey(
     return C, L
 
 
-def _decodes_within_radius(code: CyclicCode) -> bool:
-    """The decoder rule: unique decoding for primitive RS codes with more
-    than 2^16 codewords, an exhaustive scan for every other code."""
-    return code.is_rs_primitive and code.field.order**code.dimension > _BOUNDED_ABOVE
+def nearest_lines(
+    code: CyclicCode, lines: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest codewords of a (W, n) batch of lines by the module's decoder
+    rule, with the contract of `decode_lines`: (codewords, dists, resolved),
+    an unresolved line kept at distance 0.
+
+    A primitive RS code with more than 2^16 codewords goes to `decode_lines`.
+    Every other code is scanned exhaustively, one block of the (W, q^k)
+    table of Hamming distances at a time; every line resolves, and the first
+    minimum of its row is, among its nearest codewords, the lexicographically
+    smallest, since `codewords` is sorted.  The scan is refused, as by
+    `CyclicCode.codewords`, for codes of more than 2^21 codewords."""
+    lines = np.asarray(lines, dtype=np.uint8)
+    if lines.ndim != 2 or lines.shape[1] != code.length:
+        raise ValueError("expected a (W, n) array of lines")
+    if code.is_rs_primitive and code.field.order**code.dimension > _BOUNDED_ABOVE:
+        return decode_lines(code, lines)
+    cws = code.codewords()
+    nearest = np.empty(lines.shape[0], dtype=np.intp)
+    dists = np.empty(lines.shape[0], dtype=np.int64)
+    step = max(1, _SCAN_CELLS // cws.size)
+    for s in range(0, lines.shape[0], step):
+        table = np.count_nonzero(lines[s : s + step, None] != cws[None], axis=2)
+        nearest[s : s + step] = table.argmin(axis=1)
+        dists[s : s + step] = table.min(axis=1)
+    return cws[nearest], dists, np.ones(lines.shape[0], dtype=bool)
 
 
-def nearest_codeword(
-    word: Sequence[int] | np.ndarray, code: CyclicCode
-) -> Optional[Tuple[np.ndarray, int]]:
-    """Nearest codeword and its distance, by the module's decoder rule.
-
-    Returns None only for a primitive RS code decoded within its radius,
-    when no codeword lies that close.
-    """
-    if _decodes_within_radius(code):
-        return bounded_distance_decode(code, word)
-    return brute_nearest(word, code)
-
-
-def decoding_radius(code: CyclicCode) -> int:
-    if not code.is_rs_primitive:
-        raise ValueError("decoding radius defined here for primitive RS codes")
-    return (code.length - code.dimension) // 2
-
-
-def beyond_radius_bound(code: CyclicCode) -> DistanceBound:
-    """Certified interval (radius + 1 .. n - k) / n for an undecodable line:
-    the distance exceeds the decoding radius and never exceeds the
-    covering-radius bound n - k."""
-    n, e = code.length, decoding_radius(code)
-    return DistanceBound(Fraction(e + 1, n), Fraction(n - code.dimension, n))
+def distance_bound(
+    code: CyclicCode, dists: np.ndarray, resolved: np.ndarray, cells: int
+) -> DistanceBound:
+    """Certified normalized distance of lines that `nearest_lines` decoded,
+    over `cells` cells.  The errors on resolved lines and the number u of
+    unresolved lines are counted as integers and become one interval
+    [(errors + u (e + 1)) / cells, (errors + u (n - k)) / cells]: an
+    unresolved line lies beyond the decoding radius e = floor((n - k)/2) and
+    within the covering radius n - k."""
+    errors, unresolved = int(dists.sum()), int(np.count_nonzero(~resolved))
+    redundancy = code.length - code.dimension
+    lower = errors + unresolved * (redundancy // 2 + 1)
+    upper = errors + unresolved * redundancy
+    return DistanceBound(Fraction(lower, cells), Fraction(upper, cells))
 
 
 def delta_to_code(
     word: Sequence[int] | np.ndarray, code: CyclicCode
 ) -> DistanceBound:
-    """Normalized distance from a word to the code, as a certified interval:
-    a point unless bounded-distance decoding fails (`beyond_radius_bound`)."""
-    res = nearest_codeword(word, code)
-    if res is None:
-        return beyond_radius_bound(code)
-    return DistanceBound.exactly(Fraction(res[1], code.length))
+    """Normalized distance from a word to the code, as a certified interval
+    (`distance_bound`): the one-row view of `nearest_lines`."""
+    _codewords, dists, resolved = nearest_lines(code, np.asarray(word, dtype=np.uint8)[None])
+    return distance_bound(code, dists, resolved, code.length)

@@ -409,7 +409,6 @@ class SampledExpansionReport:
     sample_count: int
     certified_bound: Optional[Fraction]
     heuristic_min: Optional[Fraction]
-    details: Tuple[Tuple[str, Fraction], ...]
     exact_split_bound: Optional[Fraction]  # min of certificates and exact word ratios
     exact_split_words: int  # pool words whose splittings were searched exhaustively
 
@@ -433,15 +432,15 @@ def rho_upper_sampled(
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.PCG64(seed))
-    pool: List[Tuple[str, TensorWord, Optional[Decomposition]]] = []
+    pool: List[Tuple[TensorWord, Optional[Decomposition]]] = []
 
     witness = rs_triple_witness(family)
     if witness is not None:
-        pool.append(("counterexample", witness, None))
+        pool.append((witness, None))
 
-    for idx in range(samples):
+    for _ in range(samples):
         word, parts = random_sum_codeword(family, rng)
-        pool.append((f"random-{idx}", word, Decomposition(tuple(parts))))
+        pool.append((word, Decomposition(tuple(parts))))
 
     space: Optional[DecompositionSpace] = None
     searchable = False
@@ -453,14 +452,12 @@ def rho_upper_sampled(
 
     certified: Optional[Fraction] = None
     heuristic: Optional[Fraction] = None
-    details: List[Tuple[str, Fraction]] = []
     exact_split: Optional[Fraction] = None
     searched = 0
-    for name, word, known in pool:
+    for word, known in pool:
         if word.weight() == 0:
             continue
         cert = certify_upper_bound(word, family)
-        details.append((f"{name}:certificate", cert.bound))
         if certified is None or cert.bound < certified:
             certified = cert.bound
         exact_split = cert.bound if exact_split is None else min(exact_split, cert.bound)
@@ -476,7 +473,6 @@ def rho_upper_sampled(
                 best_cost = cost
         if best_cost is not None and best_cost > 0:
             ratio = word.norm() / best_cost
-            details.append((f"{name}:heuristic", ratio))
             if heuristic is None or ratio < heuristic:
                 heuristic = ratio
     return SampledExpansionReport(
@@ -485,7 +481,6 @@ def rho_upper_sampled(
         sample_count=samples,
         certified_bound=certified,
         heuristic_min=heuristic,
-        details=tuple(details),
         exact_split_bound=exact_split,
         exact_split_words=searched,
     )

@@ -44,7 +44,6 @@ from .testability import (
     _WORD_SPACE_LIMIT,
     CheckReport,
     FlatTest,
-    TestReport,
     agreement_ratio_sampled,
     check_composition,
     check_hyperplane_bound,
@@ -99,6 +98,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.jobs < 1:
             raise UsageError("--jobs must be at least 1")
+        if self.trials < 1:
+            raise UsageError("--trials must be at least 1")
+        if self.samples is not None and self.samples < 0:
+            raise UsageError("--samples must not be negative")
         if self.mode not in ("exact", "sampled"):
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.mode == "sampled" and self.seed is None:
@@ -146,18 +149,11 @@ def make_record(
     }
 
 
-def record_from_test_report(rep: TestReport) -> Dict[str, object]:
-    return make_record(
-        kind="test",
-        quantity=rep.quantity,
-        value=frac_str(rep.value),
-        mode=rep.mode,
-        instance=rep.instance,
-        test=rep.detail.get("test", ""),
-        seed=rep.seed,
-        samples=rep.sample_count,
-        detail=_detail_str({k: v for k, v in rep.detail.items() if k != "test"}),
-    )
+def _value_record(
+    quantity: str, value: Fraction, mode: str, instance: str, **extra
+) -> Dict[str, object]:
+    """The record of one estimated or exactly computed constant."""
+    return make_record("test", quantity, frac_str(value), mode, instance, **extra)
 
 
 def records_from_check(rep: CheckReport) -> List[Dict[str, object]]:
@@ -223,7 +219,7 @@ def _build_family(cfg: ExperimentConfig) -> CodeFamily:
 
 
 # ----------------------------------------------------------------------
-# Subcommand runners.  Each returns (exit_code, records, files_written).
+# Subcommand runners.  Each returns (exit_code, records).
 # ----------------------------------------------------------------------
 
 def _run_certify_counterexample(cfg: ExperimentConfig):
@@ -262,20 +258,15 @@ def _run_certify_counterexample(cfg: ExperimentConfig):
         )
     ]
     if not ok:
-        return EXIT_VIOLATION, records, []
-    out = cfg.out or f"counterexample_t{cfg.t}.cert"
-    with open(out, "w") as fh:
+        return EXIT_VIOLATION, records
+    with open(cfg.out or f"counterexample_t{cfg.t}.cert", "w") as fh:
         fh.write(cert.to_text())
-    return EXIT_OK, records, [out]
+    return EXIT_OK, records
 
 
 def _run_rho_exact(cfg: ExperimentConfig):
     family = _build_family(cfg)
-    value = rho_exact(family)
-    rep = TestReport(
-        quantity="rho", value=value, mode="exact", instance=family.label()
-    )
-    return EXIT_OK, [record_from_test_report(rep)], []
+    return EXIT_OK, [_value_record("rho", rho_exact(family), "exact", family.label())]
 
 
 def _run_rho_sampled(cfg: ExperimentConfig):
@@ -284,25 +275,18 @@ def _run_rho_sampled(cfg: ExperimentConfig):
     family = _build_family(cfg)
     samples = cfg.samples if cfg.samples is not None else 32
     rep = rho_upper_sampled(family, samples, cfg.seed)
-    split_words = str(rep.exact_split_words)
-    reports = [
-        TestReport(
-            quantity="rho",
-            value=value,
-            mode=mode,
-            instance=rep.instance,
-            seed=rep.seed,
-            sample_count=rep.sample_count,
-            detail=detail,
+    records = [
+        _value_record(
+            "rho", value, mode, rep.instance, seed=rep.seed, samples=rep.sample_count, detail=detail
         )
         for value, mode, detail in (
-            (rep.certified_bound, "certificate", {"upper_bound": "min_certificate_ratio"}),
-            (rep.heuristic_min, "sampled", {"heuristic": "best_found_decomposition"}),
-            (rep.exact_split_bound, "exact-split", {"words_split_exactly": split_words}),
+            (rep.certified_bound, "certificate", "upper_bound=min_certificate_ratio"),
+            (rep.heuristic_min, "sampled", "heuristic=best_found_decomposition"),
+            (rep.exact_split_bound, "exact-split", f"words_split_exactly={rep.exact_split_words}"),
         )
         if value is not None
     ]
-    return EXIT_OK, [record_from_test_report(r) for r in reports], []
+    return EXIT_OK, records
 
 
 def _run_robustness(cfg: ExperimentConfig):
@@ -310,42 +294,28 @@ def _run_robustness(cfg: ExperimentConfig):
     test = FlatTest.build(family.shape, cfg.k)
     if cfg.mode == "exact":
         value = rho_r_exact(test, family)
-        rep = TestReport(
-            quantity="rho_r",
-            value=value,
-            mode="exact",
-            instance=family.label(),
-            detail={"test": test.label()},
-        )
-        return EXIT_OK, [record_from_test_report(rep)], []
+        return EXIT_OK, [_value_record("rho_r", value, "exact", family.label(), test=test.label())]
     if cfg.k != 1:
         raise UsageError("sampled robustness is implemented for the line test only")
     samples = cfg.samples if cfg.samples is not None else 100
-    srep = rho_r_sampled_upper(test, family, samples, cfg.seed, jobs=cfg.jobs)
-    rep = TestReport(
-        quantity="rho_r",
-        value=srep.value,
-        mode="sampled",
-        instance=srep.instance,
-        seed=srep.seed,
-        sample_count=srep.sample_count,
-        detail={
-            "test": srep.test,
-            "pool": str(len(srep.ratios)),
-            "skipped": str(srep.skipped),
-        },
+    rep = rho_r_sampled_upper(test, family, samples, cfg.seed, jobs=cfg.jobs)
+    record = _value_record(
+        "rho_r",
+        rep.value,
+        "sampled",
+        rep.instance,
+        test=rep.test,
+        seed=rep.seed,
+        samples=rep.sample_count,
+        detail=_detail_str({"pool": str(len(rep.ratios)), "skipped": str(rep.skipped)}),
     )
-    return EXIT_OK, [record_from_test_report(rep)], []
+    return EXIT_OK, [record]
 
 
 def _run_agreement(cfg: ExperimentConfig):
     family = _build_family(cfg)
     if cfg.mode == "exact":
-        value = rho_a_exact(family)
-        rep = TestReport(
-            quantity="rho_a", value=value, mode="exact", instance=family.label()
-        )
-        return EXIT_OK, [record_from_test_report(rep)], []
+        return EXIT_OK, [_value_record("rho_a", rho_a_exact(family), "exact", family.label())]
     import numpy as np
 
     from .tensor import random_direction_word
@@ -367,16 +337,16 @@ def _run_agreement(cfg: ExperimentConfig):
             best = ratio
     if best is None:
         raise UsageError("no non-degenerate tuple was sampled")
-    rep = TestReport(
-        quantity="rho_a",
-        value=best,
-        mode="sampled",
-        instance=family.label(),
+    record = _value_record(
+        "rho_a",
+        best,
+        "sampled",
+        family.label(),
         seed=cfg.seed,
-        sample_count=samples,
-        detail={"tuples_used": str(used), "estimate": "heuristic"},
+        samples=samples,
+        detail=_detail_str({"tuples_used": str(used), "estimate": "heuristic"}),
     )
-    return EXIT_OK, [record_from_test_report(rep)], []
+    return EXIT_OK, [record]
 
 
 def _run_check_lemmas(cfg: ExperimentConfig):
@@ -442,7 +412,7 @@ def _run_check_lemmas(cfg: ExperimentConfig):
         records.extend(records_from_check(rep))
         if not rep.holds:
             violation = True
-    return (EXIT_VIOLATION if violation else EXIT_OK), records, []
+    return (EXIT_VIOLATION if violation else EXIT_OK), records
 
 
 def _run_ps_corollary(cfg: ExperimentConfig):
@@ -465,7 +435,7 @@ def _run_ps_corollary(cfg: ExperimentConfig):
             }
         ),
     )
-    return (EXIT_OK if rep.holds else EXIT_VIOLATION), [rec], []
+    return (EXIT_OK if rep.holds else EXIT_VIOLATION), [rec]
 
 
 def _run_constants(cfg: ExperimentConfig):
@@ -481,7 +451,7 @@ def _run_constants(cfg: ExperimentConfig):
             ("alpha", f"rho^{c.alpha_exponent}/{c.alpha_denominator}"),
         )
     ]
-    return EXIT_OK, records, []
+    return EXIT_OK, records
 
 
 _RUNNERS = {
@@ -499,7 +469,7 @@ _RUNNERS = {
 def run(config: ExperimentConfig, stream=None) -> int:
     """Dispatch a validated config; write reports; return the exit code."""
     config.validate()
-    code, records, _files = _RUNNERS[config.command](config)
+    code, records = _RUNNERS[config.command](config)
     buf = StringIO()
     emit_report(records, config.fmt, buf)
     payload = buf.getvalue()
@@ -524,16 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, instance=True, sampling=True):
+    def add_common(p, instance=True, m=True, sampling=True):
         if instance:
             p.add_argument("--instance", choices=("rep2", "rs"), default=None)
             p.add_argument("--t", type=int, default=None, help="field GF(2^(2t))")
             p.add_argument("--rate", default=None, help="code rate p/q (default 1/3)")
+        if m:
             p.add_argument("--m", type=int, default=None, help="number of factors")
         if sampling:
             p.add_argument("--samples", type=int, default=None)
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--format", dest="fmt", choices=("jsonlines", "csv"), default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None, help="JSON config file; flags win")
@@ -551,6 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--k", type=int, default=None, help="flat dimension (default 1)")
     p.add_argument("--mode", choices=("exact", "sampled"), default=None)
+    p.add_argument("--jobs", type=int, default=None, help="worker processes (sampled mode)")
 
     p = sub.add_parser("agreement", help="agreement testability")
     add_common(p)
@@ -560,12 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("ps-corollary", help="planted pair-proximity trials")
-    add_common(p)
+    add_common(p, m=False, sampling=False)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
 
     p = sub.add_parser("constants", help="closed-form constants for m factors")
     add_common(p, instance=False, sampling=False)
-    p.add_argument("--m", type=int, default=None)
 
     return parser
 
@@ -588,7 +559,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise UsageError(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold one JSON object")
-        unknown = sorted(set(loaded) - {f.name for f in fields(ExperimentConfig)})
+        # a key must name a flag of this subcommand: no other is read
+        unknown = sorted(set(loaded) - (set(vars(args)) - {"command", "config"}))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         values.update(loaded)

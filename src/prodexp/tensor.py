@@ -28,14 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .codes import (
-    CyclicCode,
-    DistanceBound,
-    _decodes_within_radius,
-    brute_nearest,
-    decode_lines,
-    decoding_radius,
-)
+from .codes import CyclicCode, DistanceBound, distance_bound, nearest_lines
 from .gf_poly import GF2m, field_make
 
 #: cells per block of the text writer, characters per block of the reader
@@ -412,32 +405,18 @@ def product_codewords(family: CodeFamily) -> np.ndarray:
 def nearest_in_direction(
     word: TensorWord, family: CodeFamily, axis: int
 ) -> Tuple[TensorWord, DistanceBound]:
-    """Line-by-line nearest decoding in one direction.
+    """Nearest decoding of every direction-`axis` line in one batch
+    (`codes.nearest_lines`), and the certified distance to C^(axis)
+    (`codes.distance_bound`).
 
     Lines that a bounded-distance decoder cannot resolve are left unchanged;
     the returned word is then a best-effort representative rather than a
-    certified minimizer.  The errors on resolved lines and the number u of
-    unresolved lines are counted as integers and become one interval
-    [(errors + u (e + 1)) / N, (errors + u (n - k)) / N]: an unresolved line
-    lies beyond the decoding radius e and within the covering radius n - k.
+    certified minimizer, and the distance an interval.
     """
     code = family.codes[axis]
     moved = np.moveaxis(word.data, axis, -1)
-    if _decodes_within_radius(code):
-        lines, dists, resolved = decode_lines(code, moved.reshape(-1, code.length))
-        errors, unresolved = int(dists.sum()), int(np.count_nonzero(~resolved))
-    else:
-        lines = moved.reshape(-1, code.length).copy()
-        errors = unresolved = 0
-        for line in lines:
-            codeword, dist = brute_nearest(line, code)
-            line[:] = codeword
-            errors += dist
-    lower = upper = errors
-    if unresolved:
-        lower += unresolved * (decoding_radius(code) + 1)
-        upper += unresolved * (code.length - code.dimension)
-    bound = DistanceBound(Fraction(lower, word.size), Fraction(upper, word.size))
+    lines, dists, resolved = nearest_lines(code, moved.reshape(-1, code.length))
+    bound = distance_bound(code, dists, resolved, word.size)
     return TensorWord(word.field, np.moveaxis(lines.reshape(moved.shape), -1, axis)), bound
 
 
@@ -455,12 +434,19 @@ def decode_to_product(word: TensorWord, family: CodeFamily) -> Optional[TensorWo
     return None
 
 
-def _product_distance(word: TensorWord, family: CodeFamily) -> int:
-    """Hamming distance to the product code by brute enumeration."""
-    flat = word.data.reshape(-1)
-    return int(np.count_nonzero(product_codewords(family) ^ flat[None, :], axis=1).min())
+def _min_distance_to_rows(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per-word minimum Hamming distance to any row of `rows`, a loop over
+    the rows or, when there are fewer words, over the words."""
+    if words.shape[0] < rows.shape[0]:
+        return np.array([np.count_nonzero(rows ^ w, axis=1).min() for w in words], dtype=np.int64)
+    best = np.full(words.shape[0], words.shape[1] + 1, dtype=np.int64)
+    for row in rows:
+        d = np.count_nonzero(words ^ row[None, :], axis=1)
+        np.minimum(best, d, out=best)
+    return best
 
 
 def delta_to_product(word: TensorWord, family: CodeFamily) -> DistanceBound:
     """Normalized distance to the product code by brute enumeration."""
-    return DistanceBound.exactly(Fraction(_product_distance(word, family), word.size))
+    dist = _min_distance_to_rows(word.data.reshape(1, -1), product_codewords(family))
+    return DistanceBound.exactly(Fraction(int(dist[0]), word.size))

@@ -20,7 +20,7 @@ component codes used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -35,7 +35,7 @@ from .tensor import (
     Flat,
     TensorWord,
     _exact_ratio_min,
-    _product_distance,
+    _min_distance_to_rows,
     decode_to_product,
     delta_to_product,
     enumerate_flats,
@@ -44,7 +44,6 @@ from .tensor import (
     product_codewords,
     product_contains,
     random_product_codeword,
-    restrict,
     xor_line_counts,
 )
 
@@ -65,25 +64,17 @@ class FlatTest:
     def build(shape: Sequence[int], k: int) -> "FlatTest":
         return FlatTest(tuple(shape), k, tuple(enumerate_flats(shape, k)))
 
+    @property
+    def size(self) -> int:
+        """Sum of the flats' sizes."""
+        return sum(prod(self.shape[i] for i in flat.free_axes) for flat in self.flats)
+
     def label(self) -> str:
         return f"T_{len(self.shape)}^{self.k}"
 
 
 def line_test(shape: Sequence[int]) -> FlatTest:
     return FlatTest.build(shape, 1)
-
-
-@dataclass(frozen=True)
-class TestReport:
-    """Outcome of one estimated or exactly computed constant."""
-
-    quantity: str  # rho | rho_r | rho_a
-    value: Fraction
-    mode: str  # exact | sampled | certificate
-    instance: str
-    seed: Optional[int] = None
-    sample_count: Optional[int] = None
-    detail: Dict[str, str] = dc_field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -127,12 +118,8 @@ def test_expectation(word: TensorWord, test: FlatTest, family: CodeFamily) -> Di
         dists = _line_distances(word, family)
         m = len(dists)
         return DistanceBound(sum(d.lower for d in dists) / m, sum(d.upper for d in dists) / m)
-    dist = size = 0
-    for flat in test.flats:
-        sub = restrict(word, flat)
-        dist += _product_distance(sub, family.restrict(flat.free_axes))
-        size += sub.size
-    return DistanceBound.exactly(Fraction(dist, size))
+    dist = _flat_distances(word.data.reshape(1, -1), test, family)
+    return DistanceBound.exactly(Fraction(int(dist[0]), test.size))
 
 
 test_expectation.__test__ = False  # keep pytest from collecting the operation
@@ -142,20 +129,20 @@ test_expectation.__test__ = False  # keep pytest from collecting the operation
 # Exact robustness by full word-space enumeration (vectorized).
 # ----------------------------------------------------------------------
 
-def _flat_cell_indices(shape: Tuple[int, ...], flat: Flat) -> np.ndarray:
-    """Flattened cell indices of a flat, row-major over ascending free axes."""
-    cells = np.arange(prod(shape)).reshape(shape)
-    idx = tuple(slice(None) if i in flat.free_axes else b for i, b in enumerate(flat.base))
-    return cells[idx].reshape(-1)
-
-
-def _min_distance_to_rows(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per-word minimum Hamming distance to any row of `rows`."""
-    best = np.full(words.shape[0], words.shape[1] + 1, dtype=np.int64)
-    for row in rows:
-        d = np.count_nonzero(words ^ row[None, :], axis=1)
-        np.minimum(best, d, out=best)
-    return best
+def _flat_distances(words: np.ndarray, test: FlatTest, family: CodeFamily) -> np.ndarray:
+    """Per word of a flattened (W, N) array, the sum over the test's flats of
+    the Hamming distance from the word's restriction to the restricted
+    product code, whose codewords are enumerated once per free-axis set."""
+    cells = np.arange(prod(test.shape)).reshape(test.shape)
+    restricted: Dict[Tuple[int, ...], np.ndarray] = {}
+    total = np.zeros(words.shape[0], dtype=np.int64)
+    for flat in test.flats:
+        axes = flat.free_axes
+        if axes not in restricted:
+            restricted[axes] = product_codewords(family.restrict(axes))
+        idx = tuple(slice(None) if i in axes else b for i, b in enumerate(flat.base))
+        total += _min_distance_to_rows(words[:, cells[idx].reshape(-1)], restricted[axes])
+    return total
 
 
 def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
@@ -172,30 +159,17 @@ def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
     if prod_cws.shape[0] == total:
         raise ValueError("degenerate family: no word lies outside the product code")
 
-    flat_idx = []
-    size_total = 0
-    sub_cws_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-    for flat in test.flats:
-        idx = _flat_cell_indices(shape, flat)
-        size_total += idx.size
-        key = flat.free_axes
-        if key not in sub_cws_cache:
-            sub_cws_cache[key] = product_codewords(family.restrict(key))
-        flat_idx.append((idx, key))
-
-    # E = num / size_total; delta = dmin / N; ratio = num * N / (size_total * dmin)
+    # E = num / test.size; delta = dmin / N; ratio = num * N / (test.size * dmin)
     best: Optional[Fraction] = None
     chunk = 1 << 18
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         words = linalg.enumerate_vectors(q, N, start, stop)
         dmin = _min_distance_to_rows(words, prod_cws)
-        num = np.zeros(words.shape[0], dtype=np.int64)
-        for idx, key in flat_idx:
-            num += _min_distance_to_rows(words[:, idx], sub_cws_cache[key])
         if not (dmin > 0).any():
             continue
-        value, _ = _exact_ratio_min(num, dmin, size_total, N)
+        num = _flat_distances(words, test, family)
+        value, _ = _exact_ratio_min(num, dmin, test.size, N)
         if best is None or value < best:
             best = value
     if best is None:
@@ -206,23 +180,23 @@ def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
 def robustness_ratio(
     word: TensorWord, test: FlatTest, family: CodeFamily
 ) -> Optional[Fraction]:
-    """Upper bound on the robustness ratio of one word; None for codewords.
+    """Upper bound on the line-test robustness ratio of one word; None for
+    codewords.
 
-    The numerator expectation is upper-bounded (failed line decodes fall back
-    to the covering-radius bound) and the global distance is lower-bounded by
-    the largest single-direction distance (line test, whose expectation is
-    the mean of those distances) or by the expectation itself, so the
-    quotient always upper-bounds the word's true ratio.
+    The numerator expectation, the mean of the direction distances, is
+    upper-bounded (failed line decodes fall back to the covering-radius
+    bound) and the global distance is lower-bounded by the largest direction
+    distance, so the quotient always upper-bounds the word's true ratio.
+    Other flat tests raise `ValueError`: there the expectation would bound
+    both sides and the quotient would always be 1.
     """
+    if test.k != 1:
+        raise ValueError("robustness ratios are bounded for the line test only")
     if product_contains(word, family):
         return None
-    if test.k == 1:
-        dists = _line_distances(word, family)
-        num_upper = sum(d.upper for d in dists) / len(dists)
-        den_lower = max(d.lower for d in dists)
-    else:
-        num = test_expectation(word, test, family)
-        num_upper, den_lower = num.upper, num.lower
+    dists = _line_distances(word, family)
+    num_upper = sum(d.upper for d in dists) / len(dists)
+    den_lower = max(d.lower for d in dists)
     if den_lower == 0:
         raise ValueError("word outside the product code has zero distance bound")
     return num_upper / den_lower

@@ -17,7 +17,8 @@ each code's check polynomial.  The decoder alone takes two package
 routines, the linear solver `prodexp.linalg.solve` and the polynomial
 division `prodexp.gf_poly.unipoly_divmod`.  `sum_code_words` lists a sum
 code from the package's own `DecompositionSpace`, for tests that need every
-word of it.
+word of it, and `brute_nearest` scans the codewords that a package code
+lists, one word at a time.
 """
 
 from __future__ import annotations
@@ -157,6 +158,18 @@ def orc_delta(word, codewords):
     n = len(word)
     best = min(sum(1 for a, b in zip(word, cw) if a != b) for cw in codewords)
     return Fraction(best, n)
+
+
+def brute_nearest(word, code):
+    """Per-word reference for `prodexp.codes.nearest_lines`: the nearest
+    codeword of a package `CyclicCode` and its distance, by a scan of all its
+    codewords.  Ties go to the lexicographically smallest codeword, whatever
+    order `codewords()` lists them in."""
+    w = np.asarray(word, dtype=np.uint8)
+    cws = code.codewords()
+    dists = np.count_nonzero(cws ^ w[None, :], axis=1)
+    d = int(dists.min())
+    return np.array(min(map(tuple, cws[dists == d].tolist())), dtype=np.uint8), d
 
 
 def orc_flats(shape, k):

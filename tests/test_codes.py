@@ -6,16 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import low_degree_evaluation_vectors
+from oracles import brute_nearest, low_degree_evaluation_vectors
 from prodexp import linalg
 from prodexp.codes import (
     bounded_distance_decode,
-    brute_nearest,
     decode_lines,
     delta_to_code,
     full_code,
     min_distance,
-    nearest_codeword,
+    nearest_lines,
     repetition,
     rs_primitive,
 )
@@ -124,11 +123,11 @@ def test_min_distance_tiny_codes():
     assert min_distance(repetition(field_make(1), 2)) == 2
 
 
-def test_nearest_codeword_identity(rs15):
+def test_nearest_lines_identity(rs15):
     rng = np.random.default_rng(1)
     cw = rs15.random_codeword(rng)
-    got = nearest_codeword(cw, rs15)
-    assert got is not None and got[1] == 0 and np.array_equal(got[0], cw)
+    codewords, dists, resolved = nearest_lines(rs15, cw[None])
+    assert resolved[0] and dists[0] == 0 and np.array_equal(codewords[0], cw)
 
 
 def test_bounded_distance_roundtrip_3_errors(rs15):
@@ -210,24 +209,25 @@ def test_brute_vs_bounded_exhaustive_gf4_rep3():
 
 
 def test_brute_refuses_codes_too_large_to_enumerate():
-    """RS[15,6] has 2^24 codewords, above the 2^21 that `codewords()`
-    enumerates: the exhaustive scan and the minimum distance refuse it
-    without building a single codeword."""
+    """RS[15,6] and GF(16)^6 have 2^24 codewords, above the 2^21 that
+    `codewords()` enumerates: the minimum distance and the exhaustive scan
+    of `nearest_lines` refuse them without building a single codeword."""
     rs = rs_primitive(field_make(4), 6, 15)
-    with pytest.raises(ValueError, match="too large to enumerate"):
-        brute_nearest(np.zeros(15, dtype=np.uint8), rs)
     with pytest.raises(ValueError, match="too large to enumerate"):
         min_distance(rs)
     assert rs._codewords is None
+    whole = full_code(field_make(4), 6)
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        nearest_lines(whole, np.zeros((1, 6), dtype=np.uint8))
+    assert whole._codewords is None
 
 
 def test_brute_tie_break_lexicographic():
-    f = field_make(1)
-    code = repetition(f, 2)
+    code = repetition(field_make(1), 2)
     # distance 1 to both 00 and 11; lexicographically smallest wins
-    got = brute_nearest([1, 0], code)
-    assert got is not None
-    assert list(got[0]) == [0, 0] and got[1] == 1
+    codewords, dists, resolved = nearest_lines(code, np.array([[1, 0], [0, 1]], dtype=np.uint8))
+    assert resolved.all() and list(dists) == [1, 1]
+    assert codewords.tolist() == [[0, 0], [0, 0]]
 
 
 def test_delta_to_code_examples(rs15):

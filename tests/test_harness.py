@@ -104,7 +104,7 @@ def test_violation_exit_code_from_failed_check(monkeypatch):
             inequalities=(("impossible", Fraction(0), Fraction(1)),),
         )
         recs = harness.records_from_check(rep)
-        return (EXIT_VIOLATION if not rep.holds else EXIT_OK), recs, []
+        return (EXIT_VIOLATION if not rep.holds else EXIT_OK), recs
 
     monkeypatch.setitem(harness._RUNNERS, "check-lemmas", rigged)
     cfg = ExperimentConfig(command="check-lemmas")
@@ -211,12 +211,18 @@ def test_config_file_flags_win(tmp_path):
     assert cfg.m == 3  # flag beats config
 
 
-def test_config_file_sets_every_field_like_flags(tmp_path):
+def test_config_file_sets_every_field_like_flags(tmp_path, capsys):
+    """A config file sets every flag of robustness as the flag would; the one
+    field that robustness does not read, `trials`, is refused with exit 2."""
     file_values = {
         "instance": "rs", "t": 2, "rate": [2, 5], "m": 3, "k": 2, "mode": "sampled",
         "samples": 7, "trials": 11, "seed": 5, "jobs": 2, "fmt": "csv", "out": "r.csv",
     }
     cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(file_values))
+    assert main(["robustness", "--config", str(cfg_file)]) == EXIT_USAGE
+    assert "unknown config keys: trials" in capsys.readouterr().err
+    del file_values["trials"]
     cfg_file.write_text(json.dumps(file_values))
     parser = build_parser()
     from_file = config_from_args(parser.parse_args(["robustness", "--config", str(cfg_file)]))
@@ -224,13 +230,48 @@ def test_config_file_sets_every_field_like_flags(tmp_path):
         "robustness --instance rs --t 2 --rate 2/5 --m 3 --k 2 --mode sampled"
         " --samples 7 --seed 5 --jobs 2 --format csv --out r.csv"
     )
-    from_flags = config_from_args(parser.parse_args(flags.split()))
-    # robustness has no --trials flag
-    assert from_file == dataclasses.replace(from_flags, trials=11)
+    assert from_file == config_from_args(parser.parse_args(flags.split()))
     default = ExperimentConfig(command="robustness")
     unset = [f.name for f in dataclasses.fields(default)
              if f.name != "command" and getattr(from_file, f.name) == getattr(default, f.name)]
-    assert unset == []
+    assert unset == ["trials"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "rho-sampled --instance rep2 --m 3 --seed 1 --jobs 2",
+        "agreement --instance rep2 --m 3 --mode sampled --seed 1 --jobs 2",
+        "check-lemmas --instance rep2 --m 2 --jobs 2",
+        "ps-corollary --instance rs --t 1 --trials 5 --jobs 2",
+        "ps-corollary --instance rs --t 1 --trials 5 --m 3",
+        "ps-corollary --instance rs --t 1 --trials 5 --samples 4",
+    ],
+    ids=lambda argv: f"{argv.split()[0]}{argv.split()[-2]}",
+)
+def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path, capsys):
+    """Each of these flags was once accepted and silently ignored; as a flag
+    or as a config key, it now exits 2."""
+    assert main(argv.split()) == EXIT_USAGE
+    *head, flag, value = argv.split()
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({flag[2:]: int(value)}))
+    assert main(head + ["--config", str(cfg_file)]) == EXIT_USAGE
+    assert f"unknown config keys: {flag[2:]}" in capsys.readouterr().err
+
+
+def test_trials_below_one_exit_2(capsys):
+    """`--trials -5` once reported "samples":-5 and "holds":true."""
+    assert main("ps-corollary --instance rs --t 1 --trials -5".split()) == EXIT_USAGE
+    assert main("ps-corollary --instance rs --t 1 --trials 0".split()) == EXIT_USAGE
+    assert "--trials must be at least 1" in capsys.readouterr().err
+
+
+def test_negative_samples_exit_2(capsys):
+    """`--samples -4` was once recorded as "samples":-4."""
+    argv = "robustness --instance rep2 --m 2 --mode sampled --seed 1 --samples -4"
+    assert main(argv.split()) == EXIT_USAGE
+    assert "--samples must not be negative" in capsys.readouterr().err
 
 
 def test_config_file_malformed_value_exits_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Property tests: the membership kernel, line, product and sum-code
 membership against their oracles, certificate text, batched line decoding
-against per-line Berlekamp-Welch decoding, and the product decoder against
-brute-force nearest codewords."""
+against per-line Berlekamp-Welch decoding and per-word nearest-codeword
+scans, and the product decoder against brute-force nearest codewords."""
 
 import math
 from contextlib import contextmanager
@@ -14,19 +14,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_nearest,
     orc_axis_syndrome,
     orc_bounded_distance_decode,
     orc_mul_table,
     orc_product_contains,
     orc_sum_contains,
 )
-from prodexp import codes
+from prodexp import codes, linalg
 from prodexp.codes import (
     CyclicCode,
     bounded_distance_decode,
     decode_lines,
     full_code,
     min_distance,
+    nearest_lines,
     repetition,
     rs_primitive,
 )
@@ -370,6 +372,41 @@ def test_decode_lines_matches_bounded_distance_decode(case):
 @given(code_and_noisy_lines([RS255], max_lines=3))
 def test_decode_lines_matches_bounded_distance_decode_rs255(case):
     _assert_decode_lines_matches_bounded(*case)
+
+
+#: the binary [7,3] cyclic code with check polynomial 1 + x + x^3: 64 of
+#: the 128 words of F_2^7 have more than one nearest codeword
+BINARY_7_3 = CyclicCode(F2, 7, (1, 1, 0, 1))
+
+
+@pytest.mark.parametrize("block", [None, 1, 40])
+@pytest.mark.parametrize("code", [repetition(F2, 2), C31, BINARY_7_3], ids=lambda c: c.label())
+def test_nearest_lines_scan_matches_per_word_oracle(code, block, monkeypatch):
+    """Every word of F_q^n in one batch, scanned in blocks of the default
+    size, of one line and of a few lines: the codeword and the distance of
+    the per-word scan `brute_nearest`, the lexicographically smallest of the
+    tied nearest codewords included."""
+    if block is not None:
+        monkeypatch.setattr(codes, "_SCAN_CELLS", block * code.codewords().size)
+    words = linalg.enumerate_vectors(code.field.order, code.length)
+    codewords, dists, resolved = nearest_lines(code, words)
+    assert resolved.all()
+    for word, codeword, dist in zip(words, codewords, dists):
+        want = brute_nearest(word, code)
+        assert dist == want[1] and np.array_equal(codeword, want[0])
+    table = np.count_nonzero(words[:, None] != code.codewords()[None], axis=2)
+    ties = np.count_nonzero((table == dists[:, None]).sum(axis=1) > 1)
+    assert code is not BINARY_7_3 or ties == 64
+
+
+@REPRODUCIBLE
+@given(code_and_noisy_lines([RS15], max_lines=6))
+def test_nearest_lines_unique_decodes_large_rs_codes(case):
+    """RS[15,5] has 2^20 codewords, more than 2^16: `nearest_lines` gives
+    exactly what the syndrome decoder gives, unresolved lines included."""
+    code, lines = case
+    for got, want in zip(nearest_lines(code, lines), decode_lines(code, lines)):
+        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------

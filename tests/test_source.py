@@ -49,11 +49,11 @@ def test_one_line_count_implementation():
 
 
 def test_one_batched_line_decoder():
-    """Batches of lines go through `codes.decode_lines`: no module but
+    """Batches of lines go through `codes.nearest_lines`: no module but
     `codes` calls `bounded_distance_decode`, no module but `expansion` solves
     linear systems (`linalg.solve`, which a per-line decoder would need), and
     `tensor` and `testability` run no Python loop that calls
-    `nearest_codeword` line by line."""
+    `nearest_lines` line by line."""
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -72,17 +72,34 @@ def test_one_batched_line_decoder():
             if not isinstance(loop, loops):
                 continue
             for node in ast.walk(loop):
-                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("nearest_codeword"):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("nearest_lines"):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == [], found
 
 
+def test_reference_distances_stay_in_tests():
+    """The per-word nearest-codeword scan and the brute product distance are
+    references in `tests/oracles.py` and the tests, not second paths next to
+    `codes.nearest_lines` and the flat kernel: no package module defines or
+    names them."""
+    gone = {"brute_nearest", "nearest_codeword", "beyond_radius_bound", "_product_distance"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in gone:
+                found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == [], found
+
+
 def test_one_line_decoding_path_and_one_product_decoder():
-    """Batches of lines reach `decode_lines` only from `codes` and from
-    `tensor.nearest_in_direction`, and a product codeword is sought only by
-    `tensor.decode_to_product`: no other function calls both
-    `nearest_in_direction` and `product_contains`."""
-    decoders, sweeps = [], []
+    """Only `codes` applies the decoder rule: no other module calls
+    `decode_lines` or `_decodes_within_radius`, and outside `codes` lines
+    reach `nearest_lines` only from `tensor.nearest_in_direction`.  A product
+    codeword is sought only by `tensor.decode_to_product`: no other function
+    calls both `nearest_in_direction` and `product_contains`."""
+    decoders, line_paths, sweeps = [], [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for func in ast.walk(tree):
@@ -93,11 +110,16 @@ def test_one_line_decoding_path_and_one_product_decoder():
                 for node in ast.walk(func)
                 if isinstance(node, ast.Call)
             }
-            if "decode_lines" in called and path.name != "codes.py":
+            if path.name == "codes.py":
+                continue
+            if called & {"decode_lines", "_decodes_within_radius"}:
                 decoders.append(f"{path.name}:{func.name}")
+            if "nearest_lines" in called:
+                line_paths.append(f"{path.name}:{func.name}")
             if {"nearest_in_direction", "product_contains"} <= called:
                 sweeps.append(f"{path.name}:{func.name}")
-    assert decoders == ["tensor.py:nearest_in_direction"], decoders
+    assert decoders == [], decoders
+    assert line_paths == ["tensor.py:nearest_in_direction"], line_paths
     assert sweeps == ["tensor.py:decode_to_product"], sweeps
 
 

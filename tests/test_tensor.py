@@ -9,9 +9,9 @@ import pytest
 from oracles import orc_sum_contains, orc_sum_syndrome
 from prodexp.codes import (
     DistanceBound,
+    bounded_distance_decode,
     delta_to_code,
     full_code,
-    nearest_codeword,
     repetition,
     rs_primitive,
 )
@@ -337,7 +337,7 @@ def test_nearest_in_direction_matches_exhaustive_oracle():
 def test_nearest_in_direction_sums_per_line_intervals():
     """RS[15,5] columns that are codewords, decodable, or beyond the radius:
     the integer accounting equals the sum of the per-line intervals, and
-    only the resolved columns change."""
+    only the resolved columns change, to their one-row decodes."""
     f16 = field_make(4)
     code = rs_primitive(f16, 1, 3)
     rng = np.random.default_rng(11)
@@ -348,7 +348,7 @@ def test_nearest_in_direction_sums_per_line_intervals():
     got, dist = nearest_in_direction(TensorWord(f16, arr), CodeFamily.power(code, 2), 0)
     lower = upper = Fraction(0)
     for j in range(15):
-        res = nearest_codeword(arr[:, j], code)
+        res = bounded_distance_decode(code, arr[:, j])
         line = delta_to_code(arr[:, j], code)
         lower += line.lower * Fraction(15, 225)
         upper += line.upper * Fraction(15, 225)

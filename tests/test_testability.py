@@ -333,21 +333,29 @@ def test_robustness_ratio_upper_bounds_truth_tiny():
 
 def test_robustness_ratio_decodes_each_line_once(monkeypatch):
     """The line test's numerator and denominator share one decode per line:
-    the 30 lines of an RS[15,5]^2 word pass through `decode_lines` once."""
+    the 30 lines of an RS[15,5]^2 word pass through `nearest_lines` once."""
     from prodexp import tensor
 
     batches = []
-    real = tensor.decode_lines
+    real = tensor.nearest_lines
 
     def counted(code, lines):
         batches.append(len(lines))
         return real(code, lines)
 
-    monkeypatch.setattr(tensor, "decode_lines", counted)
+    monkeypatch.setattr(tensor, "nearest_lines", counted)
     rng = np.random.default_rng(5)
     word = TensorWord(F16, rng.integers(0, 16, size=(15, 15), dtype=np.uint8))
     assert robustness_ratio(word, line_test((15, 15)), CodeFamily.power(RS15, 2)) is not None
     assert sum(batches) == 30
+
+
+def test_robustness_ratio_refuses_other_flat_tests():
+    """Beyond the line test the expectation would bound both sides of the
+    ratio, which would always be 1."""
+    word = W(F2, [[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
+    with pytest.raises(ValueError, match="line test only"):
+        robustness_ratio(word, FlatTest.build((2, 2, 2), 2), FAM3)
 
 
 def test_rho_r_sampled_upper_deterministic_and_consistent():
