@@ -15,7 +15,6 @@ still gives a valid (possibly loose) lower bound on the cover size.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -326,21 +325,14 @@ def _space_feasible(family: CodeFamily) -> bool:
 
 
 def _direction_basis(code: CyclicCode, shape: Sequence[int], axis: int) -> np.ndarray:
-    """Basis of C^(axis) as flattened words, one generator per line."""
-    shape = tuple(shape)
-    N = prod(shape)
-    G = code.generator_matrix
-    k = code.dimension
-    rows = []
-    fixed_ranges = [range(shape[i]) for i in range(len(shape)) if i != axis]
-    for coords in itertools.product(*fixed_ranges):
-        idx: List[object] = list(coords)
-        idx.insert(axis, slice(None))
-        for r in range(k):
-            arr = np.zeros(shape, dtype=np.uint8)
-            arr[tuple(idx)] = G[r]
-            rows.append(arr.reshape(-1))
-    return np.array(rows, dtype=np.uint8).reshape(-1, N)
+    """Basis of C^(axis) as flattened words, the encodings of the identity
+    messages: one generator row on one line each, lines row-major over the
+    other axes, generator rows inner."""
+    other = tuple(n for i, n in enumerate(shape) if i != axis)
+    D = prod(other) * code.dimension
+    msgs = np.eye(D, dtype=np.uint8).reshape((D,) + other + (code.dimension,))
+    rows = linalg.apply_matrix_axis(code.field, code.generator_matrix.T, msgs, len(shape))
+    return np.moveaxis(rows, -1, axis + 1).reshape(D, -1)
 
 
 def min_decomposition(

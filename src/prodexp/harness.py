@@ -44,13 +44,13 @@ from .testability import (
     _WORD_SPACE_LIMIT,
     CheckReport,
     FlatTest,
-    agreement_ratio_sampled,
     check_composition,
     check_hyperplane_bound,
     check_pair_proximity,
     check_robust_agreement,
     derived_constants,
     rho_a_exact,
+    rho_a_sampled,
     rho_r_exact,
     rho_r_sampled_upper,
 )
@@ -109,6 +109,8 @@ class ExperimentConfig:
         if self.mode == "exact" and self.command in ("robustness", "agreement"):
             if self.seed is not None or self.samples is not None:
                 raise UsageError("exact mode rejects --seed/--samples")
+            if self.jobs != 1:
+                raise UsageError("--jobs applies to sampled mode only")
 
 
 # ----------------------------------------------------------------------
@@ -316,27 +318,8 @@ def _run_agreement(cfg: ExperimentConfig):
     family = _build_family(cfg)
     if cfg.mode == "exact":
         return EXIT_OK, [_value_record("rho_a", rho_a_exact(family), "exact", family.label())]
-    import numpy as np
-
-    from .tensor import random_direction_word
-
     samples = cfg.samples if cfg.samples is not None else 32
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    best: Optional[Fraction] = None
-    used = 0
-    for _ in range(samples):
-        tup = [
-            random_direction_word(code, family.shape, axis, rng)
-            for axis, code in enumerate(family.codes)
-        ]
-        ratio = agreement_ratio_sampled(tup, family)
-        if ratio is None:
-            continue
-        used += 1
-        if best is None or ratio < best:
-            best = ratio
-    if best is None:
-        raise UsageError("no non-degenerate tuple was sampled")
+    best, used = rho_a_sampled(family, samples, cfg.seed)
     record = _value_record(
         "rho_a",
         best,
@@ -359,7 +342,10 @@ def _run_check_lemmas(cfg: ExperimentConfig):
     word_space_small = q ** (code.length**m) <= _WORD_SPACE_LIMIT
 
     if word_space_small:
-        # each constant is enumerated once: later reports read earlier quantities
+        if cfg.seed is not None or cfg.samples is not None:
+            raise UsageError("the exact checks reject --seed/--samples")
+        # later reports read earlier quantities, but check_composition enumerates
+        # rho_r(T_m^1) and rho_r(T_2^1) again, and at m = 3 rho_r(T_3^2) too
         agreement = check_robust_agreement(family)
         reports.append(agreement)
         rr, ra = agreement.quantities["rho_r_T1"], agreement.quantities["rho_a"]
@@ -549,6 +535,13 @@ def _parse_rate(text: str) -> Tuple[int, int]:
         raise UsageError(f"bad rate {text!r}; expected p/q") from exc
 
 
+def _int(val: object) -> int:
+    """An integer config value: JSON true or 2.7 is refused, not coerced."""
+    if isinstance(val, (bool, float)):
+        raise TypeError(f"not an integer: {val!r}")
+    return int(val)
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values: Dict[str, object] = {}
     if getattr(args, "config", None):
@@ -578,10 +571,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         try:
             if f.name == "rate":
                 resolved[f.name] = (
-                    _parse_rate(val) if isinstance(val, str) else (int(val[0]), int(val[1]))
+                    _parse_rate(val) if isinstance(val, str) else (_int(val[0]), _int(val[1]))
                 )
             elif int in (hints[f.name], *get_args(hints[f.name])):
-                resolved[f.name] = int(val)
+                resolved[f.name] = _int(val)
             else:
                 resolved[f.name] = str(val)
         except (TypeError, ValueError, IndexError) as exc:

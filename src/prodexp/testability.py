@@ -16,6 +16,11 @@ flat of that direction uniformly (uniform over all flats when the n_i are
 equal).  Restrictions of the product code to an axis-parallel flat are the
 product code of the restricted family, which is exact for the nonzero cyclic
 component codes used throughout.
+
+Exact ratios of many words come from one kernel, `_exact_ratio`, over the
+whole word space (`rho_r_exact`) or over a sampled pool (`check_composition`).
+Both sampled robustness estimators read one seeded pool, `_word_pool`;
+`rho_a_sampled` draws tuples of uniform direction words instead.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .codes import CyclicCode, DistanceBound, min_distance
-from .expansion import rs_triple_witness
+from .expansion import _direction_basis, rs_triple_witness
 from .tensor import (
     CodeFamily,
     Flat,
@@ -37,12 +42,11 @@ from .tensor import (
     _exact_ratio_min,
     _min_distance_to_rows,
     decode_to_product,
-    delta_to_product,
     enumerate_flats,
     line_weight,
     nearest_in_direction,
     product_codewords,
-    product_contains,
+    random_direction_word,
     random_product_codeword,
     xor_line_counts,
 )
@@ -145,12 +149,24 @@ def _flat_distances(words: np.ndarray, test: FlatTest, family: CodeFamily) -> np
     return total
 
 
+def _exact_ratio(
+    words: np.ndarray, test: FlatTest, family: CodeFamily, prod_cws: np.ndarray
+) -> Optional[Fraction]:
+    """Exact minimum robustness ratio over the rows of a (W, N) word array
+    outside the product code, whose codewords are `prod_cws`; None when every
+    row is a codeword.  A row's ratio is (num / test.size) / (dmin / N)."""
+    dmin = _min_distance_to_rows(words, prod_cws)
+    if not dmin.any():
+        return None
+    num = _flat_distances(words, test, family)
+    return _exact_ratio_min(num, dmin, test.size, words.shape[1])[0]
+
+
 def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
     """Exact robustness of a flat test by enumerating the whole word space."""
-    shape = family.shape
-    if test.shape != shape:
+    if test.shape != family.shape:
         raise ValueError("test grid does not match the family")
-    N = prod(shape)
+    N = prod(family.shape)
     q = family.field.order
     total = q**N
     if total > _WORD_SPACE_LIMIT:
@@ -159,18 +175,12 @@ def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
     if prod_cws.shape[0] == total:
         raise ValueError("degenerate family: no word lies outside the product code")
 
-    # E = num / test.size; delta = dmin / N; ratio = num * N / (test.size * dmin)
     best: Optional[Fraction] = None
     chunk = 1 << 18
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        words = linalg.enumerate_vectors(q, N, start, stop)
-        dmin = _min_distance_to_rows(words, prod_cws)
-        if not (dmin > 0).any():
-            continue
-        num = _flat_distances(words, test, family)
-        value, _ = _exact_ratio_min(num, dmin, test.size, N)
-        if best is None or value < best:
+        words = linalg.enumerate_vectors(q, N, start, min(start + chunk, total))
+        value = _exact_ratio(words, test, family, prod_cws)
+        if value is not None and (best is None or value < best):
             best = value
     if best is None:
         raise RuntimeError("no enumerated word lies outside the product code")
@@ -187,30 +197,18 @@ def robustness_ratio(
     upper-bounded (failed line decodes fall back to the covering-radius
     bound) and the global distance is lower-bounded by the largest direction
     distance, so the quotient always upper-bounds the word's true ratio.
+    That lower bound is 0 exactly for codewords: a line adds 0 only when it
+    decodes to itself, and an unresolved line adds at least e + 1 >= 1.
     Other flat tests raise `ValueError`: there the expectation would bound
     both sides and the quotient would always be 1.
     """
     if test.k != 1:
         raise ValueError("robustness ratios are bounded for the line test only")
-    if product_contains(word, family):
-        return None
     dists = _line_distances(word, family)
-    num_upper = sum(d.upper for d in dists) / len(dists)
     den_lower = max(d.lower for d in dists)
     if den_lower == 0:
-        raise ValueError("word outside the product code has zero distance bound")
-    return num_upper / den_lower
-
-
-def _exact_word_ratio(
-    word: TensorWord, test: FlatTest, family: CodeFamily
-) -> Optional[Fraction]:
-    """Exact robustness ratio of one word via brute-force distances."""
-    d = delta_to_product(word, family)
-    if d.value == 0:
         return None
-    num = test_expectation(word, test, family)
-    return num.value / d.value
+    return sum(d.upper for d in dists) / len(dists) / den_lower
 
 
 @dataclass(frozen=True)
@@ -224,11 +222,11 @@ class SampledRobustnessReport:
     skipped: int
 
 
-def _adversarial_pool(
-    family: CodeFamily, rng: np.random.Generator
-) -> List[Tuple[str, TensorWord]]:
-    """Codeword single-line corruptions, diagonal patterns, plus the
-    rescaled-diagonal witness where the family supports it."""
+def _word_pool(family: CodeFamily, samples: int, seed: int) -> List[Tuple[str, TensorWord]]:
+    """The pool of the sampled estimators, drawn from one PCG64 generator:
+    the rescaled-diagonal witness where the family supports it, codeword
+    single-line corruptions, diagonal patterns, then `samples` uniform words."""
+    rng = np.random.Generator(np.random.PCG64(seed))
     pool: List[Tuple[str, TensorWord]] = []
     shape = family.shape
     field = family.field
@@ -261,6 +259,9 @@ def _adversarial_pool(
             exps = sum((j * k * idx[j]) % n for j in range(m)) % n
             scaled = np.where(diag_mask, pow_table[exps], 0).astype(np.uint8)
             pool.append(("diagonal-scaled", TensorWord(field, scaled)))
+    for i in range(samples):
+        arr = rng.integers(0, field.order, size=shape, dtype=np.uint8)
+        pool.append((f"uniform-{i}", TensorWord(field, arr)))
     return pool
 
 
@@ -271,43 +272,29 @@ def rho_r_sampled_upper(
     seed: int,
     jobs: int = 1,
 ) -> SampledRobustnessReport:
-    """Minimum robustness ratio over a seeded adversarial + random pool.
+    """Minimum robustness ratio over the seeded pool of `_word_pool`.
 
     Every reported ratio upper-bounds the corresponding word's true ratio,
     so the minimum is a certified upper bound on rho_r.  Codewords in the
     pool are skipped (their ratio is 0/0).
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pool = _adversarial_pool(family, rng)
-    shape = family.shape
-    for i in range(samples):
-        arr = rng.integers(0, family.field.order, size=shape, dtype=np.uint8)
-        pool.append((f"uniform-{i}", TensorWord(family.field, arr)))
-
-    tasks = [(name, word, test, family) for name, word in pool]
+    tasks = [(name, word, test, family) for name, word in _word_pool(family, samples, seed)]
     if jobs > 1:
         results = _parallel_map(_ratio_task, tasks, jobs)
     else:
         results = [_ratio_task(t) for t in tasks]
 
-    ratios: List[Tuple[str, Fraction]] = []
-    skipped = 0
-    for name, ratio in results:
-        if ratio is None:
-            skipped += 1
-        else:
-            ratios.append((name, ratio))
+    ratios = tuple((name, ratio) for name, ratio in results if ratio is not None)
     if not ratios:
         raise ValueError("every pool word was a codeword; nothing to report")
-    value = min(r for _, r in ratios)
     return SampledRobustnessReport(
         instance=family.label(),
         test=test.label(),
         seed=seed,
         sample_count=samples,
-        value=value,
-        ratios=tuple(ratios),
-        skipped=skipped,
+        value=min(r for _, r in ratios),
+        ratios=ratios,
+        skipped=len(results) - len(ratios),
     )
 
 
@@ -331,19 +318,13 @@ def _parallel_map(fn, items, jobs: int):
 # ----------------------------------------------------------------------
 
 def _direction_space_words(family: CodeFamily, axis: int) -> np.ndarray:
-    """All words of C^(axis), flattened to (count, N)."""
-    code = family.codes[axis]
-    shape = family.shape
-    n_lines = prod(shape) // shape[axis]
-    dim = code.dimension * n_lines
-    if family.field.order**dim > 1 << 20:
+    """All words of C^(axis), flattened to (count, N): every combination of
+    the rows of `expansion._direction_basis`."""
+    basis = _direction_basis(family.codes[axis], family.shape, axis)
+    q = family.field.order
+    if q ** basis.shape[0] > 1 << 20:
         raise ValueError("direction code too large to enumerate")
-    msgs = linalg.enumerate_vectors(family.field.order, dim)
-    msg_shape = list(shape)
-    msg_shape[axis] = code.dimension
-    cur = msgs.reshape((msgs.shape[0],) + tuple(msg_shape))
-    out = linalg.apply_matrix_axis(family.field, code.generator_matrix.T, cur, axis + 1)
-    return out.reshape(msgs.shape[0], -1)
+    return linalg.matmul(family.field, linalg.enumerate_vectors(q, basis.shape[0]), basis)
 
 
 def rho_a_exact(family: CodeFamily) -> Fraction:
@@ -441,6 +422,22 @@ def agreement_ratio_sampled(
     return num / (den_best / m)
 
 
+def rho_a_sampled(family: CodeFamily, samples: int, seed: int) -> Tuple[Fraction, int]:
+    """(minimum, count) of the heuristic `agreement_ratio_sampled` over the
+    tuples that have one, of `samples` tuples of uniform direction words
+    drawn axis by axis from one PCG64 generator seeded with `seed`."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ratios = []
+    for _ in range(samples):
+        tup = [random_direction_word(c, family.shape, i, rng) for i, c in enumerate(family.codes)]
+        ratio = agreement_ratio_sampled(tup, family)
+        if ratio is not None:
+            ratios.append(ratio)
+    if not ratios:
+        raise ValueError("no non-degenerate tuple was sampled")
+    return min(ratios), len(ratios)
+
+
 def _systematic_reencode(word: TensorWord, family: CodeFamily) -> TensorWord:
     """The product codeword equal to `word` on the product of every factor's
     first k positions, an information set of a cyclic code: each axis is
@@ -490,9 +487,9 @@ def check_composition(
     """Composition bound rho_r(T_m^k1) >= rho_r(T_m^k2) * rho_r(T_k2^k1).
 
     Exact mode computes all three constants by enumeration.  Sampled mode
-    evaluates the two m-dimensional sides on a shared adversarial + random
-    pool (exact per-word ratios; the pool minima replace the true minima)
-    and is labeled accordingly.
+    evaluates the two m-dimensional sides on the shared `_word_pool` (one
+    `_exact_ratio` pass each; the pool minima replace the true minima) and
+    is labeled accordingly.
     """
     if not 1 <= k1 < k2 < m:
         raise ValueError(f"need 1 <= k1 < k2 < m, got k1={k1}, k2={k2}, m={m}")
@@ -514,26 +511,13 @@ def check_composition(
         )
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pool = _adversarial_pool(fam_m, rng)
-    for i in range(samples):
-        arr = rng.integers(0, code.field.order, size=fam_m.shape, dtype=np.uint8)
-        pool.append((f"uniform-{i}", TensorWord(code.field, arr)))
-    test1 = FlatTest.build(fam_m.shape, k1)
-    test2 = FlatTest.build(fam_m.shape, k2)
-    lhs_min: Optional[Fraction] = None
-    outer_min: Optional[Fraction] = None
-    for _name, word in pool:
-        r1 = _exact_word_ratio(word, test1, fam_m)
-        if r1 is None:
-            continue
-        r2 = _exact_word_ratio(word, test2, fam_m)
-        if r2 is None:
-            raise RuntimeError("a word outside the product code has no T^k2 ratio")
-        lhs_min = r1 if lhs_min is None else min(lhs_min, r1)
-        outer_min = r2 if outer_min is None else min(outer_min, r2)
-    if lhs_min is None or outer_min is None:
+    words = np.stack([word.data.reshape(-1) for _, word in _word_pool(fam_m, samples, seed)])
+    prod_cws = product_codewords(fam_m)
+    lhs_min = _exact_ratio(words, FlatTest.build(fam_m.shape, k1), fam_m, prod_cws)
+    if lhs_min is None:
         raise ValueError("pool contained only codewords")
+    # the same rows lie outside the product code, so this is not None either
+    outer_min = _exact_ratio(words, FlatTest.build(fam_m.shape, k2), fam_m, prod_cws)
     return CheckReport(
         name="composition",
         instance=fam_m.label(),

@@ -100,11 +100,18 @@ def orc_direction_space(shape, axis, code):
 
 
 def orc_product_code(shape, codes):
-    """All words whose every line in every direction is in the axis code."""
-    spaces = [set(orc_direction_space(shape, ax, c)) for ax, c in enumerate(codes)]
-    out = spaces[0]
-    for s in spaces[1:]:
-        out = out & s
+    """All words whose every line in every direction is in the axis code:
+    the stacks of slices along axis 0, each a word of the product code of
+    the other axes, whose every axis-0 line is in codes[0]."""
+    if len(shape) == 1:
+        return sorted(codes[0])
+    inner = orc_product_code(shape[1:], codes[1:])
+    code0 = set(codes[0])
+    size = prod(shape[1:])
+    out = []
+    for stack in itertools.product(inner, repeat=shape[0]):
+        if all(tuple(s[j] for s in stack) in code0 for j in range(size)):
+            out.append(tuple(v for s in stack for v in s))
     return sorted(out)
 
 
@@ -193,34 +200,42 @@ def orc_flats(shape, k):
     return flats
 
 
+def orc_flat_test(shape, codes, k):
+    """The k-flats of `orc_flats`, and per free-axis set the product code
+    of the restricted family."""
+    flats = orc_flats(shape, k)
+    sub_codes = {}
+    for _, axes in flats:
+        if axes not in sub_codes:
+            sub_codes[axes] = orc_product_code(tuple(shape[i] for i in axes), [codes[i] for i in axes])
+    return flats, sub_codes
+
+
+def orc_word_ratio(word, prod_code, flats, sub_codes):
+    """Exact robustness ratio of one word under the flat test of
+    `orc_flat_test`; None for a codeword."""
+    d = orc_delta(word, prod_code)
+    if d == 0:
+        return None
+    acc = 0
+    for members, axes in flats:
+        sub = tuple(word[i] for i in members)
+        acc += min(sum(1 for a, b in zip(sub, cw) if a != b) for cw in sub_codes[axes])
+    return Fraction(acc, sum(len(members) for members, _ in flats)) / d
+
+
 def orc_rho_r(shape, codes, k):
     """Exact robustness of the k-flat test over the full word space."""
     q = max(max(cw, default=0) for code in codes for cw in code) + 1
     q = max(q, 2)
     N = prod(shape)
     prod_code = orc_product_code(shape, codes)
-    flats = orc_flats(shape, k)
-    sub_codes = {}
-    for members, axes in flats:
-        if axes not in sub_codes:
-            sub_shape = tuple(shape[i] for i in axes)
-            sub_codes[axes] = orc_product_code(sub_shape, [codes[i] for i in axes])
-    total_size = sum(len(members) for members, _ in flats)
+    flats, sub_codes = orc_flat_test(shape, codes, k)
     best = None
     best_word = None
     for word in itertools.product(range(q), repeat=N):
-        d = orc_delta(word, prod_code)
-        if d == 0:
-            continue
-        acc = 0
-        for members, axes in flats:
-            sub = tuple(word[i] for i in members)
-            acc += min(
-                sum(1 for a, b in zip(sub, cw) if a != b) for cw in sub_codes[axes]
-            )
-        expectation = Fraction(acc, total_size)
-        ratio = expectation / d
-        if best is None or ratio < best:
+        ratio = orc_word_ratio(word, prod_code, flats, sub_codes)
+        if ratio is not None and (best is None or ratio < best):
             best, best_word = ratio, word
     return best, best_word
 

@@ -238,6 +238,38 @@ def test_min_decomposition_rejects_non_member():
         min_decomposition(W(F2, [[1, 0], [0, 0]]), fam)
 
 
+def _per_line_basis(code, shape, axis):
+    """The basis of C^(axis) placed line by line: lines row-major over the
+    other axes, one word per generator row inside each line."""
+    rows = []
+    for coords in itertools.product(*(range(n) for i, n in enumerate(shape) if i != axis)):
+        idx = list(coords)
+        idx.insert(axis, slice(None))
+        for g in code.generator_matrix:
+            arr = np.zeros(shape, dtype=np.uint8)
+            arr[tuple(idx)] = g
+            rows.append(arr.reshape(-1))
+    return np.array(rows, dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [
+        (rs_primitive(F4, 1, 3),) * 3,
+        (REP2,) * 4,
+        (rs_primitive(F16, 1, 3),) * 2,
+        (REP2, repetition(F2, 3)),
+    ],
+    ids=["rs3-m3", "rep2-m4", "rs15-m2", "rep2xrep3"],
+)
+def test_direction_basis_matches_per_line_construction(codes):
+    shape = tuple(c.length for c in codes)
+    for axis, code in enumerate(codes):
+        got = expansion._direction_basis(code, shape, axis)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, _per_line_basis(code, shape, axis))
+
+
 def test_exhaustive_never_beaten_by_local_search():
     """No splitting found otherwise, here the one that generated the word,
     costs less than the exhaustive minimum."""

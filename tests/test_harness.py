@@ -260,6 +260,27 @@ def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path, capsys):
     assert f"unknown config keys: {flag[2:]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("robustness --instance rep2 --m 2 --mode exact --jobs 4", "--jobs applies to sampled mode"),
+        ("check-lemmas --instance rep2 --m 2 --seed 3", "exact checks reject --seed/--samples"),
+        ("check-lemmas --instance rep2 --m 2 --samples 9", "exact checks reject --seed/--samples"),
+    ],
+    ids=["robustness-exact-jobs", "check-lemmas-exact-seed", "check-lemmas-exact-samples"],
+)
+def test_flag_the_branch_does_not_read_exits_2(argv, message, tmp_path, capsys):
+    """A flag that the subcommand reads on another branch only was once
+    silently ignored; as a flag or as a config key, it now exits 2."""
+    assert main(argv.split()) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    *head, flag, value = argv.split()
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({flag[2:]: int(value)}))
+    assert main(head + ["--config", str(cfg_file)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_trials_below_one_exit_2(capsys):
     """`--trials -5` once reported "samples":-5 and "holds":true."""
     assert main("ps-corollary --instance rs --t 1 --trials -5".split()) == EXIT_USAGE
@@ -282,6 +303,26 @@ def test_config_file_malformed_value_exits_2(tmp_path, capsys):
         config_from_args(args)
     assert main(["rho-exact", "--config", str(cfg_file)]) == EXIT_USAGE
     assert "for t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        ({"instance": "rs", "t": 1.9, "m": 2}, "t"),
+        ({"instance": "rs", "t": 1, "m": 2.7}, "m"),
+        ({"instance": "rep2", "m": True}, "m"),
+        ({"instance": "rs", "t": 1, "rate": [1.0, 3]}, "rate"),
+        ({"instance": "rs", "t": 1, "rate": [1, True]}, "rate"),
+    ],
+    ids=["t-float", "m-float", "m-bool", "rate-float", "rate-bool"],
+)
+def test_config_file_refuses_floats_and_booleans(values, field, tmp_path, capsys):
+    """`{"t": 1.9, "m": 2.7}` once ran t=1, m=2, and `{"m": true}` ran m=1:
+    an integer field or a rate entry is never truncated or read as 0 or 1."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(values))
+    assert main(["rho-exact", "--config", str(cfg_file)]) == EXIT_USAGE
+    assert f"bad value {values[field]!r} for {field}" in capsys.readouterr().err
 
 
 def test_config_file_unknown_keys_exit_2(tmp_path, capsys):

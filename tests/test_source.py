@@ -192,3 +192,67 @@ def test_benchmark_per_layer_names_resolve():
                 missing.append(f"{name}: arguments {params}, observer reads {want}")
     assert missing == [], missing
     assert set(OBSERVED_ARGS) <= names
+
+
+def _functions():
+    """(module file name, function node) over the package source."""
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, ast.FunctionDef):
+                yield path.name, func
+
+
+def _calls_by_function():
+    """{"module.py:function": set of called names} over the package source."""
+    return {
+        f"{name}:{func.name}": {
+            ast.unparse(node.func).rpartition(".")[2]
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+        }
+        for name, func in _functions()
+    }
+
+
+def test_one_exact_ratio_kernel():
+    """Exact ratios of many words go through `testability._exact_ratio`: no
+    other function calls both `_min_distance_to_rows` and `_flat_distances`,
+    and no module defines the per-word `_exact_word_ratio`."""
+    kernels = [
+        name
+        for name, called in _calls_by_function().items()
+        if {"_min_distance_to_rows", "_flat_distances"} <= called
+    ]
+    assert kernels == ["testability.py:_exact_ratio"], kernels
+    per_word = [f"{name}:{f.lineno}" for name, f in _functions() if f.name == "_exact_word_ratio"]
+    assert per_word == [], per_word
+
+
+def test_one_word_pool():
+    """Only `testability._word_pool` names the `uniform-i` pool words."""
+    pools = [
+        f"{name}:{func.name}"
+        for name, func in _functions()
+        if any(
+            isinstance(node, ast.JoinedStr) and ast.unparse(node).startswith("f'uniform-")
+            for node in ast.walk(func)
+        )
+    ]
+    assert pools == ["testability.py:_word_pool"], pools
+
+
+def test_harness_runs_no_estimator_loop():
+    """The CLI builds records: `harness` imports no numpy, and it neither
+    draws direction words nor rates tuples itself."""
+    tree = ast.parse((SRC / "harness.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [name for name in imported if name.split(".")[0] == "numpy"] == [], imported
+    called = set().union(
+        *(c for name, c in _calls_by_function().items() if name.startswith("harness.py:"))
+    )
+    assert not called & {"random_direction_word", "agreement_ratio_sampled"}, called

@@ -19,10 +19,12 @@ from prodexp.tensor import (
     line_weight,
     product_codewords,
     product_contains,
+    random_product_codeword,
 )
 from prodexp.testability import (
     FlatTest,
     _systematic_reencode,
+    _word_pool,
     agreement_ratio_sampled,
     check_composition,
     check_hyperplane_bound,
@@ -258,6 +260,23 @@ def test_check_composition_gf4_m3_sampled():
     assert rep.holds, rep.inequalities
 
 
+def test_check_composition_sampled_pool_minima_match_oracle():
+    """The pool quantities are the minima of every pool word's exact T^1 and
+    T^2 ratio, each computed from the definitions by `tests/oracles.py`."""
+    codes = [oracles.gf4_rep3()] * 3
+    prod_code = oracles.orc_product_code((3, 3, 3), codes)
+    pool = [
+        tuple(int(v) for v in word.data.reshape(-1))
+        for _, word in _word_pool(CodeFamily.power(C31, 3), 24, 5)
+    ]
+    assert len(pool) == 51
+    rep = check_composition(C31, 3, 1, 2, mode="sampled", samples=24, seed=5)
+    for k in (1, 2):
+        flats, sub_codes = oracles.orc_flat_test((3, 3, 3), codes, k)
+        ratios = [oracles.orc_word_ratio(w, prod_code, flats, sub_codes) for w in pool]
+        assert rep.quantities[f"rho_r_T3^{k}_pool"] == min(r for r in ratios if r is not None)
+
+
 def test_check_hyperplane_bound_instances():
     assert check_hyperplane_bound(REP2, 2).holds
     assert check_hyperplane_bound(REP2, 3).holds
@@ -314,8 +333,21 @@ def test_agreement_chain_recomputation_all_words():
 # ----------------------------------------------------------------------
 
 def test_robustness_ratio_skips_codewords():
-    w = W(F2, [[1, 1], [1, 1]])
-    assert robustness_ratio(w, line_test((2, 2)), FAM2) is None
+    """None comes back exactly for product codewords: on every word of
+    rep2^2, and on RS[15,5]^2 codewords with and without one changed cell."""
+    for bits in itertools.product((0, 1), repeat=4):
+        w = W(F2, np.array(bits).reshape(2, 2))
+        assert (robustness_ratio(w, line_test((2, 2)), FAM2) is None) == product_contains(w, FAM2)
+    fam = CodeFamily.power(RS15, 2)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        c = random_product_codeword(fam, rng)
+        arr = c.data.copy()
+        i, j = rng.integers(0, 15, size=2)
+        arr[i, j] ^= rng.integers(1, 16)
+        for w, member in ((c, True), (TensorWord(F16, arr), False)):
+            assert product_contains(w, fam) == member
+            assert (robustness_ratio(w, line_test((15, 15)), fam) is None) == member
 
 
 def test_robustness_ratio_upper_bounds_truth_tiny():
