@@ -46,8 +46,8 @@ from .tensor import (
     line_weight,
     nearest_in_direction,
     product_codewords,
-    random_direction_word,
     random_product_codeword,
+    random_sum_codeword,
     xor_line_counts,
 )
 
@@ -320,11 +320,12 @@ def _parallel_map(fn, items, jobs: int):
 def _direction_space_words(family: CodeFamily, axis: int) -> np.ndarray:
     """All words of C^(axis), flattened to (count, N): every combination of
     the rows of `expansion._direction_basis`."""
-    basis = _direction_basis(family.codes[axis], family.shape, axis)
-    q = family.field.order
-    if q ** basis.shape[0] > 1 << 20:
+    code, shape, q = family.codes[axis], family.shape, family.field.order
+    dim = code.dimension * prod(shape) // shape[axis]
+    if q**dim > 1 << 20:  # before the (dim, N) basis is built
         raise ValueError("direction code too large to enumerate")
-    return linalg.matmul(family.field, linalg.enumerate_vectors(q, basis.shape[0]), basis)
+    basis = _direction_basis(code, shape, axis)
+    return linalg.matmul(family.field, linalg.enumerate_vectors(q, dim), basis)
 
 
 def rho_a_exact(family: CodeFamily) -> Fraction:
@@ -429,8 +430,7 @@ def rho_a_sampled(family: CodeFamily, samples: int, seed: int) -> Tuple[Fraction
     rng = np.random.Generator(np.random.PCG64(seed))
     ratios = []
     for _ in range(samples):
-        tup = [random_direction_word(c, family.shape, i, rng) for i, c in enumerate(family.codes)]
-        ratio = agreement_ratio_sampled(tup, family)
+        ratio = agreement_ratio_sampled(random_sum_codeword(family, rng)[1], family)
         if ratio is not None:
             ratios.append(ratio)
     if not ratios:

@@ -281,6 +281,19 @@ def test_flag_the_branch_does_not_read_exits_2(argv, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_direction_code_too_large_exits_2_before_building_its_basis(monkeypatch, capsys):
+    """RS[63,21]^3 has a direction code of dimension 83,349: its basis alone
+    would be a 7 GB identity, so the size guard must come first."""
+    from prodexp import testability
+
+    monkeypatch.setattr(
+        testability, "_direction_basis", lambda *a: pytest.fail("basis built past the guard")
+    )
+    argv = "agreement --instance rs --t 3 --m 3 --mode exact"
+    assert main(argv.split()) == EXIT_USAGE
+    assert "direction code too large to enumerate" in capsys.readouterr().err
+
+
 def test_trials_below_one_exit_2(capsys):
     """`--trials -5` once reported "samples":-5 and "holds":true."""
     assert main("ps-corollary --instance rs --t 1 --trials -5".split()) == EXIT_USAGE
