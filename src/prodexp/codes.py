@@ -120,6 +120,7 @@ class CyclicCode:
         self.generator_coeffs: Tuple[int, ...] = g
         self._rs_root_count: Optional[int] = None  # set by rs_primitive
         self._codewords: Optional[np.ndarray] = None
+        self._generator_matrix: Optional[np.ndarray] = None
         self._min_distance: Optional[int] = None
         self._syndrome_ctx = None
         self._bitslice_terms: Optional[List[Tuple[int, int, int]]] = None
@@ -127,14 +128,16 @@ class CyclicCode:
     # -- basic structure ------------------------------------------------
     @property
     def generator_matrix(self) -> np.ndarray:
-        """k x n matrix whose rows are x^j * g(x), j = 0..k-1."""
-        k, n = self.dimension, self.length
-        G = np.zeros((k, n), dtype=np.uint8)
-        g = self.generator_coeffs
-        for j in range(k):
-            for i, c in enumerate(g):
-                G[j, (i + j) % n] = c
-        return G
+        """k x n matrix whose rows are x^j * g(x), j = 0..k-1; built on first
+        use and kept read-only, since every caller shares it."""
+        if self._generator_matrix is None:
+            k, g = self.dimension, self.generator_coeffs
+            G = np.zeros((k, self.length), dtype=np.uint8)
+            for j in range(k):
+                G[j, j : j + len(g)] = g  # deg g = n - k, so no row wraps around
+            G.flags.writeable = False
+            self._generator_matrix = G
+        return self._generator_matrix
 
     @property
     def is_rs_primitive(self) -> bool:
@@ -416,7 +419,9 @@ def bounded_distance_decode(
 def _syndrome_context(code: CyclicCode):
     """Tables of the syndrome decoder, built once per code: the syndrome
     matrix w^((k+t)i), the evaluation matrix w^(-iu) of polynomials of degree
-    at most e at X^-1 = w^-i, the Forney factors X^(1-k), and field inverses
+    at most e at X^-1 = w^-i and its first e rows (a view: the first e m
+    rows of its bit matrix), each expanded by `linalg.bit_matrix` for
+    `linalg.bit_product`; the Forney factors X^(1-k), and field inverses
     (0 -> 0)."""
     if code._syndrome_ctx is None:
         field, n, k = code.field, code.length, code.dimension
@@ -427,7 +432,15 @@ def _syndrome_context(code: CyclicCode):
         evaluate = exp[np.outer(np.arange(e + 1), -i) % n]
         forney = exp[i * (1 - k) % n]
         inv = np.array([0] + [field.inv(a) for a in range(1, field.order)], dtype=np.uint8)
-        code._syndrome_ctx = (e, syndrome, evaluate, forney, inv)
+        evaluate_bits = linalg.bit_matrix(field, evaluate)
+        code._syndrome_ctx = (
+            e,
+            linalg.bit_matrix(field, syndrome),
+            evaluate_bits,
+            evaluate_bits[: e * field.degree],
+            forney,
+            inv,
+        )
     return code._syndrome_ctx
 
 
@@ -456,8 +469,8 @@ def decode_lines(
     lines = np.asarray(lines, dtype=np.uint8)
     if lines.ndim != 2 or lines.shape[1] != n:
         raise ValueError("expected a (W, n) array of lines")
-    e, syndrome, evaluate, forney, inv = _syndrome_context(code)
-    S = linalg.matmul(field, lines, syndrome)
+    e, syndrome, evaluate, evaluate_e, forney, inv = _syndrome_context(code)
+    S = linalg.bit_product(field, lines, syndrome)
     codewords = lines.copy()
     dists = np.zeros(lines.shape[0], dtype=np.int64)
     resolved = ~S.any(axis=1)  # zero syndromes: a codeword at distance 0
@@ -475,9 +488,9 @@ def decode_lines(
         omega[:, u:] ^= table[lam[:, u : u + 1], S[:, : e - u]]
     deriv = np.zeros((todo.size, e), dtype=np.uint8)
     deriv[:, 0::2] = lam[:, 1::2]  # characteristic 2: only odd powers survive
-    roots = linalg.matmul(field, lam, evaluate) == 0
-    slope = linalg.matmul(field, deriv, evaluate[:e])
-    values = table[table[forney, linalg.matmul(field, omega, evaluate[:e])], inv[slope]]
+    roots = linalg.bit_product(field, lam, evaluate) == 0
+    slope = linalg.bit_product(field, deriv, evaluate_e)
+    values = table[table[forney, linalg.bit_product(field, omega, evaluate_e)], inv[slope]]
     errors = np.where(roots, values, 0)
     dist = np.count_nonzero(errors, axis=1)
     ok = (
@@ -501,27 +514,32 @@ def _berlekamp_massey(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shortest LFSR (connection polynomial C, length L) of every row of a
     (W, N) syndrome array, N steps of Massey's algorithm on all rows at once.
-    The branch on the discrepancy d becomes a mask; x^m B is a per-row
-    gather.  Returns C as a (W, N + 1) coefficient array and L."""
+    The branch on the discrepancy d becomes a mask.  A product a b is a
+    gather from the raveled multiplication table at a q + b, the syndromes
+    reversed and scaled by q once.  x^m B is kept as it is: each step
+    multiplies it by x, after replacing it by C on the rows where L grows.
+    At step r it has degree at most r + 1, and so has C after the step, so
+    the step touches columns 0 .. r + 1 only.  Returns C as a (W, N + 1)
+    coefficient array and L."""
     W, N = S.shape
+    shift = table.shape[0].bit_length() - 1
+    mul = table.reshape(-1)
+    rev = S[:, ::-1].astype(np.intp) << shift  # S_r, ..., S_0 at rev[:, N - 1 - r :]
     C = np.zeros((W, N + 1), dtype=np.uint8)
     C[:, 0] = 1
-    B = C.copy()
+    xB = np.zeros((W, N + 2), dtype=np.uint8)  # x^m B, with B = 1 and m = 1 first
+    xB[:, 1] = 1
     L = np.zeros(W, dtype=np.int64)
-    m = np.ones(W, dtype=np.int64)
-    b = np.ones(W, dtype=np.uint8)
-    rows = np.arange(W)[:, None]
-    cols = np.arange(N + 1)[None, :]
+    b = np.ones(W, dtype=np.intp)
     for r in range(N):
-        d = np.bitwise_xor.reduce(table[C[:, : r + 1], S[:, r::-1]], axis=1)
-        shift = cols - m[:, None]
-        shifted = np.where(shift >= 0, B[rows, np.maximum(shift, 0)], 0)
+        d = np.bitwise_xor.reduce(mul[rev[:, N - 1 - r :] | C[:, : r + 1]], axis=1)
         grow = (d != 0) & (2 * L <= r)
-        B = np.where(grow[:, None], C, B)
-        C = C ^ table[table[d, inv[b]][:, None], shifted]  # d = 0 leaves C as it is
+        factor = mul[(d.astype(np.intp) << shift) | inv[b]]
+        update = mul[(factor[:, None].astype(np.intp) << shift) | xB[:, : r + 2]]
+        xB[:, 1 : r + 3] = np.where(grow[:, None], C[:, : r + 2], xB[:, : r + 2])
+        C[:, : r + 2] ^= update  # d = 0: no change
         L = np.where(grow, r + 1 - L, L)
         b = np.where(grow, d, b)
-        m = np.where(grow, 1, m + 1)
     return C, L
 
 

@@ -367,10 +367,11 @@ def rho_exact(family: CodeFamily) -> Fraction:
     word's exact cost as a row minimum.  The minimizing word is split again
     by `min_decomposition`, which validates, and must cost the same.
     """
+    field, N = family.field, prod(family.shape)
+    D = sum(c.dimension * (N // c.length) for c in family.codes)  # before the (D, N) basis is built
+    if field.order**D > _AMBIGUITY_LIMIT:
+        raise ValueError(f"rho_exact would scan {field.order}^{D} splittings; too large")
     space = DecompositionSpace(family)
-    field = family.field
-    if field.order**space.D > _AMBIGUITY_LIMIT:
-        raise ValueError(f"rho_exact would scan {field.order}^{space.D} splittings; too large")
     image = linalg.row_space_basis(field, space.basis)
     B = np.array([linalg.solve(field, space.phi, row) for row in image], np.uint8)
     msgs = linalg.enumerate_vectors(field.order, image.shape[0])

@@ -403,21 +403,36 @@ def product_codewords(family: CodeFamily) -> np.ndarray:
 
 
 def nearest_in_direction(
-    word: TensorWord, family: CodeFamily, axis: int
-) -> Tuple[TensorWord, DistanceBound]:
+    word: TensorWord | np.ndarray, family: CodeFamily, axis: int
+) -> Tuple[TensorWord, DistanceBound] | Tuple[np.ndarray, List[DistanceBound]]:
     """Nearest decoding of every direction-`axis` line in one batch
     (`codes.nearest_lines`), and the certified distance to C^(axis)
     (`codes.distance_bound`).
 
-    Lines that a bounded-distance decoder cannot resolve are left unchanged;
-    the returned word is then a best-effort representative rather than a
-    certified minimizer, and the distance an interval.
+    `word` may also be a (W, n_1, ..., n_m) array of W words: the lines of
+    all of them go into the one batch, and the result is the decoded array
+    and one bound per word.  Lines that a bounded-distance decoder cannot
+    resolve are left unchanged; the returned word is then a best-effort
+    representative rather than a certified minimizer, and the distance an
+    interval.
     """
+    one = isinstance(word, TensorWord)
+    words = word.data[None] if one else np.asarray(word, dtype=np.uint8)
+    if words.shape[1:] != family.shape:
+        raise ValueError("word shape does not match the family")
     code = family.codes[axis]
-    moved = np.moveaxis(word.data, axis, -1)
+    moved = np.moveaxis(words, axis + 1, -1)
     lines, dists, resolved = nearest_lines(code, moved.reshape(-1, code.length))
-    bound = distance_bound(code, dists, resolved, word.size)
-    return TensorWord(word.field, np.moveaxis(lines.reshape(moved.shape), -1, axis)), bound
+    cells = prod(family.shape)
+    per_word = (words.shape[0], cells // code.length)
+    bounds = [
+        distance_bound(code, d, r, cells)
+        for d, r in zip(dists.reshape(per_word), resolved.reshape(per_word))
+    ]
+    decoded = np.moveaxis(lines.reshape(moved.shape), -1, axis + 1)
+    if one:
+        return TensorWord(word.field, decoded[0]), bounds[0]
+    return decoded, bounds
 
 
 def decode_to_product(word: TensorWord, family: CodeFamily) -> Optional[TensorWord]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -53,6 +54,9 @@ from .tensor import (
 
 _WORD_SPACE_LIMIT = 1 << 24
 _CORRUPTION_ROUNDS = 8  # random product codewords per pool, one line replaced per direction
+#: lines per direction that `rho_r_sampled_upper` decodes in one batch: 8
+#: words of RS[63,21]^2, one word of RS[63,21]^3
+_POOL_BLOCK_LINES = 1 << 9
 _RHO_R_T21 = Fraction(1, 72)  # line-test robustness floor of the rate-1/3 RS square
 
 
@@ -102,10 +106,11 @@ class CheckReport:
 # Expectation of local distances over a flat test.
 # ----------------------------------------------------------------------
 
-def _line_distances(word: TensorWord, family: CodeFamily) -> List[DistanceBound]:
-    """Distance from the word to each direction code C^(j), decoding every
-    line once."""
-    return [nearest_in_direction(word, family, axis)[1] for axis in range(family.m)]
+def _line_distances(words: np.ndarray, family: CodeFamily) -> List[Tuple[DistanceBound, ...]]:
+    """Per word of a (W, n_1, ..., n_m) array, its distance to each direction
+    code C^(j): every line is decoded once, in one batch per direction."""
+    per_axis = [nearest_in_direction(words, family, axis)[1] for axis in range(family.m)]
+    return list(zip(*per_axis))
 
 
 def test_expectation(word: TensorWord, test: FlatTest, family: CodeFamily) -> DistanceBound:
@@ -119,7 +124,7 @@ def test_expectation(word: TensorWord, test: FlatTest, family: CodeFamily) -> Di
     if word.shape != test.shape or word.shape != family.shape:
         raise ValueError("shape mismatch")
     if test.k == 1:
-        dists = _line_distances(word, family)
+        dists = _line_distances(word.data[None], family)[0]
         m = len(dists)
         return DistanceBound(sum(d.lower for d in dists) / m, sum(d.upper for d in dists) / m)
     dist = _flat_distances(word.data.reshape(1, -1), test, family)
@@ -191,7 +196,13 @@ def robustness_ratio(
     word: TensorWord, test: FlatTest, family: CodeFamily
 ) -> Optional[Fraction]:
     """Upper bound on the line-test robustness ratio of one word; None for
-    codewords.
+    codewords: the one-word view of `_line_ratios`."""
+    return _line_ratios(word.data[None], test, family)[0]
+
+
+def _line_ratios(words: np.ndarray, test: FlatTest, family: CodeFamily) -> List[Optional[Fraction]]:
+    """Upper bound on the line-test robustness ratio of each word of a
+    (W, n_1, ..., n_m) array; None for codewords.
 
     The numerator expectation, the mean of the direction distances, is
     upper-bounded (failed line decodes fall back to the covering-radius
@@ -204,11 +215,11 @@ def robustness_ratio(
     """
     if test.k != 1:
         raise ValueError("robustness ratios are bounded for the line test only")
-    dists = _line_distances(word, family)
-    den_lower = max(d.lower for d in dists)
-    if den_lower == 0:
-        return None
-    return sum(d.upper for d in dists) / len(dists) / den_lower
+    ratios: List[Optional[Fraction]] = []
+    for dists in _line_distances(words, family):
+        den_lower = max(d.lower for d in dists)
+        ratios.append(None if den_lower == 0 else sum(d.upper for d in dists) / len(dists) / den_lower)
+    return ratios
 
 
 @dataclass(frozen=True)
@@ -276,15 +287,19 @@ def rho_r_sampled_upper(
 
     Every reported ratio upper-bounds the corresponding word's true ratio,
     so the minimum is a certified upper bound on rho_r.  Codewords in the
-    pool are skipped (their ratio is 0/0).
+    pool are skipped (their ratio is 0/0).  The pool is decoded in blocks
+    of words with at most `_POOL_BLOCK_LINES` lines per direction (at least
+    one word), by `jobs` processes when jobs > 1; every word's ratio is the
+    same in any block.
     """
-    tasks = [(name, word, test, family) for name, word in _word_pool(family, samples, seed)]
-    if jobs > 1:
-        results = _parallel_map(_ratio_task, tasks, jobs)
-    else:
-        results = [_ratio_task(t) for t in tasks]
-
-    ratios = tuple((name, ratio) for name, ratio in results if ratio is not None)
+    pool = _word_pool(family, samples, seed)
+    step = max(1, _POOL_BLOCK_LINES // (prod(family.shape) // min(family.shape)))
+    blocks = [
+        np.stack([word.data for _, word in pool[s : s + step]]) for s in range(0, len(pool), step)
+    ]
+    results = _map(partial(_line_ratios, test=test, family=family), blocks, jobs)
+    flat = [ratio for block in results for ratio in block]
+    ratios = tuple((name, ratio) for (name, _), ratio in zip(pool, flat) if ratio is not None)
     if not ratios:
         raise ValueError("every pool word was a codeword; nothing to report")
     return SampledRobustnessReport(
@@ -294,17 +309,15 @@ def rho_r_sampled_upper(
         sample_count=samples,
         value=min(r for _, r in ratios),
         ratios=ratios,
-        skipped=len(results) - len(ratios),
+        skipped=len(pool) - len(ratios),
     )
 
 
-def _ratio_task(args) -> Tuple[str, Optional[Fraction]]:
-    name, word, test, family = args
-    return name, robustness_ratio(word, test, family)
-
-
-def _parallel_map(fn, items, jobs: int):
-    """Order-preserving parallel map; results are worker-count independent."""
+def _map(fn, items, jobs: int) -> list:
+    """Order-preserving map, over `jobs` processes when jobs > 1; results are
+    worker-count independent."""
+    if jobs <= 1:
+        return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
     import multiprocessing
 

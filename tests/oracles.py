@@ -9,9 +9,9 @@ the frozen fixture table used by the acceptance tests.
 
 The exceptions are the membership references `orc_sum_contains` and
 `orc_product_contains`, the Reed-Solomon evaluation vectors
-`low_degree_evaluation_vectors` and the Berlekamp-Welch decoder
-`orc_bounded_distance_decode`, which have to reach words far beyond full
-enumeration: they work on numpy arrays, but still build their own field
+`low_degree_evaluation_vectors`, the Berlekamp-Welch decoder
+`orc_bounded_distance_decode` and the column-loop product `orc_matmul`,
+which have to reach words far beyond full enumeration: they work on numpy arrays, but still build their own field
 table and parity-check matrices from nothing but the field's modulus and
 each code's check polynomial.  The decoder alone takes two package
 routines, the linear solver `prodexp.linalg.solve` and the polynomial
@@ -293,6 +293,17 @@ def orc_mul_table(degree, modulus):
                 y >>= 1
             table[a, b] = p
     return table
+
+
+def orc_matmul(mul, A, B):
+    """A B over the field of multiplication table `mul`, one table gather
+    per column of A: the column loop that `linalg.matmul` replaced."""
+    A = np.asarray(A, dtype=np.uint8)
+    B = np.asarray(B, dtype=np.uint8)
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
+    for t in range(A.shape[1]):
+        out ^= mul[A[:, t][:, None], B[t][None, :]]
+    return out
 
 
 def orc_parity_matrix(n, check):

@@ -32,6 +32,17 @@ def test_rs_primitive_gf4_is_repetition():
     assert code.check_coeffs == (1, 1)  # x - 1
 
 
+def test_generator_matrix_is_built_once_and_read_only(rs15):
+    """Rows x^j g(x), j < k: one shared array, which no caller may change."""
+    G = rs15.generator_matrix
+    assert G is rs15.generator_matrix and not G.flags.writeable
+    g = rs15.generator_coeffs
+    for j in range(rs15.dimension):
+        assert np.array_equal(G[j], np.roll(np.pad(g, (0, rs15.length - len(g))), j))
+    with pytest.raises(ValueError):
+        G[0, 0] ^= 1
+
+
 def test_rs_primitive_gf16_shape(rs15):
     assert (rs15.length, rs15.dimension) == (15, 5)
     assert len(rs15.check_coeffs) - 1 == 5

@@ -294,6 +294,18 @@ def test_direction_code_too_large_exits_2_before_building_its_basis(monkeypatch,
     assert "direction code too large to enumerate" in capsys.readouterr().err
 
 
+def test_splitting_space_too_large_exits_2_before_building_it(monkeypatch, capsys):
+    """RS[63,21]^3 has 64^250,047 splittings: `rho_exact` must refuse before
+    `DecompositionSpace` builds its (250,047, 250,047) basis."""
+    from prodexp import expansion
+
+    monkeypatch.setattr(
+        expansion, "DecompositionSpace", lambda *a: pytest.fail("space built past the guard")
+    )
+    assert main("rho-exact --instance rs --t 3 --m 3".split()) == EXIT_USAGE
+    assert "splittings; too large" in capsys.readouterr().err
+
+
 def test_trials_below_one_exit_2(capsys):
     """`--trials -5` once reported "samples":-5 and "holds":true."""
     assert main("ps-corollary --instance rs --t 1 --trials -5".split()) == EXIT_USAGE

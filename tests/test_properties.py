@@ -1,5 +1,6 @@
-"""Property tests: the membership kernel, line, product and sum-code
-membership against their oracles, certificate text, batched line decoding
+"""Property tests: the bit-plane matrix product against the column loop,
+the membership kernel, line, product and sum-code membership against their
+oracles, certificate text, batched line decoding
 against per-line Berlekamp-Welch decoding and per-word nearest-codeword
 scans, and the product decoder against brute-force nearest codewords."""
 
@@ -17,6 +18,7 @@ from oracles import (
     brute_nearest,
     orc_axis_syndrome,
     orc_bounded_distance_decode,
+    orc_matmul,
     orc_mul_table,
     orc_product_contains,
     orc_sum_contains,
@@ -354,6 +356,46 @@ def _assert_decode_lines_matches_bounded(code, lines):
         else:
             assert ok and dist == want[1] and np.array_equal(codeword, want[0])
             assert one[1] == want[1] and np.array_equal(one[0], want[0])
+
+
+def _assert_matmul_matches_column_loop(field, A, B):
+    """`linalg.matmul`, and `bit_product` with one `bit_matrix` of B used for
+    A and again for A's rows reversed, equal the column loop."""
+    want = orc_matmul(orc_mul_table(field.degree, field.modulus), A, B)
+    bits = linalg.bit_matrix(field, B)
+    assert np.array_equal(linalg.matmul(field, A, B), want)
+    assert np.array_equal(linalg.bit_product(field, A, bits), want)
+    assert np.array_equal(linalg.bit_product(field, A[::-1], bits), want[::-1])
+
+
+def _random_matrices(field, rng, r, n, c):
+    return (
+        rng.integers(0, field.order, size=(r, n), dtype=np.uint8),
+        rng.integers(0, field.order, size=(n, c), dtype=np.uint8),
+    )
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+@settings(REPRODUCIBLE, max_examples=15)
+@given(st.tuples(*[st.integers(0, 12)] * 3), st.integers(0, 2**32 - 1))
+def test_matmul_matches_column_loop(degree, dims, seed):
+    field = field_make(degree)
+    _assert_matmul_matches_column_loop(field, *_random_matrices(field, np.random.default_rng(seed), *dims))
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("dims", [(0, 4, 3), (4, 0, 3), (1, 1, 1)], ids=["no-rows", "no-inner", "1x1"])
+def test_matmul_edge_shapes_match_column_loop(degree, dims):
+    field = field_make(degree)
+    _assert_matmul_matches_column_loop(field, *_random_matrices(field, np.random.default_rng(degree), *dims))
+
+
+def test_matmul_matches_column_loop_at_rs255_syndrome_size():
+    """(2000, 255) x (255, 170) over GF(256), the syndrome product of 2,000
+    RS[255,85] lines: each cell sums 2,040 bits, far below 2^24, and the
+    rows span 32 blocks, the last one partial."""
+    field = field_make(8)
+    _assert_matmul_matches_column_loop(field, *_random_matrices(field, np.random.default_rng(255), 2000, 255, 170))
 
 
 @REPRODUCIBLE

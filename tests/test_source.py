@@ -77,6 +77,18 @@ def test_one_batched_line_decoder():
     assert found == [], found
 
 
+def test_one_matrix_product_kernel():
+    """Products over the field go through the bit-plane product: `linalg.matmul`
+    runs no Python loop (over A's columns or otherwise) and is one
+    `bit_product` of a `bit_matrix`."""
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    matmul = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "matmul")
+    loops = [node.lineno for node in ast.walk(matmul) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    called = {ast.unparse(node.func) for node in ast.walk(matmul) if isinstance(node, ast.Call)}
+    assert loops == [], loops
+    assert {"bit_product", "bit_matrix"} <= called, called
+
+
 def test_reference_distances_stay_in_tests():
     """The per-word nearest-codeword scan and the brute product distance are
     references in `tests/oracles.py` and the tests, not second paths next to

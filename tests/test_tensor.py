@@ -37,8 +37,10 @@ from prodexp.tensor import (
 
 F2 = field_make(1)
 F4 = field_make(2)
+F16 = field_make(4)
 REP2 = repetition(F2, 2)
 C31 = rs_primitive(F4, 1, 3)
+RS15 = rs_primitive(F16, 1, 3)
 
 
 def W(field, nested):
@@ -355,6 +357,29 @@ def test_nearest_in_direction_sums_per_line_intervals():
         expected = arr[:, j] if res is None else res[0]
         assert np.array_equal(got.data[:, j], expected)
     assert not dist.exact and dist == DistanceBound(lower, upper)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [CodeFamily((RS15, repetition(F16, 3))), CodeFamily.power(RS15, 3)],
+    ids=["rs15-x-rep3", "rs15-cubed"],
+)
+def test_nearest_in_direction_batch_equals_per_word(family):
+    """A (W, n_1, ..., n_m) batch gives, word for word, the decoded word and
+    the bound of the one-word call, on both sides of the decoder rule (RS[15,5]
+    by unique decoding, the [3,1] repetition code by the scan)."""
+    rng = np.random.default_rng(7)
+    words = [tensor.random_product_codeword(family, rng).data for _ in range(2)]
+    words += [rng.integers(0, 16, size=family.shape, dtype=np.uint8) for _ in range(2)]
+    words[1] = words[1].copy()
+    words[1][(0,) * family.m] ^= 5  # one error: every line through it is decodable
+    batch = np.stack(words)
+    for axis in range(family.m):
+        decoded, bounds = nearest_in_direction(batch, family, axis)
+        assert decoded.shape == batch.shape and len(bounds) == len(words)
+        for word, got, bound in zip(words, decoded, bounds):
+            one, one_bound = nearest_in_direction(TensorWord(F16, word), family, axis)
+            assert np.array_equal(got, one.data) and bound == one_bound
 
 
 def test_delta_to_product_on_member_and_nonmember():

@@ -401,6 +401,27 @@ def test_rho_r_sampled_upper_deterministic_and_consistent():
     assert a.value >= rho_r_exact(line_test((2, 2)), FAM2) / 100  # sanity: positive
 
 
+def test_rho_r_sampled_upper_blocks_are_exact(monkeypatch):
+    """The pool's ratios do not depend on how it is cut into blocks or on the
+    worker count: the default block (the whole 22-word pool) with one
+    process and with two, blocks of one word, and blocks of 3 words (the
+    last holds one) with one process and with two; each ratio is also the
+    one-word `robustness_ratio`."""
+    from prodexp import testability
+
+    args = (line_test((15, 15)), CodeFamily.power(RS15, 2), 4, 9)
+    want = rho_r_sampled_upper(*args)
+    assert len(want.ratios) + want.skipped == 22 and want.value > 0
+    assert rho_r_sampled_upper(*args, jobs=2) == want
+    for words in (1, 3):
+        monkeypatch.setattr(testability, "_POOL_BLOCK_LINES", 15 * words)
+        assert rho_r_sampled_upper(*args) == want
+    assert rho_r_sampled_upper(*args, jobs=2) == want
+    assert want.ratios == tuple(
+        (name, robustness_ratio(word, args[0], args[1])) for name, word in _word_pool(args[1], 4, 9)
+    )
+
+
 def test_rho_r_sampled_upper_dominates_exact_on_tiny_instance():
     t = line_test((2, 2))
     rep = rho_r_sampled_upper(t, FAM2, samples=50, seed=2)
