@@ -121,6 +121,7 @@ class CyclicCode:
         self._rs_root_count: Optional[int] = None  # set by rs_primitive
         self._codewords: Optional[np.ndarray] = None
         self._generator_matrix: Optional[np.ndarray] = None
+        self._generator_bits: Optional[np.ndarray] = None
         self._min_distance: Optional[int] = None
         self._syndrome_ctx = None
         self._bitslice_terms: Optional[List[Tuple[int, int, int]]] = None
@@ -211,11 +212,16 @@ class CyclicCode:
         m = np.asarray(message, dtype=np.uint8).reshape(1, -1)
         return self.encode_batch(m)[0]
 
-    def encode_batch(self, messages: np.ndarray) -> np.ndarray:
+    def encode_batch(self, messages: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Encode every message, of length k along `axis`, into a codeword of
+        length n there: one `linalg.apply_matrix_axis` by the generator's bit
+        matrix, built on first use and kept on the code."""
         messages = np.asarray(messages, dtype=np.uint8)
-        if messages.shape[-1] != self.dimension:
+        if messages.shape[axis] != self.dimension:
             raise ValueError("message length mismatch")
-        return linalg.matmul(self.field, messages, self.generator_matrix)
+        if self._generator_bits is None:
+            self._generator_bits = linalg.bit_matrix(self.field, self.generator_matrix)
+        return linalg.apply_matrix_axis(self.field, self._generator_bits, messages, axis)
 
     def codewords(self) -> np.ndarray:
         """All q^k codewords as a (q^k, n) array in lexicographic order

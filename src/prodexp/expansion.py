@@ -331,7 +331,7 @@ def _direction_basis(code: CyclicCode, shape: Sequence[int], axis: int) -> np.nd
     other = tuple(n for i, n in enumerate(shape) if i != axis)
     D = prod(other) * code.dimension
     msgs = np.eye(D, dtype=np.uint8).reshape((D,) + other + (code.dimension,))
-    rows = linalg.apply_matrix_axis(code.field, code.generator_matrix.T, msgs, len(shape))
+    rows = code.encode_batch(msgs)
     return np.moveaxis(rows, -1, axis + 1).reshape(D, -1)
 
 

@@ -91,13 +91,10 @@ class ExperimentConfig:
     samples: Optional[int] = None
     trials: int = 1000
     seed: Optional[int] = None
-    jobs: int = 1
     fmt: str = "jsonlines"
     out: Optional[str] = None
 
     def validate(self) -> None:
-        if self.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
         if self.trials < 1:
             raise UsageError("--trials must be at least 1")
         if self.samples is not None and self.samples < 0:
@@ -109,8 +106,6 @@ class ExperimentConfig:
         if self.mode == "exact" and self.command in ("robustness", "agreement"):
             if self.seed is not None or self.samples is not None:
                 raise UsageError("exact mode rejects --seed/--samples")
-            if self.jobs != 1:
-                raise UsageError("--jobs applies to sampled mode only")
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +295,7 @@ def _run_robustness(cfg: ExperimentConfig):
     if cfg.k != 1:
         raise UsageError("sampled robustness is implemented for the line test only")
     samples = cfg.samples if cfg.samples is not None else 100
-    rep = rho_r_sampled_upper(test, family, samples, cfg.seed, jobs=cfg.jobs)
+    rep = rho_r_sampled_upper(test, family, samples, cfg.seed)
     record = _value_record(
         "rho_r",
         rep.value,
@@ -360,10 +355,9 @@ def _run_check_lemmas(cfg: ExperimentConfig):
                 ),
             )
         )
-        if m >= 2:
-            plane = check_hyperplane_bound(code, 2)
-            reports.append(plane)
-            rr21 = plane.quantities["rho_r_T2^1"]
+        plane = check_hyperplane_bound(code, 2)
+        reports.append(plane)
+        rr21 = plane.quantities["rho_r_T2^1"]
         if m >= 3:
             reports.append(check_hyperplane_bound(code, 3))
             reports.append(check_composition(code, m, 1, 2, mode="exact"))
@@ -507,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--k", type=int, default=None, help="flat dimension (default 1)")
     p.add_argument("--mode", choices=("exact", "sampled"), default=None)
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (sampled mode)")
 
     p = sub.add_parser("agreement", help="agreement testability")
     add_common(p)

@@ -160,20 +160,17 @@ def _bit_table(field: GF2m) -> np.ndarray:
     return table
 
 
-def apply_matrix_axis(field: GF2m, M: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Contract `axis` of `arr` with matrix M: out[..., a, ...] = sum_t M[a,t] arr[..., t, ...].
+def apply_matrix_axis(field: GF2m, bits: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Multiply `axis` of `arr` by the (n, c) matrix B that `bit_matrix`
+    expanded into `bits`: out[..., j, ...] = sum_t arr[..., t, ...] B[t, j].
 
     Works on batched tensors of any rank; the contracted axis may have any
-    position and is replaced by an axis of length M.shape[0].
+    position and is replaced by an axis of length c.
     """
     arr = np.asarray(arr, dtype=np.uint8)
     moved = np.moveaxis(arr, axis, -1)
-    lead = moved.shape[:-1]
-    n = moved.shape[-1]
-    if M.shape[1] != n:
-        raise ValueError("axis length mismatch")
-    out = matmul(field, moved.reshape(-1, n), M.T)
-    return np.moveaxis(out.reshape(lead + (M.shape[0],)), -1, axis)
+    out = bit_product(field, moved.reshape(-1, moved.shape[-1]), bits)
+    return np.moveaxis(out.reshape(moved.shape[:-1] + (out.shape[1],)), -1, axis)
 
 
 def enumerate_vectors(

@@ -353,21 +353,13 @@ def sum_contains_batch(words: np.ndarray, family: CodeFamily) -> np.ndarray:
 # Direction codes C^(i): encoding, sampling, decoding.
 # ----------------------------------------------------------------------
 
-def encode_direction(code: CyclicCode, messages: np.ndarray, axis: int) -> TensorWord:
-    """Expand messages (length k on `axis`) to a word of C^(axis)."""
-    arr = linalg.apply_matrix_axis(
-        code.field, code.generator_matrix.T, np.asarray(messages, dtype=np.uint8), axis
-    )
-    return TensorWord(code.field, arr)
-
-
 def random_direction_word(
     code: CyclicCode, shape: Sequence[int], axis: int, rng: np.random.Generator
 ) -> TensorWord:
     msg_shape = list(shape)
     msg_shape[axis] = code.dimension
     msgs = rng.integers(0, code.field.order, size=tuple(msg_shape), dtype=np.uint8)
-    return encode_direction(code, msgs, axis)
+    return TensorWord(code.field, code.encode_batch(msgs, axis))
 
 
 def random_sum_codeword(
@@ -385,7 +377,7 @@ def random_product_codeword(family: CodeFamily, rng: np.random.Generator) -> Ten
     msg_shape = tuple(c.dimension for c in family.codes)
     arr = rng.integers(0, family.field.order, size=msg_shape, dtype=np.uint8)
     for axis, code in enumerate(family.codes):
-        arr = linalg.apply_matrix_axis(family.field, code.generator_matrix.T, arr, axis)
+        arr = code.encode_batch(arr, axis)
     return TensorWord(family.field, arr)
 
 
@@ -398,7 +390,7 @@ def product_codewords(family: CodeFamily) -> np.ndarray:
     msgs = linalg.enumerate_vectors(family.field.order, prod(dims))
     cur = msgs.reshape((msgs.shape[0],) + dims)
     for axis, code in enumerate(family.codes):
-        cur = linalg.apply_matrix_axis(family.field, code.generator_matrix.T, cur, axis + 1)
+        cur = code.encode_batch(cur, axis + 1)
     return cur.reshape(msgs.shape[0], -1)
 
 
@@ -459,9 +451,3 @@ def _min_distance_to_rows(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
         d = np.count_nonzero(words ^ row[None, :], axis=1)
         np.minimum(best, d, out=best)
     return best
-
-
-def delta_to_product(word: TensorWord, family: CodeFamily) -> DistanceBound:
-    """Normalized distance to the product code by brute enumeration."""
-    dist = _min_distance_to_rows(word.data.reshape(1, -1), product_codewords(family))
-    return DistanceBound.exactly(Fraction(int(dist[0]), word.size))

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +37,6 @@ from .codes import CyclicCode, DistanceBound, min_distance
 from .expansion import _direction_basis, rs_triple_witness
 from .tensor import (
     CodeFamily,
-    Flat,
     TensorWord,
     _exact_ratio_min,
     _min_distance_to_rows,
@@ -62,20 +60,23 @@ _RHO_R_T21 = Fraction(1, 72)  # line-test robustness floor of the rate-1/3 RS sq
 
 @dataclass(frozen=True)
 class FlatTest:
-    """The axis-parallel k-flat test on a fixed grid."""
+    """The axis-parallel k-flat test on a fixed grid; its flats are
+    `enumerate_flats(shape, k)`."""
 
     shape: Tuple[int, ...]
     k: int
-    flats: Tuple[Flat, ...]
 
     @staticmethod
     def build(shape: Sequence[int], k: int) -> "FlatTest":
-        return FlatTest(tuple(shape), k, tuple(enumerate_flats(shape, k)))
+        if not 1 <= k <= len(shape) - 1:
+            raise ValueError(f"flat dimension {k} outside [1, {len(shape) - 1}]")
+        return FlatTest(tuple(shape), k)
 
     @property
     def size(self) -> int:
-        """Sum of the flats' sizes."""
-        return sum(prod(self.shape[i] for i in flat.free_axes) for flat in self.flats)
+        """Sum of the flats' sizes: the flats of each of the C(m, k) free-axis
+        sets cover the grid once."""
+        return comb(len(self.shape), self.k) * prod(self.shape)
 
     def label(self) -> str:
         return f"T_{len(self.shape)}^{self.k}"
@@ -145,7 +146,7 @@ def _flat_distances(words: np.ndarray, test: FlatTest, family: CodeFamily) -> np
     cells = np.arange(prod(test.shape)).reshape(test.shape)
     restricted: Dict[Tuple[int, ...], np.ndarray] = {}
     total = np.zeros(words.shape[0], dtype=np.int64)
-    for flat in test.flats:
+    for flat in enumerate_flats(test.shape, test.k):
         axes = flat.free_axes
         if axes not in restricted:
             restricted[axes] = product_codewords(family.restrict(axes))
@@ -281,7 +282,6 @@ def rho_r_sampled_upper(
     family: CodeFamily,
     samples: int,
     seed: int,
-    jobs: int = 1,
 ) -> SampledRobustnessReport:
     """Minimum robustness ratio over the seeded pool of `_word_pool`.
 
@@ -289,16 +289,14 @@ def rho_r_sampled_upper(
     so the minimum is a certified upper bound on rho_r.  Codewords in the
     pool are skipped (their ratio is 0/0).  The pool is decoded in blocks
     of words with at most `_POOL_BLOCK_LINES` lines per direction (at least
-    one word), by `jobs` processes when jobs > 1; every word's ratio is the
-    same in any block.
+    one word); every word's ratio is the same in any block.
     """
     pool = _word_pool(family, samples, seed)
     step = max(1, _POOL_BLOCK_LINES // (prod(family.shape) // min(family.shape)))
     blocks = [
         np.stack([word.data for _, word in pool[s : s + step]]) for s in range(0, len(pool), step)
     ]
-    results = _map(partial(_line_ratios, test=test, family=family), blocks, jobs)
-    flat = [ratio for block in results for ratio in block]
+    flat = [ratio for block in blocks for ratio in _line_ratios(block, test, family)]
     ratios = tuple((name, ratio) for (name, _), ratio in zip(pool, flat) if ratio is not None)
     if not ratios:
         raise ValueError("every pool word was a codeword; nothing to report")
@@ -311,19 +309,6 @@ def rho_r_sampled_upper(
         ratios=ratios,
         skipped=len(pool) - len(ratios),
     )
-
-
-def _map(fn, items, jobs: int) -> list:
-    """Order-preserving map, over `jobs` processes when jobs > 1; results are
-    worker-count independent."""
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +443,8 @@ def _systematic_reencode(word: TensorWord, family: CodeFamily) -> TensorWord:
     arr = word.data[tuple(slice(0, code.dimension) for code in family.codes)]
     for axis, code in enumerate(family.codes):
         systematic = linalg.row_space_basis(family.field, code.generator_matrix)
-        arr = linalg.apply_matrix_axis(family.field, systematic.T, arr, axis)
+        bits = linalg.bit_matrix(family.field, systematic)
+        arr = linalg.apply_matrix_axis(family.field, bits, arr, axis)
     return TensorWord(family.field, arr)
 
 

@@ -17,8 +17,9 @@ each code's check polynomial.  The decoder alone takes two package
 routines, the linear solver `prodexp.linalg.solve` and the polynomial
 division `prodexp.gf_poly.unipoly_divmod`.  `sum_code_words` lists a sum
 code from the package's own `DecompositionSpace`, for tests that need every
-word of it, and `brute_nearest` scans the codewords that a package code
-lists, one word at a time.
+word of it, `brute_nearest` scans the codewords that a package code
+lists, one word at a time, and `delta_to_product` scans those of a
+package product code, from `prodexp.tensor.product_codewords`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from prodexp import linalg
 from prodexp.expansion import DecompositionSpace
 from prodexp.gf_poly import unipoly_divmod
 from prodexp.linalg import solve
+from prodexp.tensor import product_codewords
 
 # GF(2): elements {0,1}, add = xor, mul = and.
 GF2_MUL = ((0, 0), (0, 1))
@@ -177,6 +179,13 @@ def brute_nearest(word, code):
     dists = np.count_nonzero(cws ^ w[None, :], axis=1)
     d = int(dists.min())
     return np.array(min(map(tuple, cws[dists == d].tolist())), dtype=np.uint8), d
+
+
+def delta_to_product(word, family):
+    """Normalized distance from a package `TensorWord` to the product code
+    of a package `CodeFamily`, by a scan of all its codewords."""
+    dists = np.count_nonzero(product_codewords(family) ^ word.data.reshape(1, -1), axis=1)
+    return Fraction(int(dists.min()), word.size)
 
 
 def orc_flats(shape, k):

@@ -47,12 +47,7 @@ CASES = {
     "robustness-exact-rs-t1-m2": "robustness --instance rs --t 1 --m 2 --mode exact",
     "robustness-exact-rep2-m4-k1": "robustness --instance rep2 --m 4 --k 1 --mode exact",
     "robustness-exact-rep2-m4-k3": "robustness --instance rep2 --m 4 --k 3 --mode exact",
-    "robustness-rs-t2-m3-jobs1": (
-        "robustness --instance rs --t 2 --m 3 --mode sampled --samples 4 --seed 9 --jobs 1"
-    ),
-    "robustness-rs-t2-m3-jobs2": (
-        "robustness --instance rs --t 2 --m 3 --mode sampled --samples 4 --seed 9 --jobs 2"
-    ),
+    "robustness-rs-t2-m3": "robustness --instance rs --t 2 --m 3 --mode sampled --samples 4 --seed 9",
     "robustness-rs-t1-m3": "robustness --instance rs --t 1 --m 3 --mode sampled --samples 8 --seed 1",
     "robustness-rs-t2-m2": "robustness --instance rs --t 2 --m 2 --mode sampled --samples 20 --seed 9",
     "robustness-rs-t3-m2": "robustness --instance rs --t 3 --m 2 --mode sampled --samples 4 --seed 11",

@@ -162,25 +162,6 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert out1 == out2
 
 
-def test_jobs_do_not_change_output():
-    base = [
-        "robustness",
-        "--instance",
-        "rep2",
-        "--m",
-        "2",
-        "--mode",
-        "sampled",
-        "--samples",
-        "6",
-        "--seed",
-        "5",
-    ]
-    _, out1 = run_cli(base + ["--jobs", "1"])
-    _, out2 = run_cli(base + ["--jobs", "2"])
-    assert out1 == out2
-
-
 def test_out_flag_writes_report_file(tmp_path):
     out = tmp_path / "report.csv"
     argv = [
@@ -216,7 +197,7 @@ def test_config_file_sets_every_field_like_flags(tmp_path, capsys):
     field that robustness does not read, `trials`, is refused with exit 2."""
     file_values = {
         "instance": "rs", "t": 2, "rate": [2, 5], "m": 3, "k": 2, "mode": "sampled",
-        "samples": 7, "trials": 11, "seed": 5, "jobs": 2, "fmt": "csv", "out": "r.csv",
+        "samples": 7, "trials": 11, "seed": 5, "fmt": "csv", "out": "r.csv",
     }
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(file_values))
@@ -228,7 +209,7 @@ def test_config_file_sets_every_field_like_flags(tmp_path, capsys):
     from_file = config_from_args(parser.parse_args(["robustness", "--config", str(cfg_file)]))
     flags = (
         "robustness --instance rs --t 2 --rate 2/5 --m 3 --k 2 --mode sampled"
-        " --samples 7 --seed 5 --jobs 2 --format csv --out r.csv"
+        " --samples 7 --seed 5 --format csv --out r.csv"
     )
     assert from_file == config_from_args(parser.parse_args(flags.split()))
     default = ExperimentConfig(command="robustness")
@@ -240,6 +221,7 @@ def test_config_file_sets_every_field_like_flags(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        "robustness --instance rep2 --m 2 --mode sampled --seed 1 --jobs 2",
         "rho-sampled --instance rep2 --m 3 --seed 1 --jobs 2",
         "agreement --instance rep2 --m 3 --mode sampled --seed 1 --jobs 2",
         "check-lemmas --instance rep2 --m 2 --jobs 2",
@@ -263,11 +245,10 @@ def test_flag_the_subcommand_does_not_read_exits_2(argv, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("robustness --instance rep2 --m 2 --mode exact --jobs 4", "--jobs applies to sampled mode"),
         ("check-lemmas --instance rep2 --m 2 --seed 3", "exact checks reject --seed/--samples"),
         ("check-lemmas --instance rep2 --m 2 --samples 9", "exact checks reject --seed/--samples"),
     ],
-    ids=["robustness-exact-jobs", "check-lemmas-exact-seed", "check-lemmas-exact-samples"],
+    ids=["check-lemmas-exact-seed", "check-lemmas-exact-samples"],
 )
 def test_flag_the_branch_does_not_read_exits_2(argv, message, tmp_path, capsys):
     """A flag that the subcommand reads on another branch only was once

@@ -40,7 +40,6 @@ from prodexp.tensor import (
     CodeFamily,
     TensorWord,
     decode_to_product,
-    encode_direction,
     product_codewords,
     product_contains,
     random_direction_word,
@@ -89,7 +88,7 @@ def sum_code_words(draw, family: CodeFamily) -> TensorWord:
         msg_shape = list(family.shape)
         msg_shape[axis] = code.dimension
         msgs = draw(_symbols(family, prod(msg_shape))).reshape(msg_shape)
-        total ^= encode_direction(code, msgs, axis).data
+        total ^= code.encode_batch(msgs, axis)
     return TensorWord(family.field, total)
 
 
@@ -105,7 +104,7 @@ def product_code_words(draw, family: CodeFamily) -> TensorWord:
     arr = draw(_symbols(family, prod(c.dimension for c in family.codes)))
     arr = arr.reshape([c.dimension for c in family.codes])
     for axis, code in enumerate(family.codes):
-        arr = encode_direction(code, arr, axis).data
+        arr = code.encode_batch(arr, axis)
     return TensorWord(family.field, arr)
 
 

@@ -94,7 +94,10 @@ def test_reference_distances_stay_in_tests():
     references in `tests/oracles.py` and the tests, not second paths next to
     `codes.nearest_lines` and the flat kernel: no package module defines or
     names them."""
-    gone = {"brute_nearest", "nearest_codeword", "beyond_radius_bound", "_product_distance"}
+    gone = {
+        "brute_nearest", "nearest_codeword", "beyond_radius_bound", "_product_distance",
+        "delta_to_product",
+    }
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -102,6 +105,24 @@ def test_reference_distances_stay_in_tests():
             name = getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
             if name in gone:
                 found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == [], found
+
+
+def test_no_process_pool_in_package_source():
+    """Every estimator runs in one process, and BLAS is its only
+    parallelism: no package module imports `multiprocessing` or
+    `concurrent.futures`, at module level or inside a function."""
+    pools = {"multiprocessing", "concurrent"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{n}" for n in names if n.split(".")[0] in pools]
     assert found == [], found
 
 

@@ -15,7 +15,7 @@ from prodexp.gf_poly import field_make
 from prodexp.tensor import (
     CodeFamily,
     TensorWord,
-    delta_to_product,
+    enumerate_flats,
     line_weight,
     product_codewords,
     product_contains,
@@ -64,8 +64,7 @@ def test_flat_test_weights_sum_to_one():
     I has prod_{i not in I} n_i flats, which cover the grid once, so the
     weights of every set sum to 1/C(m, k) and all of them to one."""
     for shape, k in (((2, 2), 1), ((3, 3, 3), 1), ((3, 3, 3), 2), ((2, 3, 4), 2)):
-        t = FlatTest.build(shape, k)
-        counts = Counter(flat.free_axes for flat in t.flats)
+        counts = Counter(flat.free_axes for flat in enumerate_flats(shape, k))
         assert sorted(counts) == list(itertools.combinations(range(len(shape)), k))
         for axes, count in counts.items():
             assert count == prod(n for i, n in enumerate(shape) if i not in axes)
@@ -76,7 +75,7 @@ def test_flat_weights_uniform_iff_equal_sides():
     """Size-proportional weights are uniform iff all flats have one size."""
 
     def sizes(shape, k):
-        return {prod(shape[i] for i in flat.free_axes) for flat in FlatTest.build(shape, k).flats}
+        return {prod(shape[i] for i in flat.free_axes) for flat in enumerate_flats(shape, k)}
 
     assert sizes((3, 3, 3), 2) == {9}
     assert sizes((2, 3, 4), 2) == {6, 8, 12}
@@ -359,7 +358,7 @@ def test_robustness_ratio_upper_bounds_truth_tiny():
         ub = robustness_ratio(w, t, FAM2)
         if ub is None:
             continue
-        truth = test_expectation(w, t, FAM2).value / delta_to_product(w, FAM2).value
+        truth = test_expectation(w, t, FAM2).value / oracles.delta_to_product(w, FAM2)
         assert ub >= truth
 
 
@@ -402,21 +401,18 @@ def test_rho_r_sampled_upper_deterministic_and_consistent():
 
 
 def test_rho_r_sampled_upper_blocks_are_exact(monkeypatch):
-    """The pool's ratios do not depend on how it is cut into blocks or on the
-    worker count: the default block (the whole 22-word pool) with one
-    process and with two, blocks of one word, and blocks of 3 words (the
-    last holds one) with one process and with two; each ratio is also the
-    one-word `robustness_ratio`."""
+    """The pool's ratios do not depend on how it is cut into blocks: the
+    default block (the whole 22-word pool), blocks of one word, and blocks
+    of 3 words (the last holds one); each ratio is also the one-word
+    `robustness_ratio`."""
     from prodexp import testability
 
     args = (line_test((15, 15)), CodeFamily.power(RS15, 2), 4, 9)
     want = rho_r_sampled_upper(*args)
     assert len(want.ratios) + want.skipped == 22 and want.value > 0
-    assert rho_r_sampled_upper(*args, jobs=2) == want
     for words in (1, 3):
         monkeypatch.setattr(testability, "_POOL_BLOCK_LINES", 15 * words)
         assert rho_r_sampled_upper(*args) == want
-    assert rho_r_sampled_upper(*args, jobs=2) == want
     assert want.ratios == tuple(
         (name, robustness_ratio(word, args[0], args[1])) for name, word in _word_pool(args[1], 4, 9)
     )
