@@ -1,4 +1,4 @@
-"""Cyclic codes over GF(2^m): membership, duality, distances, decoding.
+"""Cyclic codes over GF(2^m): membership, distances, decoding.
 
 A `CyclicCode` of length n is given by a check polynomial p | x^n - 1:
 a word (a_0..a_{n-1}) belongs to the code iff p(x) a(x) = 0 mod (x^n - 1).
@@ -43,15 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .gf_poly import (
-    GF2m,
-    unipoly_divmod,
-    unipoly_monic,
-    unipoly_mul,
-    unipoly_reciprocal,
-    unipoly_trim,
-    x_pow_n_minus_1,
-)
+from .gf_poly import GF2m, unipoly_divmod, unipoly_mul, unipoly_trim, x_pow_n_minus_1
 
 #: enumeration guard: codes with more codewords are neither enumerated nor
 #: scanned exhaustively
@@ -122,6 +114,7 @@ class CyclicCode:
         self._codewords: Optional[np.ndarray] = None
         self._generator_matrix: Optional[np.ndarray] = None
         self._generator_bits: Optional[np.ndarray] = None
+        self._systematic_bits: Optional[np.ndarray] = None
         self._min_distance: Optional[int] = None
         self._syndrome_ctx = None
         self._bitslice_terms: Optional[List[Tuple[int, int, int]]] = None
@@ -223,6 +216,17 @@ class CyclicCode:
             self._generator_bits = linalg.bit_matrix(self.field, self.generator_matrix)
         return linalg.apply_matrix_axis(self.field, self._generator_bits, messages, axis)
 
+    @property
+    def systematic_bits(self) -> np.ndarray:
+        """Bit matrix (`linalg.bit_matrix`) of the systematic generator [I | A],
+        the reduced row echelon form of the generator matrix: it encodes a
+        message into the codeword equal to it on the first k positions, an
+        information set of a cyclic code.  Built on first use, kept on the code."""
+        if self._systematic_bits is None:
+            systematic = linalg.row_space_basis(self.field, self.generator_matrix)
+            self._systematic_bits = linalg.bit_matrix(self.field, systematic)
+        return self._systematic_bits
+
     def codewords(self) -> np.ndarray:
         """All q^k codewords as a (q^k, n) array in lexicographic order
         (cached; small codes only)."""
@@ -238,20 +242,6 @@ class CyclicCode:
     def random_codeword(self, rng: np.random.Generator) -> np.ndarray:
         msg = rng.integers(0, self.field.order, size=self.dimension, dtype=np.uint8)
         return self.encode(msg)
-
-    # -- duality -----------------------------------------------------------
-    def dual(self) -> "CyclicCode":
-        """The dual code, again as a cyclic code.
-
-        The reciprocal of the check polynomial generates the dual, so the
-        dual's check polynomial is (x^n - 1) divided by that reciprocal.
-        """
-        field, n = self.field, self.length
-        g_dual = unipoly_monic(field, unipoly_reciprocal(field, self.check_coeffs))
-        check_dual, rem = unipoly_divmod(field, x_pow_n_minus_1(field, n), g_dual)
-        if rem:
-            raise RuntimeError("reciprocal of a check polynomial does not divide x^n - 1")
-        return CyclicCode(field, n, check_dual)
 
 
 def _pair_products(code: CyclicCode, width: int):

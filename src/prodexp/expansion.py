@@ -30,6 +30,7 @@ from .tensor import (
     CodeFamily,
     TensorWord,
     _exact_ratio_min,
+    direction_words,
     in_direction_code,
     line_weight,
     random_sum_codeword,
@@ -275,8 +276,11 @@ class DecompositionSpace:
 
     def axis_parts(self, coeffs: np.ndarray) -> List[np.ndarray]:
         """Per axis, the flat (W, N) parts of the (W, D) coefficient rows."""
-        field = self.family.field
-        return [linalg.matmul(field, coeffs[:, sl], self.basis[sl]) for sl in self.slices]
+        family = self.family
+        return [
+            direction_words(code, family.shape, axis, coeffs[:, sl])
+            for axis, (code, sl) in enumerate(zip(family.codes, self.slices))
+        ]
 
     def parts_from_coeffs(self, beta: np.ndarray) -> Tuple[TensorWord, ...]:
         field, shape = self.family.field, self.family.shape
@@ -325,14 +329,10 @@ def _space_feasible(family: CodeFamily) -> bool:
 
 
 def _direction_basis(code: CyclicCode, shape: Sequence[int], axis: int) -> np.ndarray:
-    """Basis of C^(axis) as flattened words, the encodings of the identity
-    messages: one generator row on one line each, lines row-major over the
-    other axes, generator rows inner."""
-    other = tuple(n for i, n in enumerate(shape) if i != axis)
-    D = prod(other) * code.dimension
-    msgs = np.eye(D, dtype=np.uint8).reshape((D,) + other + (code.dimension,))
-    rows = code.encode_batch(msgs)
-    return np.moveaxis(rows, -1, axis + 1).reshape(D, -1)
+    """Basis of C^(axis) as flattened words, in the row order of
+    `direction_words`: the words of the identity coefficient rows."""
+    D = prod(shape) // shape[axis] * code.dimension
+    return direction_words(code, shape, axis, np.eye(D, dtype=np.uint8))
 
 
 def min_decomposition(
@@ -369,7 +369,7 @@ def rho_exact(family: CodeFamily) -> Fraction:
     """
     field, N = family.field, prod(family.shape)
     D = sum(c.dimension * (N // c.length) for c in family.codes)  # before the (D, N) basis is built
-    if field.order**D > _AMBIGUITY_LIMIT:
+    if field.degree * D >= _AMBIGUITY_LIMIT.bit_length():  # q^D > limit, q = 2^degree
         raise ValueError(f"rho_exact would scan {field.order}^{D} splittings; too large")
     space = DecompositionSpace(family)
     image = linalg.row_space_basis(field, space.basis)

@@ -104,15 +104,6 @@ class GF2m:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._exp[(self.order - 1) - self._log[a]]
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("0 cannot be raised to a negative power")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
-
     def omega_pow(self, e: int) -> int:
         """omega^e, with negative exponents allowed."""
         return self._exp[e % (self.order - 1)]
@@ -201,22 +192,6 @@ def unipoly_divmod(
         while rem and rem[-1] == 0:
             rem.pop()
     return unipoly_trim(quot), unipoly_trim(rem)
-
-
-def unipoly_reciprocal(field: GF2m, coeffs: Sequence[int]) -> Tuple[int, ...]:
-    """x^deg * p(1/x): the coefficient list reversed."""
-    cs = unipoly_trim(coeffs)
-    return unipoly_trim(tuple(reversed(cs)))
-
-
-def unipoly_monic(field: GF2m, coeffs: Sequence[int]) -> Tuple[int, ...]:
-    cs = unipoly_trim(coeffs)
-    if not cs:
-        return ()
-    inv = field.inv(cs[-1])
-    if inv == 1:
-        return cs
-    return tuple(field.mul(inv, c) for c in cs)
 
 
 def x_pow_n_minus_1(field: GF2m, n: int) -> Tuple[int, ...]:

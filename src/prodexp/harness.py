@@ -48,6 +48,7 @@ from .testability import (
     check_hyperplane_bound,
     check_pair_proximity,
     check_robust_agreement,
+    composition_report,
     derived_constants,
     rho_a_exact,
     rho_a_sampled,
@@ -333,14 +334,13 @@ def _run_check_lemmas(cfg: ExperimentConfig):
     family = CodeFamily.power(code, m)
     records: List[Dict[str, object]] = []
     reports: List[CheckReport] = []
-    q = code.field.order
-    word_space_small = q ** (code.length**m) <= _WORD_SPACE_LIMIT
+    # q^(n^m) <= limit, q = 2^degree
+    word_space_small = code.field.degree * code.length**m < _WORD_SPACE_LIMIT.bit_length()
 
     if word_space_small:
         if cfg.seed is not None or cfg.samples is not None:
             raise UsageError("the exact checks reject --seed/--samples")
-        # later reports read earlier quantities, but check_composition enumerates
-        # rho_r(T_m^1) and rho_r(T_2^1) again, and at m = 3 rho_r(T_3^2) too
+        # later reports read the constants of earlier ones: each is enumerated once
         agreement = check_robust_agreement(family)
         reports.append(agreement)
         rr, ra = agreement.quantities["rho_r_T1"], agreement.quantities["rho_a"]
@@ -359,8 +359,14 @@ def _run_check_lemmas(cfg: ExperimentConfig):
         reports.append(plane)
         rr21 = plane.quantities["rho_r_T2^1"]
         if m >= 3:
-            reports.append(check_hyperplane_bound(code, 3))
-            reports.append(check_composition(code, m, 1, 2, mode="exact"))
+            plane3 = check_hyperplane_bound(code, 3)
+            reports.append(plane3)
+            outer = (  # at m = 3 the hyperplane test is T_3^2 itself
+                plane3.quantities["rho_r_T3^2"]
+                if m == 3
+                else rho_r_exact(FlatTest.build(family.shape, 2), family)
+            )
+            reports.append(composition_report(family, 1, 2, rr, outer, rr21))
             # chained line-test bound through the hyperplane factors
             delta = Fraction(min_distance(code), code.length)
             M = derived_constants(m).M

@@ -353,6 +353,18 @@ def sum_contains_batch(words: np.ndarray, family: CodeFamily) -> np.ndarray:
 # Direction codes C^(i): encoding, sampling, decoding.
 # ----------------------------------------------------------------------
 
+def direction_words(
+    code: CyclicCode, shape: Sequence[int], axis: int, coeffs: np.ndarray
+) -> np.ndarray:
+    """The words of C^(axis), flattened to (W, N), with coefficient rows
+    coeffs (W, D) on the basis of one generator row on one line each: lines
+    row-major over the other axes, generator rows inner.  Each row is
+    reshaped into one message per line and encoded by `encode_batch`."""
+    other = tuple(n for i, n in enumerate(shape) if i != axis)
+    msgs = coeffs.reshape((-1,) + other + (code.dimension,))
+    return np.moveaxis(code.encode_batch(msgs), -1, axis + 1).reshape(msgs.shape[0], -1)
+
+
 def random_direction_word(
     code: CyclicCode, shape: Sequence[int], axis: int, rng: np.random.Generator
 ) -> TensorWord:
@@ -384,8 +396,7 @@ def random_product_codeword(family: CodeFamily, rng: np.random.Generator) -> Ten
 def product_codewords(family: CodeFamily) -> np.ndarray:
     """All codewords of the product code, flattened to (count, N)."""
     dims = tuple(c.dimension for c in family.codes)
-    count = family.field.order ** prod(dims)
-    if count > 1 << 20:
+    if family.field.degree * prod(dims) > 20:  # q^prod(dims) > 2^20, q = 2^degree
         raise ValueError("product code too large to enumerate")
     msgs = linalg.enumerate_vectors(family.field.order, prod(dims))
     cur = msgs.reshape((msgs.shape[0],) + dims)
@@ -430,14 +441,20 @@ def nearest_in_direction(
 def decode_to_product(word: TensorWord, family: CodeFamily) -> Optional[TensorWord]:
     """The product codeword reached by sweeps of `nearest_in_direction` over
     the axes 0 ... m-1, testing membership after each sweep; None when m
-    sweeps do not reach it.  A result within half the product code's minimum
-    distance prod_i d_i of the word is its unique nearest codeword (Elias,
-    "Error-free coding", IRE Trans. PGIT 1954); another need not be nearest."""
+    sweeps do not reach it, or as soon as a sweep leaves the word unchanged
+    outside the product code: decoding is deterministic, so every later
+    sweep would repeat that one.  A result within half the product code's
+    minimum distance prod_i d_i of the word is its unique nearest codeword
+    (Elias, "Error-free coding", IRE Trans. PGIT 1954); another need not be
+    nearest."""
     for _ in range(family.m):
+        start = word
         for axis in range(family.m):
             word, _bound = nearest_in_direction(word, family, axis)
         if product_contains(word, family):
             return word
+        if word == start:
+            return None
     return None
 
 

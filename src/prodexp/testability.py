@@ -34,13 +34,14 @@ import numpy as np
 
 from . import linalg
 from .codes import CyclicCode, DistanceBound, min_distance
-from .expansion import _direction_basis, rs_triple_witness
+from .expansion import rs_triple_witness
 from .tensor import (
     CodeFamily,
     TensorWord,
     _exact_ratio_min,
     _min_distance_to_rows,
     decode_to_product,
+    direction_words,
     enumerate_flats,
     line_weight,
     nearest_in_direction,
@@ -174,9 +175,9 @@ def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
         raise ValueError("test grid does not match the family")
     N = prod(family.shape)
     q = family.field.order
-    total = q**N
-    if total > _WORD_SPACE_LIMIT:
+    if family.field.degree * N >= _WORD_SPACE_LIMIT.bit_length():  # q^N > limit, q = 2^degree
         raise ValueError("word space too large for exact robustness")
+    total = q**N
     prod_cws = product_codewords(family)
     if prod_cws.shape[0] == total:
         raise ValueError("degenerate family: no word lies outside the product code")
@@ -316,14 +317,13 @@ def rho_r_sampled_upper(
 # ----------------------------------------------------------------------
 
 def _direction_space_words(family: CodeFamily, axis: int) -> np.ndarray:
-    """All words of C^(axis), flattened to (count, N): every combination of
-    the rows of `expansion._direction_basis`."""
-    code, shape, q = family.codes[axis], family.shape, family.field.order
+    """All words of C^(axis), flattened to (count, N): the `direction_words`
+    of every coefficient row, in lexicographic order."""
+    code, shape, field = family.codes[axis], family.shape, family.field
     dim = code.dimension * prod(shape) // shape[axis]
-    if q**dim > 1 << 20:  # before the (dim, N) basis is built
+    if field.degree * dim > 20:  # q^dim > 2^20, q = 2^degree; before any word is built
         raise ValueError("direction code too large to enumerate")
-    basis = _direction_basis(code, shape, axis)
-    return linalg.matmul(family.field, linalg.enumerate_vectors(q, dim), basis)
+    return direction_words(code, shape, axis, linalg.enumerate_vectors(field.order, dim))
 
 
 def rho_a_exact(family: CodeFamily) -> Fraction:
@@ -439,12 +439,10 @@ def rho_a_sampled(family: CodeFamily, samples: int, seed: int) -> Tuple[Fraction
 def _systematic_reencode(word: TensorWord, family: CodeFamily) -> TensorWord:
     """The product codeword equal to `word` on the product of every factor's
     first k positions, an information set of a cyclic code: each axis is
-    encoded by the systematic generator [I | A] that `row_space_basis` gives."""
+    encoded by the code's systematic generator [I | A]."""
     arr = word.data[tuple(slice(0, code.dimension) for code in family.codes)]
     for axis, code in enumerate(family.codes):
-        systematic = linalg.row_space_basis(family.field, code.generator_matrix)
-        bits = linalg.bit_matrix(family.field, systematic)
-        arr = linalg.apply_matrix_axis(family.field, bits, arr, axis)
+        arr = linalg.apply_matrix_axis(family.field, code.systematic_bits, arr, axis)
     return TensorWord(family.field, arr)
 
 
@@ -474,6 +472,31 @@ def check_robust_agreement(family: CodeFamily) -> CheckReport:
     )
 
 
+def composition_report(
+    family: CodeFamily, k1: int, k2: int, lhs: Fraction, outer: Fraction, inner: Fraction,
+    seed: Optional[int] = None, samples: Optional[int] = None,
+) -> CheckReport:
+    """The report of the composition check rho_r(T_m^k1) >= rho_r(T_m^k2) *
+    rho_r(T_k2^k1) on the m-factor `family`, from given values: the exact
+    constants, or, with a seed, the pool minima of the two m-dimensional
+    sides, labeled as such."""
+    m = family.m
+    pool, minima = ("", "") if seed is None else ("_pool", " (pool minima)")
+    return CheckReport(
+        name="composition",
+        instance=family.label(),
+        quantities={
+            f"rho_r_T{m}^{k1}{pool}": lhs,
+            f"rho_r_T{m}^{k2}{pool}": outer,
+            f"rho_r_T{k2}^{k1}": inner,
+        },
+        inequalities=((f"T{m}^{k1} >= T{m}^{k2} * T{k2}^{k1}{minima}", lhs, outer * inner),),
+        mode="exact" if seed is None else "sampled",
+        seed=seed,
+        sample_count=samples,
+    )
+
+
 def check_composition(
     code: CyclicCode,
     m: int,
@@ -483,7 +506,8 @@ def check_composition(
     samples: int = 64,
     seed: int = 0,
 ) -> CheckReport:
-    """Composition bound rho_r(T_m^k1) >= rho_r(T_m^k2) * rho_r(T_k2^k1).
+    """Composition bound rho_r(T_m^k1) >= rho_r(T_m^k2) * rho_r(T_k2^k1),
+    reported by `composition_report`.
 
     Exact mode computes all three constants by enumeration.  Sampled mode
     evaluates the two m-dimensional sides on the shared `_word_pool` (one
@@ -498,16 +522,7 @@ def check_composition(
     if mode == "exact":
         lhs = rho_r_exact(FlatTest.build(fam_m.shape, k1), fam_m)
         outer = rho_r_exact(FlatTest.build(fam_m.shape, k2), fam_m)
-        return CheckReport(
-            name="composition",
-            instance=fam_m.label(),
-            quantities={
-                f"rho_r_T{m}^{k1}": lhs,
-                f"rho_r_T{m}^{k2}": outer,
-                f"rho_r_T{k2}^{k1}": inner,
-            },
-            inequalities=((f"T{m}^{k1} >= T{m}^{k2} * T{k2}^{k1}", lhs, outer * inner),),
-        )
+        return composition_report(fam_m, k1, k2, lhs, outer, inner)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     words = np.stack([word.data.reshape(-1) for _, word in _word_pool(fam_m, samples, seed)])
@@ -517,21 +532,7 @@ def check_composition(
         raise ValueError("pool contained only codewords")
     # the same rows lie outside the product code, so this is not None either
     outer_min = _exact_ratio(words, FlatTest.build(fam_m.shape, k2), fam_m, prod_cws)
-    return CheckReport(
-        name="composition",
-        instance=fam_m.label(),
-        quantities={
-            f"rho_r_T{m}^{k1}_pool": lhs_min,
-            f"rho_r_T{m}^{k2}_pool": outer_min,
-            f"rho_r_T{k2}^{k1}": inner,
-        },
-        inequalities=(
-            (f"T{m}^{k1} >= T{m}^{k2} * T{k2}^{k1} (pool minima)", lhs_min, outer_min * inner),
-        ),
-        mode="sampled",
-        seed=seed,
-        sample_count=samples,
-    )
+    return composition_report(fam_m, k1, k2, lhs_min, outer_min, inner, seed, samples)
 
 
 def check_hyperplane_bound(code: CyclicCode, k: int) -> CheckReport:

@@ -15,9 +15,10 @@ which have to reach words far beyond full enumeration: they work on numpy arrays
 table and parity-check matrices from nothing but the field's modulus and
 each code's check polynomial.  The decoder alone takes two package
 routines, the linear solver `prodexp.linalg.solve` and the polynomial
-division `prodexp.gf_poly.unipoly_divmod`.  `sum_code_words` lists a sum
-code from the package's own `DecompositionSpace`, for tests that need every
-word of it, `brute_nearest` scans the codewords that a package code
+division `prodexp.gf_poly.unipoly_divmod`.  `orc_dual` builds the dual of
+a package `CyclicCode` as another one, with that division.  `sum_code_words`
+lists a sum code from the package's own `DecompositionSpace`, for tests
+that need every word of it, `brute_nearest` scans the codewords that a package code
 lists, one word at a time, and `delta_to_product` scans those of a
 package product code, from `prodexp.tensor.product_codewords`.
 """
@@ -32,8 +33,9 @@ from math import prod
 import numpy as np
 
 from prodexp import linalg
+from prodexp.codes import CyclicCode
 from prodexp.expansion import DecompositionSpace
-from prodexp.gf_poly import unipoly_divmod
+from prodexp.gf_poly import unipoly_divmod, unipoly_trim, x_pow_n_minus_1
 from prodexp.linalg import solve
 from prodexp.tensor import product_codewords
 
@@ -327,6 +329,21 @@ def orc_parity_matrix(n, check):
         for i in range(k + 1):
             H[j, (i + j) % n] = check[k - i]
     return H
+
+
+def orc_dual(code):
+    """The dual of a package `CyclicCode`, again a cyclic code.
+
+    The reciprocal x^k p(1/x) of the check polynomial p, made monic,
+    generates the dual, so the dual's check polynomial is (x^n - 1) divided
+    by it."""
+    field, n = code.field, code.length
+    reciprocal = unipoly_trim(tuple(reversed(code.check_coeffs)))
+    lead = field.inv(reciprocal[-1])
+    generator = tuple(field.mul(lead, c) for c in reciprocal)
+    check, rem = unipoly_divmod(field, x_pow_n_minus_1(field, n), generator)
+    assert not rem, "the reciprocal of a check polynomial divides x^n - 1"
+    return CyclicCode(field, n, check)
 
 
 def orc_axis_syndrome(arr, axis, code, mul):

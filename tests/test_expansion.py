@@ -270,6 +270,35 @@ def test_direction_basis_matches_per_line_construction(codes):
         np.testing.assert_array_equal(got, _per_line_basis(code, shape, axis))
 
 
+@pytest.mark.parametrize(
+    "argv, family",
+    [
+        ("rho-exact --instance rep2 --m 3", CodeFamily.power(REP2, 3)),
+        ("rho-exact --instance rs --t 1 --m 2", CodeFamily.power(rs_primitive(F4, 1, 3), 2)),
+        ("agreement --instance rep2 --m 3 --mode exact", CodeFamily.power(REP2, 3)),
+        (
+            "rho-sampled --instance rs --t 1 --m 3 --samples 4 --seed 3",
+            CodeFamily.power(rs_primitive(F4, 1, 3), 3),
+        ),
+    ],
+    ids=["rho-exact-rep2-m3", "rho-exact-rs-t1-m2", "agreement-rep2-m3", "rho-sampled-rs-t1-m3"],
+)
+def test_no_direction_basis_goes_through_matmul(argv, family, monkeypatch, capsys):
+    """Direction-code words are encoded one message per line
+    (`tensor.direction_words`): `linalg.matmul`, which expands its right
+    operand into a bit matrix on every call, never gets a direction basis."""
+    from prodexp import harness, linalg
+
+    real, operands = linalg.matmul, []
+    monkeypatch.setattr(
+        linalg, "matmul", lambda field, A, B: operands.append(np.asarray(B)) or real(field, A, B)
+    )
+    assert harness.main(argv.split()) == 0
+    capsys.readouterr()
+    bases = [expansion._direction_basis(c, family.shape, i) for i, c in enumerate(family.codes)]
+    assert not [B.shape for B in operands for b in bases if np.array_equal(B, b)]
+
+
 def test_exhaustive_never_beaten_by_local_search():
     """No splitting found otherwise, here the one that generated the word,
     costs less than the exhaustive minimum."""

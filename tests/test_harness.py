@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -263,16 +264,77 @@ def test_flag_the_branch_does_not_read_exits_2(argv, message, tmp_path, capsys):
 
 
 def test_direction_code_too_large_exits_2_before_building_its_basis(monkeypatch, capsys):
-    """RS[63,21]^3 has a direction code of dimension 83,349: its basis alone
-    would be a 7 GB identity, so the size guard must come first."""
-    from prodexp import testability
+    """RS[63,21]^3 has a direction code of dimension 83,349: its words, and
+    the 64^83,349 coefficient rows that `direction_words` would encode into
+    them, can never be built, so the size guard must come first."""
+    from prodexp import linalg, testability
 
     monkeypatch.setattr(
-        testability, "_direction_basis", lambda *a: pytest.fail("basis built past the guard")
+        testability, "direction_words", lambda *a: pytest.fail("words built past the guard")
+    )
+    monkeypatch.setattr(
+        linalg, "enumerate_vectors", lambda *a: pytest.fail("coefficients built past the guard")
     )
     argv = "agreement --instance rs --t 3 --m 3 --mode exact"
     assert main(argv.split()) == EXIT_USAGE
     assert "direction code too large to enumerate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("robustness --instance rs --t 4 --m 3 --mode exact", "word space too large"),
+        ("rho-exact --instance rs --t 4 --m 3", "splittings; too large"),
+        ("agreement --instance rs --t 4 --m 3 --mode exact", "direction code too large"),
+        ("check-lemmas --instance rs --t 4 --m 3", "word space too large"),
+    ],
+    ids=["robustness", "rho-exact", "agreement", "check-lemmas"],
+)
+def test_size_guards_on_rs255_cubed_refuse_in_little_memory(argv, message, capsys):
+    """The guards of `rho_r_exact`, `rho_exact`, `_direction_space_words` and
+    `check-lemmas` compare degree * count with the limit's bit length, since
+    q = 2^degree.  Each once built q^count first, on RS[255,85]^3 an integer
+    of up to 133 M bits (17 MB), and took 0.2-1 s to refuse."""
+    tracemalloc.start()
+    try:
+        assert main(argv.split()) == EXIT_USAGE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message in capsys.readouterr().err
+    assert peak < 1 << 20, peak
+
+
+def test_check_lemmas_enumerates_each_constant_once(monkeypatch):
+    """The exact branch hands the constants it already has to
+    `composition_report`: rho_r(T_3^1), rho_r(T_2^1) and rho_r(T_3^2) are
+    enumerated once each, not twice."""
+    from prodexp import harness, testability
+
+    real, calls = testability.rho_r_exact, []
+
+    def counted(test, family):
+        calls.append((test.label(), family.label()))
+        return real(test, family)
+
+    monkeypatch.setattr(testability, "rho_r_exact", counted)
+    monkeypatch.setattr(harness, "rho_r_exact", counted)
+    code, out = run_cli("check-lemmas --instance rep2 --m 3".split())
+    assert code == EXIT_OK and '"composition:T3^1 >= T3^2 * T2^1"' in out
+    assert sorted(label for label, _ in calls) == ["T_2^1", "T_3^1", "T_3^2"], calls
+
+
+def test_sampled_agreement_row_reduces_each_code_once(monkeypatch):
+    """`_systematic_reencode` reads the systematic bit matrix kept on the
+    code: one `linalg.rref` per code, where it ran one per word and axis."""
+    from prodexp import linalg
+
+    real, calls = linalg.rref, []
+    monkeypatch.setattr(linalg, "rref", lambda field, mat: calls.append(mat.shape) or real(field, mat))
+    argv = "agreement --instance rs --t 2 --m 3 --mode sampled --samples 4 --seed 4"
+    code, _ = run_cli(argv.split())
+    assert code == EXIT_OK
+    assert calls == [(5, 15)], calls  # the generator matrix of RS[15,5], the one code
 
 
 def test_splitting_space_too_large_exits_2_before_building_it(monkeypatch, capsys):

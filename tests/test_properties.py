@@ -23,7 +23,7 @@ from oracles import (
     orc_product_contains,
     orc_sum_contains,
 )
-from prodexp import codes, linalg
+from prodexp import codes, linalg, tensor
 from prodexp.codes import (
     CyclicCode,
     bounded_distance_decode,
@@ -40,6 +40,7 @@ from prodexp.tensor import (
     CodeFamily,
     TensorWord,
     decode_to_product,
+    nearest_in_direction,
     product_codewords,
     product_contains,
     random_direction_word,
@@ -500,3 +501,22 @@ def test_decode_to_product_none_beyond_decoding_radius():
         for axis, code in enumerate(family.codes):
             word = random_direction_word(code, family.shape, axis, rng)
             assert decode_to_product(word, family) is None
+
+
+def test_decode_to_product_stops_after_a_sweep_that_changes_nothing(monkeypatch):
+    """A uniform RS[15,5]^3 word whose every line lies beyond the decoding
+    radius: the first sweep leaves it unchanged, so every later sweep would
+    repeat it, and the decoder gives up after m calls of
+    `nearest_in_direction`, not m^2."""
+    family = CodeFamily.power(RS15, 3)
+    rng = np.random.Generator(np.random.PCG64(3))
+    word = TensorWord(F16, rng.integers(0, F16.order, size=family.shape, dtype=np.uint8))
+    for axis in range(family.m):
+        decoded, bound = nearest_in_direction(word, family, axis)
+        assert decoded == word and not bound.exact  # unresolved lines stay as they are
+    real, axes = tensor.nearest_in_direction, []
+    monkeypatch.setattr(
+        tensor, "nearest_in_direction", lambda w, fam, axis: axes.append(axis) or real(w, fam, axis)
+    )
+    assert decode_to_product(word, family) is None
+    assert axes == [0, 1, 2]

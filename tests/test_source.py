@@ -92,11 +92,13 @@ def test_one_matrix_product_kernel():
 def test_reference_distances_stay_in_tests():
     """The per-word nearest-codeword scan and the brute product distance are
     references in `tests/oracles.py` and the tests, not second paths next to
-    `codes.nearest_lines` and the flat kernel: no package module defines or
-    names them."""
+    `codes.nearest_lines` and the flat kernel, and so is the dual code
+    (`orc_dual`, with the reciprocal and monic polynomials it takes): no
+    package module defines or names them, nor `GF2m.pow`, which only its
+    tests called."""
     gone = {
         "brute_nearest", "nearest_codeword", "beyond_radius_bound", "_product_distance",
-        "delta_to_product",
+        "delta_to_product", "dual", "unipoly_reciprocal", "unipoly_monic", "pow",
     }
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -105,6 +107,20 @@ def test_reference_distances_stay_in_tests():
             name = getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
             if name in gone:
                 found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == [], found
+
+
+def test_direction_words_have_one_encoder():
+    """Words of a direction code come from `tensor.direction_words`, one
+    message per line through `encode_batch`: only `expansion`, which builds
+    its splitting matrix from it, names `_direction_basis`."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "expansion.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if "_direction_basis" in (getattr(node, "name", None), getattr(node, "id", None))
+    ]
     assert found == [], found
 
 
