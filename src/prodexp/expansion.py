@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,7 +156,8 @@ class ExpansionCertificate:
     line_disjoint: bool
     tight: bool
 
-    def to_text(self) -> str:
+    def text_blocks(self) -> Iterator[str]:
+        """The v1 text in pieces: the head, the witness blocks, the end line."""
         head = [
             "product-expansion-certificate v1",
             f"instance {self.instance}",
@@ -166,8 +167,12 @@ class ExpansionCertificate:
             f"tight {'true' if self.tight else 'false'}",
             "witness\n",
         ]
-        # the witness text ends in a newline
-        return "".join(["\n".join(head), self.witness.to_text(), "end\n"])
+        yield "\n".join(head)
+        yield from self.witness.text_blocks()  # ends in a newline
+        yield "end\n"
+
+    def to_text(self) -> str:
+        return "".join(self.text_blocks())
 
     @staticmethod
     def from_text(text: str) -> "ExpansionCertificate":

@@ -258,7 +258,7 @@ def _run_certify_counterexample(cfg: ExperimentConfig):
     if not ok:
         return EXIT_VIOLATION, records
     with open(cfg.out or f"counterexample_t{cfg.t}.cert", "w") as fh:
-        fh.write(cert.to_text())
+        fh.writelines(cert.text_blocks())
     return EXIT_OK, records
 
 

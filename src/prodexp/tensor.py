@@ -23,7 +23,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from . import linalg
 from .codes import CyclicCode, DistanceBound, distance_bound, nearest_lines
 from .gf_poly import GF2m, field_make
 
-#: cells per block of the text writer, characters per block of the reader
+#: cells per block of `TensorWord.text_blocks`, the writer that streams a
+#: certificate to its file; characters per block of the reader `from_text`
 _TEXT_BLOCK = 1 << 18
 #: (row, column) pairs per block of `xor_line_counts`
 _XOR_BLOCK = 1 << 16
@@ -90,19 +91,22 @@ class TensorWord:
         return f"TensorWord(GF(2^{self.field.degree}), shape={self.shape}, |supp|={self.weight()})"
 
     # -- text serialization -------------------------------------------------
-    def to_text(self) -> str:
-        """Header `shape n_1 ... n_m field 2^m`, then hex entries row-major,
-        one innermost row per line."""
+    def text_blocks(self) -> Iterator[str]:
+        """The text form in pieces: the header `shape n_1 ... n_m field 2^m`,
+        then hex entries row-major, one innermost row per line, in blocks of
+        whole rows of about `_TEXT_BLOCK` cells."""
         head = "shape " + " ".join(str(n) for n in self.shape)
-        parts = [head + f" field 2^{self.field.degree}\n"]
+        yield head + f" field 2^{self.field.degree}\n"
         flat = self.data.reshape(-1, self.shape[-1])
         step = max(1, _TEXT_BLOCK // flat.shape[1])
         for s in range(0, flat.shape[0], step):
             cells = _HEX_CELL[flat[s : s + step]]
             cells[:, -1, 2] = ord("\n")
             chars = cells.reshape(-1)
-            parts.append(chars[chars != 0].tobytes().decode("ascii"))
-        return "".join(parts)
+            yield chars[chars != 0].tobytes().decode("ascii")
+
+    def to_text(self) -> str:
+        return "".join(self.text_blocks())
 
     @staticmethod
     def from_text(text: str, start: int = 0, stop: Optional[int] = None) -> "TensorWord":

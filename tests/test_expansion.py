@@ -147,6 +147,40 @@ def test_certificate_reader_holds_one_witness_and_one_block(monkeypatch):
     assert peak <= 2 * 63**3 + 32 * block
 
 
+def test_certificate_writer_holds_one_block(monkeypatch, tmp_path):
+    """`certify-counterexample --t 3` streams the certificate (0.5 MB of
+    text) to its file: with 4,096-cell blocks (at most 3 characters a cell),
+    what the run allocates after the certificate is built stays within 32
+    bytes per block character: far below the two copies of the text that a
+    writer joining it before the write would hold."""
+    from prodexp import harness
+
+    block = 1 << 12
+    monkeypatch.setattr(tensor, "_TEXT_BLOCK", block)
+    held = []
+
+    def certify_then_reset_peak(word, family):
+        cert = certify_upper_bound(word, family)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return cert
+
+    monkeypatch.setattr(harness, "certify_upper_bound", certify_then_reset_peak)
+    path = tmp_path / "t3.cert"
+    tracemalloc.start()
+    try:
+        rc = harness.main(["certify-counterexample", "--t", "3", "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and len(held) == 1
+    f64 = field_make(6)
+    fam = CodeFamily.power(rs_primitive(f64, 1, 3), 3)
+    text = certify_upper_bound(counterexample_word(f64, 21), fam).to_text()
+    assert path.read_text() == text and len(text) > 500_000
+    assert peak - held[0] <= 32 * 3 * block + (1 << 16)
+
+
 def test_verify_certificate_rejects_tampered_bound():
     fam = CodeFamily.power(rs_primitive(F4, 1, 3), 3)
     cert = certify_upper_bound(counterexample_word(F4, 1), fam)

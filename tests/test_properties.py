@@ -1,6 +1,6 @@
 """Property tests: the bit-plane matrix product against the column loop,
 the membership kernel, line, product and sum-code membership against their
-oracles, certificate text, batched line decoding
+oracles, certificate text and its blocks, batched line decoding
 against per-line Berlekamp-Welch decoding and per-word nearest-codeword
 scans, and the product decoder against brute-force nearest codewords."""
 
@@ -188,6 +188,48 @@ def test_certificate_text_roundtrip(case):
     assume(word.weight() > 0)  # the zero word certifies nothing
     cert = certify_upper_bound(word, family)
     assert ExpansionCertificate.from_text(cert.to_text()) == cert
+
+
+@contextmanager
+def _text_block(size):
+    """The text writer and reader forced onto blocks of `size`."""
+    saved = tensor._TEXT_BLOCK
+    tensor._TEXT_BLOCK = size
+    try:
+        yield
+    finally:
+        tensor._TEXT_BLOCK = saved
+
+
+@st.composite
+def text_words(draw) -> TensorWord:
+    """Words of 1 to 3 axes over GF(2), GF(16) or GF(256), with rows of 1 to
+    20 cells, so that some rows are longer than the smallest blocks."""
+    field = field_make(draw(st.sampled_from((1, 4, 8))))
+    shape = draw(st.lists(st.integers(1, 6), min_size=0, max_size=2)) + [draw(st.integers(1, 20))]
+    raw = draw(st.binary(min_size=prod(shape), max_size=prod(shape)))
+    data = np.frombuffer(raw, dtype=np.uint8) & (field.order - 1)
+    return TensorWord(field, data.reshape(shape))
+
+
+@REPRODUCIBLE
+@given(text_words())
+def test_text_blocks_are_one_text_at_every_block_size(word):
+    """Joined, the blocks give one text whatever the block size, and it reads
+    back as the word; each block after the header holds
+    max(1, _TEXT_BLOCK // n) rows of n cells (the last one the rest), so a
+    block smaller than a row still holds one whole row."""
+    n = word.shape[-1]
+    rows = word.size // n
+    texts = set()
+    for size in (1, 7, 64, tensor._TEXT_BLOCK):
+        with _text_block(size):
+            blocks = list(word.text_blocks())
+            assert TensorWord.from_text("".join(blocks)) == word
+        step = max(1, size // n)
+        assert [b.count("\n") for b in blocks[1:]] == [min(step, rows - s) for s in range(0, rows, step)]
+        texts.add("".join(blocks))
+    assert len(texts) == 1
 
 
 LINE_CODES = [
