@@ -15,9 +15,10 @@ RS[3,1], and 512 and 1,024 for the binary [7,1] repetition code, where the
 rule switches at 565, 1,286, 2,400, 3,000 and 250 columns; at 65,536
 columns the bit planes are 3 to 4 times faster at GF(64) and GF(256).
 
-Distances are exact rationals (`fractions.Fraction`); where only
-bounded-distance decoding applies, operations return a `DistanceBound`
-interval instead of pretending to know the exact value.
+Line distances are integer counts: `distance_bound` bounds the Hamming
+distance of each decoded line, exactly where the line resolves.  Callers
+make one `fractions.Fraction` per reported value, a `DistanceBound` where
+bounded-distance decoding leaves only an interval.
 
 Decoder rule: a line of a primitive RS code with more than 2^16 codewords
 is decoded by unique (bounded-distance) decoding, a line of any other code
@@ -25,7 +26,7 @@ by an exhaustive nearest-codeword scan.  `nearest_lines` applies this rule
 once per batch of lines, and every line distance of the package goes
 through it: each direction of the line test and of the pair-proximity check
 (which is defined by unique decoding), and `delta_to_code`, its one-row
-view.  `distance_bound` turns what it returns into a certified interval.
+view.  `distance_bound` bounds the distance of each line it returns.
 `decode_lines`, the batched syndrome decoder, is the one unique decoder, and
 `bounded_distance_decode` is its one-row view.  The per-word scan and the
 Berlekamp-Welch decoder that these replaced are the references
@@ -69,10 +70,6 @@ class DistanceBound:
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise ValueError("empty distance interval")
-
-    @staticmethod
-    def exactly(value: Fraction) -> "DistanceBound":
-        return DistanceBound(value, value)
 
     @property
     def exact(self) -> bool:
@@ -369,6 +366,8 @@ def rs_primitive(field: GF2m, rate_num: int, rate_den: int) -> CyclicCode:
     n = field.order - 1
     if n < 1:
         raise ValueError("field too small for a primitive RS code")
+    if rate_den < 1:
+        raise ValueError(f"rate denominator {rate_den} must be at least 1")
     if (n * rate_num) % rate_den != 0:
         raise ValueError(f"n={n} not compatible with rate {rate_num}/{rate_den}")
     k = n * rate_num // rate_den
@@ -569,19 +568,14 @@ def nearest_lines(
 
 
 def distance_bound(
-    code: CyclicCode, dists: np.ndarray, resolved: np.ndarray, cells: int
-) -> DistanceBound:
-    """Certified normalized distance of lines that `nearest_lines` decoded,
-    over `cells` cells.  The errors on resolved lines and the number u of
-    unresolved lines are counted as integers and become one interval
-    [(errors + u (e + 1)) / cells, (errors + u (n - k)) / cells]: an
-    unresolved line lies beyond the decoding radius e = floor((n - k)/2) and
-    within the covering radius n - k."""
-    errors, unresolved = int(dists.sum()), int(np.count_nonzero(~resolved))
+    code: CyclicCode, dists: np.ndarray, resolved: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Certified Hamming distance of each line that `nearest_lines` decoded,
+    as int64 (lower, upper) arrays: a resolved line gives its distance at
+    both ends, an unresolved line e + 1 and n - k, since it lies beyond the
+    decoding radius e = floor((n - k)/2) and within the covering radius n - k."""
     redundancy = code.length - code.dimension
-    lower = errors + unresolved * (redundancy // 2 + 1)
-    upper = errors + unresolved * redundancy
-    return DistanceBound(Fraction(lower, cells), Fraction(upper, cells))
+    return np.where(resolved, dists, redundancy // 2 + 1), np.where(resolved, dists, redundancy)
 
 
 def delta_to_code(
@@ -590,4 +584,5 @@ def delta_to_code(
     """Normalized distance from a word to the code, as a certified interval
     (`distance_bound`): the one-row view of `nearest_lines`."""
     _codewords, dists, resolved = nearest_lines(code, np.asarray(word, dtype=np.uint8)[None])
-    return distance_bound(code, dists, resolved, code.length)
+    lower, upper = distance_bound(code, dists, resolved)
+    return DistanceBound(Fraction(int(lower[0]), code.length), Fraction(int(upper[0]), code.length))

@@ -41,7 +41,6 @@ from .expansion import (
 from .gf_poly import field_make
 from .tensor import CodeFamily
 from .testability import (
-    _WORD_SPACE_LIMIT,
     CheckReport,
     FlatTest,
     check_composition,
@@ -54,6 +53,7 @@ from .testability import (
     rho_a_sampled,
     rho_r_exact,
     rho_r_sampled_upper,
+    word_space_enumerable,
 )
 
 EXIT_OK = 0
@@ -334,10 +334,7 @@ def _run_check_lemmas(cfg: ExperimentConfig):
     family = CodeFamily.power(code, m)
     records: List[Dict[str, object]] = []
     reports: List[CheckReport] = []
-    # q^(n^m) <= limit, q = 2^degree
-    word_space_small = code.field.degree * code.length**m < _WORD_SPACE_LIMIT.bit_length()
-
-    if word_space_small:
+    if word_space_enumerable(family):
         if cfg.seed is not None or cfg.samples is not None:
             raise UsageError("the exact checks reject --seed/--samples")
         # later reports read the constants of earlier ones: each is enumerated once
@@ -578,6 +575,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 resolved[f.name] = str(val)
         except (TypeError, ValueError, IndexError) as exc:
             raise UsageError(f"bad value {val!r} for {f.name}") from exc
+    if "rate" in resolved and resolved["rate"][1] < 1:
+        raise UsageError(f"bad rate {values['rate']!r}: the denominator must be at least 1")
     # rep2 is one fixed code: a field or a rate would be silently ignored
     ignored = [name for name in ("t", "rate") if name in resolved]
     if resolved.get("instance") == "rep2" and ignored:

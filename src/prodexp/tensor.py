@@ -1,9 +1,10 @@
 """m-dimensional words over GF(2^m): lines, flats, direction norms, membership.
 
 Index convention: an entry is addressed as (i_1, ..., i_m), zero-based.  A
-line in direction j fixes every coordinate except the j-th.  All weights and
-distances are exact `Fraction`s.  `enumerate_flats` lists plain `Flat`s; a
-flat test weighs each flat by its size.
+line in direction j fixes every coordinate except the j-th.  Weights and
+norms are exact `Fraction`s, line distances integer counts of cells.
+`enumerate_flats` lists plain `Flat`s; a flat test weighs each flat by
+its size.
 
 Both membership tests run the one kernel `CyclicCode.check_products`,
 which multiplies every line along an axis by that code's check polynomial
@@ -28,7 +29,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .codes import CyclicCode, DistanceBound, distance_bound, nearest_lines
+from .codes import CyclicCode, distance_bound, nearest_lines
 from .gf_poly import GF2m, field_make
 
 #: cells per block of `TensorWord.text_blocks`, the writer that streams a
@@ -410,36 +411,25 @@ def product_codewords(family: CodeFamily) -> np.ndarray:
 
 
 def nearest_in_direction(
-    word: TensorWord | np.ndarray, family: CodeFamily, axis: int
-) -> Tuple[TensorWord, DistanceBound] | Tuple[np.ndarray, List[DistanceBound]]:
-    """Nearest decoding of every direction-`axis` line in one batch
-    (`codes.nearest_lines`), and the certified distance to C^(axis)
-    (`codes.distance_bound`).
-
-    `word` may also be a (W, n_1, ..., n_m) array of W words: the lines of
-    all of them go into the one batch, and the result is the decoded array
-    and one bound per word.  Lines that a bounded-distance decoder cannot
-    resolve are left unchanged; the returned word is then a best-effort
-    representative rather than a certified minimizer, and the distance an
-    interval.
-    """
-    one = isinstance(word, TensorWord)
-    words = word.data[None] if one else np.asarray(word, dtype=np.uint8)
+    words: np.ndarray, family: CodeFamily, axis: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest decoding of every direction-`axis` line of a (W, n_1, ..., n_m)
+    array of words in one batch (`codes.nearest_lines`): (decoded, lower,
+    upper), where per word lower and upper are the int64 sums of its lines'
+    `codes.distance_bound`s, bounds on its Hamming distance to C^(axis).
+    Lines that a bounded-distance decoder cannot resolve are left unchanged;
+    the decoded word is then a best-effort representative rather than a
+    certified minimizer, and lower and upper may differ."""
+    words = np.asarray(words, dtype=np.uint8)
     if words.shape[1:] != family.shape:
         raise ValueError("word shape does not match the family")
     code = family.codes[axis]
     moved = np.moveaxis(words, axis + 1, -1)
     lines, dists, resolved = nearest_lines(code, moved.reshape(-1, code.length))
-    cells = prod(family.shape)
-    per_word = (words.shape[0], cells // code.length)
-    bounds = [
-        distance_bound(code, d, r, cells)
-        for d, r in zip(dists.reshape(per_word), resolved.reshape(per_word))
-    ]
+    lower, upper = distance_bound(code, dists, resolved)
+    per_word = (words.shape[0], prod(family.shape) // code.length)
     decoded = np.moveaxis(lines.reshape(moved.shape), -1, axis + 1)
-    if one:
-        return TensorWord(word.field, decoded[0]), bounds[0]
-    return decoded, bounds
+    return decoded, lower.reshape(per_word).sum(axis=1), upper.reshape(per_word).sum(axis=1)
 
 
 def decode_to_product(word: TensorWord, family: CodeFamily) -> Optional[TensorWord]:
@@ -451,13 +441,15 @@ def decode_to_product(word: TensorWord, family: CodeFamily) -> Optional[TensorWo
     minimum distance prod_i d_i of the word is its unique nearest codeword
     (Elias, "Error-free coding", IRE Trans. PGIT 1954); another need not be
     nearest."""
+    arr = word.data[None]
     for _ in range(family.m):
-        start = word
+        start = arr
         for axis in range(family.m):
-            word, _bound = nearest_in_direction(word, family, axis)
+            arr = nearest_in_direction(arr, family, axis)[0]
+        word = TensorWord(family.field, arr[0])
         if product_contains(word, family):
             return word
-        if word == start:
+        if np.array_equal(arr, start):
             return None
     return None
 

@@ -51,7 +51,6 @@ from .tensor import (
     xor_line_counts,
 )
 
-_WORD_SPACE_LIMIT = 1 << 24
 _CORRUPTION_ROUNDS = 8  # random product codewords per pool, one line replaced per direction
 #: lines per direction that `rho_r_sampled_upper` decodes in one batch: 8
 #: words of RS[63,21]^2, one word of RS[63,21]^3
@@ -108,11 +107,12 @@ class CheckReport:
 # Expectation of local distances over a flat test.
 # ----------------------------------------------------------------------
 
-def _line_distances(words: np.ndarray, family: CodeFamily) -> List[Tuple[DistanceBound, ...]]:
-    """Per word of a (W, n_1, ..., n_m) array, its distance to each direction
-    code C^(j): every line is decoded once, in one batch per direction."""
-    per_axis = [nearest_in_direction(words, family, axis)[1] for axis in range(family.m)]
-    return list(zip(*per_axis))
+def _line_distances(words: np.ndarray, family: CodeFamily) -> Tuple[np.ndarray, np.ndarray]:
+    """Bounds (lower, upper) on the Hamming distance of each word of a
+    (W, n_1, ..., n_m) array to each direction code C^(j), as two (m, W)
+    int64 arrays: every line is decoded once, in one batch per direction."""
+    bounds = [nearest_in_direction(words, family, axis) for axis in range(family.m)]
+    return np.array([lower for _, lower, _ in bounds]), np.array([upper for _, _, upper in bounds])
 
 
 def test_expectation(word: TensorWord, test: FlatTest, family: CodeFamily) -> DistanceBound:
@@ -126,11 +126,12 @@ def test_expectation(word: TensorWord, test: FlatTest, family: CodeFamily) -> Di
     if word.shape != test.shape or word.shape != family.shape:
         raise ValueError("shape mismatch")
     if test.k == 1:
-        dists = _line_distances(word.data[None], family)[0]
-        m = len(dists)
-        return DistanceBound(sum(d.lower for d in dists) / m, sum(d.upper for d in dists) / m)
+        lower, upper = _line_distances(word.data[None], family)
+        cells = family.m * prod(family.shape)
+        return DistanceBound(Fraction(int(lower.sum()), cells), Fraction(int(upper.sum()), cells))
     dist = _flat_distances(word.data.reshape(1, -1), test, family)
-    return DistanceBound.exactly(Fraction(int(dist[0]), test.size))
+    value = Fraction(int(dist[0]), test.size)
+    return DistanceBound(value, value)
 
 
 test_expectation.__test__ = False  # keep pytest from collecting the operation
@@ -169,14 +170,19 @@ def _exact_ratio(
     return _exact_ratio_min(num, dmin, test.size, words.shape[1])[0]
 
 
+def word_space_enumerable(family: CodeFamily) -> bool:
+    """Whether `rho_r_exact` enumerates the family's word space: q^N <= 2^24."""
+    return family.field.degree * prod(family.shape) <= 24  # q = 2^degree
+
+
 def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
     """Exact robustness of a flat test by enumerating the whole word space."""
     if test.shape != family.shape:
         raise ValueError("test grid does not match the family")
+    if not word_space_enumerable(family):
+        raise ValueError("word space too large for exact robustness")
     N = prod(family.shape)
     q = family.field.order
-    if family.field.degree * N >= _WORD_SPACE_LIMIT.bit_length():  # q^N > limit, q = 2^degree
-        raise ValueError("word space too large for exact robustness")
     total = q**N
     prod_cws = product_codewords(family)
     if prod_cws.shape[0] == total:
@@ -212,16 +218,18 @@ def _line_ratios(words: np.ndarray, test: FlatTest, family: CodeFamily) -> List[
     distance, so the quotient always upper-bounds the word's true ratio.
     That lower bound is 0 exactly for codewords: a line adds 0 only when it
     decodes to itself, and an unresolved line adds at least e + 1 >= 1.
+    Every direction counts cells of one grid: the ratio is sum_j upper_j /
+    (m max_j lower_j), one `Fraction` per word.
     Other flat tests raise `ValueError`: there the expectation would bound
     both sides and the quotient would always be 1.
     """
     if test.k != 1:
         raise ValueError("robustness ratios are bounded for the line test only")
-    ratios: List[Optional[Fraction]] = []
-    for dists in _line_distances(words, family):
-        den_lower = max(d.lower for d in dists)
-        ratios.append(None if den_lower == 0 else sum(d.upper for d in dists) / len(dists) / den_lower)
-    return ratios
+    lower, upper = _line_distances(words, family)
+    return [
+        None if den == 0 else Fraction(num, family.m * den)
+        for num, den in zip(upper.sum(axis=0).tolist(), lower.max(axis=0).tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -290,13 +298,14 @@ def rho_r_sampled_upper(
     so the minimum is a certified upper bound on rho_r.  Codewords in the
     pool are skipped (their ratio is 0/0).  The pool is decoded in blocks
     of words with at most `_POOL_BLOCK_LINES` lines per direction (at least
-    one word); every word's ratio is the same in any block.
+    one word), each stacked only when it is decoded; every word's ratio is
+    the same in any block.
     """
     pool = _word_pool(family, samples, seed)
     step = max(1, _POOL_BLOCK_LINES // (prod(family.shape) // min(family.shape)))
-    blocks = [
+    blocks = (
         np.stack([word.data for _, word in pool[s : s + step]]) for s in range(0, len(pool), step)
-    ]
+    )
     flat = [ratio for block in blocks for ratio in _line_ratios(block, test, family)]
     ratios = tuple((name, ratio) for (name, _), ratio in zip(pool, flat) if ratio is not None)
     if not ratios:

@@ -12,6 +12,7 @@ from prodexp.codes import (
     bounded_distance_decode,
     decode_lines,
     delta_to_code,
+    distance_bound,
     full_code,
     min_distance,
     nearest_lines,
@@ -55,6 +56,8 @@ def test_rs_primitive_min_distance(rs15):
 def test_rs_primitive_rejects_bad_rate():
     with pytest.raises(ValueError):
         rs_primitive(field_make(4), 1, 2)  # 15 not divisible by 2
+    with pytest.raises(ValueError, match="denominator 0 must be at least 1"):
+        rs_primitive(field_make(4), 1, 0)  # once a ZeroDivisionError
 
 
 def test_cyclic_contains_zero_and_repetition():
@@ -239,6 +242,15 @@ def test_brute_tie_break_lexicographic():
     codewords, dists, resolved = nearest_lines(code, np.array([[1, 0], [0, 1]], dtype=np.uint8))
     assert resolved.all() and list(dists) == [1, 1]
     assert codewords.tolist() == [[0, 0], [0, 0]]
+
+
+def test_distance_bound_counts_each_line_in_integers(rs15):
+    """A resolved line gives its distance at both ends, an unresolved one
+    e + 1 = 6 and n - k = 10, as int64 counts of cells."""
+    dists = np.array([0, 3, 0, 5], dtype=np.int64)
+    lower, upper = distance_bound(rs15, dists, np.array([True, True, False, True]))
+    assert lower.dtype == upper.dtype == np.int64
+    assert lower.tolist() == [0, 3, 6, 5] and upper.tolist() == [0, 3, 10, 5]
 
 
 def test_delta_to_code_examples(rs15):

@@ -393,6 +393,30 @@ def test_config_file_refuses_floats_and_booleans(values, field, tmp_path, capsys
     assert f"bad value {values[field]!r} for {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "robustness --instance rs --t 1 --m 2 --mode exact",
+        "rho-sampled --instance rs --t 1 --m 3 --seed 1",
+        "certify-counterexample --t 1",
+    ],
+    ids=lambda argv: argv.split()[0],
+)
+def test_zero_rate_denominator_exits_2(argv, tmp_path, capsys):
+    """`--rate 1/0` once ended in a ZeroDivisionError traceback and exit 1,
+    the violation code; as a flag or as a config key it now exits 2 and
+    writes nothing."""
+    out = tmp_path / "out"
+    head = argv.split() + ["--out", str(out)]
+    assert main(head + ["--rate", "1/0"]) == EXIT_USAGE
+    assert "bad rate '1/0': the denominator must be at least 1" in capsys.readouterr().err
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"rate": [1, 0]}))
+    assert main(head + ["--config", str(cfg_file)]) == EXIT_USAGE
+    assert "bad rate [1, 0]: the denominator must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_unknown_keys_exit_2(tmp_path, capsys):
     cfg_file = tmp_path / "typo.json"
     cfg_file.write_text(json.dumps({"instance": "rep2", "m": 2, "sampels": 5, "mdoe": "sampled"}))

@@ -278,6 +278,31 @@ def _calls_by_function():
     }
 
 
+def test_line_test_counts_in_integers():
+    """The line test carries integer counts from the line codes to the
+    estimators: `codes.distance_bound`, `tensor.nearest_in_direction` and
+    `testability._line_distances` construct no `Fraction` or
+    `DistanceBound`, and `nearest_in_direction` takes arrays only, with no
+    `isinstance` branch."""
+    integer_path = {
+        "codes.py:distance_bound", "tensor.py:nearest_in_direction", "testability.py:_line_distances",
+    }
+    seen, found = set(), []
+    for name, func in _functions():
+        where = f"{name}:{func.name}"
+        if where not in integer_path:
+            continue
+        seen.add(where)
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            called = ast.unparse(node.func)
+            if called.partition(".")[0] in ("Fraction", "DistanceBound") or called == "isinstance":
+                found.append(f"{where}:{node.lineno}:{called}")
+    assert seen == integer_path, seen
+    assert found == [], found
+
+
 def test_one_exact_ratio_kernel():
     """Exact ratios of many words go through `testability._exact_ratio`: no
     other function calls both `_min_distance_to_rows` and `_flat_distances`,

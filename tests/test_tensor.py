@@ -8,7 +8,6 @@ import pytest
 
 from oracles import delta_to_product, orc_sum_contains, orc_sum_syndrome
 from prodexp.codes import (
-    DistanceBound,
     bounded_distance_decode,
     delta_to_code,
     full_code,
@@ -304,16 +303,17 @@ def test_flat_restrictions_consistent_with_product_membership():
 def test_nearest_in_direction_member_is_fixed():
     fam = CodeFamily.power(REP2, 2)
     w = W(F2, [[1, 1], [1, 1]])
-    got, dist = nearest_in_direction(w, fam, 0)
-    assert got == w and dist.value == 0
+    got, lower, upper = nearest_in_direction(w.data[None], fam, 0)
+    assert np.array_equal(got, w.data[None])
+    assert lower.tolist() == upper.tolist() == [0]
 
 
 def test_nearest_in_direction_unit_vector():
     fam = CodeFamily.power(REP2, 2)
     w = W(F2, [[1, 0], [0, 0]])
-    got, dist = nearest_in_direction(w, fam, 0)
-    assert got == TensorWord.zeros(F2, (2, 2))
-    assert dist.value == Fraction(1, 4)
+    got, lower, upper = nearest_in_direction(w.data[None], fam, 0)
+    assert np.array_equal(got, np.zeros((1, 2, 2), dtype=np.uint8))
+    assert lower.tolist() == upper.tolist() == [1]  # 1 of the 4 cells
 
 
 def test_nearest_in_direction_matches_exhaustive_oracle():
@@ -329,16 +329,16 @@ def test_nearest_in_direction_matches_exhaustive_oracle():
     rng = np.random.default_rng(5)
     for _ in range(200):
         arr = rng.integers(0, 4, size=(3, 3), dtype=np.uint8)
-        w = TensorWord(F4, arr)
-        _got, dist = nearest_in_direction(w, fam, 0)
+        _got, lower, upper = nearest_in_direction(arr[None], fam, 0)
         oracle = min(int(np.count_nonzero(arr ^ m)) for m in members)
-        assert dist.value == Fraction(oracle, 9)
+        assert lower.tolist() == upper.tolist() == [oracle]
 
 
 def test_nearest_in_direction_sums_per_line_intervals():
     """RS[15,5] columns that are codewords, decodable, or beyond the radius:
-    the integer accounting equals the sum of the per-line intervals, and
-    only the resolved columns change, to their one-row decodes."""
+    the integer counts equal the sums of the per-line intervals of
+    `delta_to_code` times n, and only the resolved columns change, to their
+    one-row decodes."""
     f16 = field_make(4)
     code = rs_primitive(f16, 1, 3)
     rng = np.random.default_rng(11)
@@ -346,16 +346,17 @@ def test_nearest_in_direction_sums_per_line_intervals():
     for j in range(10):
         arr[:, j] = code.random_codeword(rng)
         arr[: j // 2, j] ^= 1  # 0..4 errors, within the radius 5
-    got, dist = nearest_in_direction(TensorWord(f16, arr), CodeFamily.power(code, 2), 0)
-    lower = upper = Fraction(0)
+    got, lower, upper = nearest_in_direction(arr[None], CodeFamily.power(code, 2), 0)
+    want_lower = want_upper = Fraction(0)
     for j in range(15):
         res = bounded_distance_decode(code, arr[:, j])
         line = delta_to_code(arr[:, j], code)
-        lower += line.lower * Fraction(15, 225)
-        upper += line.upper * Fraction(15, 225)
+        want_lower += line.lower * 15
+        want_upper += line.upper * 15
         expected = arr[:, j] if res is None else res[0]
-        assert np.array_equal(got.data[:, j], expected)
-    assert not dist.exact and dist == DistanceBound(lower, upper)
+        assert np.array_equal(got[0, :, j], expected)
+    assert want_lower < want_upper
+    assert lower.tolist() == [want_lower] and upper.tolist() == [want_upper]
 
 
 @pytest.mark.parametrize(
@@ -365,8 +366,9 @@ def test_nearest_in_direction_sums_per_line_intervals():
 )
 def test_nearest_in_direction_batch_equals_per_word(family):
     """A (W, n_1, ..., n_m) batch gives, word for word, the decoded word and
-    the bound of the one-word call, on both sides of the decoder rule (RS[15,5]
-    by unique decoding, the [3,1] repetition code by the scan)."""
+    the integer bounds of a one-word batch `word[None]`, on both sides of the
+    decoder rule (RS[15,5] by unique decoding, the [3,1] repetition code by
+    the scan)."""
     rng = np.random.default_rng(7)
     words = [tensor.random_product_codeword(family, rng).data for _ in range(2)]
     words += [rng.integers(0, 16, size=family.shape, dtype=np.uint8) for _ in range(2)]
@@ -374,11 +376,14 @@ def test_nearest_in_direction_batch_equals_per_word(family):
     words[1][(0,) * family.m] ^= 5  # one error: every line through it is decodable
     batch = np.stack(words)
     for axis in range(family.m):
-        decoded, bounds = nearest_in_direction(batch, family, axis)
-        assert decoded.shape == batch.shape and len(bounds) == len(words)
-        for word, got, bound in zip(words, decoded, bounds):
-            one, one_bound = nearest_in_direction(TensorWord(F16, word), family, axis)
-            assert np.array_equal(got, one.data) and bound == one_bound
+        decoded, lower, upper = nearest_in_direction(batch, family, axis)
+        assert decoded.shape == batch.shape
+        assert lower.dtype == upper.dtype == np.int64
+        assert lower.shape == upper.shape == (len(words),)
+        for i, word in enumerate(words):
+            one, one_lower, one_upper = nearest_in_direction(word[None], family, axis)
+            assert np.array_equal(decoded[i], one[0])
+            assert (lower[i], upper[i]) == (one_lower[0], one_upper[0])
 
 
 def test_delta_to_product_on_member_and_nonmember():

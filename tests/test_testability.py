@@ -418,6 +418,72 @@ def test_rho_r_sampled_upper_blocks_are_exact(monkeypatch):
     )
 
 
+def test_rho_r_sampled_upper_builds_each_block_when_it_decodes_it(monkeypatch):
+    """The pool's blocks are stacked one at a time, each just before
+    `_line_ratios` decodes it, never all of them first."""
+    from prodexp import testability
+
+    events = []
+    stack, line_ratios = np.stack, testability._line_ratios
+    monkeypatch.setattr(np, "stack", lambda *a, **k: events.append("build") or stack(*a, **k))
+    monkeypatch.setattr(
+        testability, "_line_ratios", lambda *a: events.append("ratios") or line_ratios(*a)
+    )
+    monkeypatch.setattr(testability, "_POOL_BLOCK_LINES", 15 * 3)
+    rho_r_sampled_upper(line_test((15, 15)), CodeFamily.power(RS15, 2), 4, 9)
+    assert events == ["build", "ratios"] * 8  # 22 pool words in blocks of 3
+
+
+def _oracle_line_ratio(word, family, kinds):
+    """The line-test ratio of one word built line by line from the
+    Berlekamp-Welch reference decoder: a decoded line counts its distance at
+    both ends, a line it cannot decode e + 1 and n - k, and the ratio is
+    sum_j upper_j / (m max_j lower_j), None when that maximum is 0.  Adds
+    the kind of every line to `kinds`."""
+    lower, upper = [], []
+    for axis, code in enumerate(family.codes):
+        redundancy = code.length - code.dimension
+        lo = up = 0
+        for line in np.moveaxis(word, axis, -1).reshape(-1, code.length):
+            decoded = oracles.orc_bounded_distance_decode(code, line)
+            if decoded is None:
+                kinds.add("undecodable")
+                lo, up = lo + redundancy // 2 + 1, up + redundancy
+            else:
+                kinds.add("decoded" if decoded[1] else "clean")
+                lo, up = lo + decoded[1], up + decoded[1]
+        lower.append(lo)
+        upper.append(up)
+    return None if max(lower) == 0 else Fraction(sum(upper), family.m * max(lower))
+
+
+def test_line_ratios_on_unresolved_lines_match_per_line_oracle():
+    """RS[15,5]^2 words and an RS[15,5]^3 word whose lines are clean,
+    decodable (1 to 4 errors) and beyond the radius (replaced by uniform
+    words): `_line_ratios` equals the ratio built line by line from
+    `tests/oracles.py::orc_bounded_distance_decode`."""
+    from prodexp.testability import _line_ratios
+
+    rng = np.random.default_rng(21)
+    for m in (2, 3):
+        family = CodeFamily.power(RS15, m)
+        words = [random_product_codeword(family, rng).data for _ in range(3 if m == 2 else 1)]
+        for w, word in enumerate(words):
+            word = words[w] = word.copy()
+            lines = word.reshape((15, -1))  # direction-0 lines are its columns
+            for j in range(4):
+                lines[: j + 1, w + j] ^= rng.integers(1, 16, size=j + 1, dtype=np.uint8)
+            lines[:, w + 4 : w + 6] = rng.integers(0, 16, size=(15, 2), dtype=np.uint8)
+        if m == 2:
+            words += [random_product_codeword(family, rng).data]
+            words += [rng.integers(0, 16, size=family.shape, dtype=np.uint8)]
+        kinds = set()
+        want = [_oracle_line_ratio(word, family, kinds) for word in words]
+        assert kinds == {"clean", "decoded", "undecodable"}
+        assert _line_ratios(np.stack(words), line_test(family.shape), family) == want
+        assert want[0] is not None and (m == 3 or want[-2] is None)
+
+
 def test_rho_r_sampled_upper_dominates_exact_on_tiny_instance():
     t = line_test((2, 2))
     rep = rho_r_sampled_upper(t, FAM2, samples=50, seed=2)
