@@ -96,6 +96,8 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
+        if self.m < 2:
+            raise UsageError("--m must be at least 2")
         if self.trials < 1:
             raise UsageError("--trials must be at least 1")
         if self.samples is not None and self.samples < 0:

@@ -35,7 +35,10 @@ from .gf_poly import GF2m, field_make
 #: cells per block of `TensorWord.text_blocks`, the writer that streams a
 #: certificate to its file; characters per block of the reader `from_text`
 _TEXT_BLOCK = 1 << 18
-#: (row, column) pairs per block of `xor_line_counts`
+#: (row, column) pairs per block of `xor_line_counts`; a pair's XOR of line
+#: codes takes L x (code width) bytes, L = N/n lines and a width of 1, 2, 4,
+#: 8 or 8 ceil(n/8) bytes (`_line_codes`): 36 bytes on RS[3,1]^3 (N = 27),
+#: where an XOR of the words themselves takes N
 _XOR_BLOCK = 1 << 16
 
 
@@ -271,23 +274,53 @@ def restrict(word: TensorWord, flat: Flat) -> TensorWord:
     return TensorWord(word.field, word.data[idx])
 
 
+def _line_codes(words: np.ndarray, shape: Sequence[int], axis: int) -> np.ndarray:
+    """The line codes of flat (..., N) words, N = prod(shape): each
+    direction-`axis` line's n cells (bytes), zero-padded to 1, 2, 4 or 8
+    bytes and read as one unsigned integer, or above 8 cells to ceil(n/8)
+    uint64 words.  An array of shape (W, L, ...), W words per code and L =
+    N/n lines, so that a count over lines adds whole planes of words."""
+    lead = words.shape[:-1]
+    shape = tuple(shape)
+    n = shape[axis]
+    width = 1 << (n - 1).bit_length() if n <= 8 else 8 * -(-n // 8)
+    lines = np.moveaxis(words.reshape(lead + shape), len(lead) + axis, -1)
+    packed = np.zeros(lead + (prod(shape) // n, width), dtype=np.uint8)
+    packed.reshape(lines.shape[:-1] + (width,))[..., :n] = lines
+    codes = packed.view(f"u{min(width, 8)}")
+    return np.ascontiguousarray(np.moveaxis(codes, (-1, -2), (0, 1)))
+
+
+def _nonzero_codes(codes: np.ndarray) -> np.ndarray:
+    """The number of nonzero lines in (W, L, ...) line codes: an int64
+    array of shape (...).  A line's W words are OR-folded first."""
+    folded = codes[0] if codes.shape[0] == 1 else np.bitwise_or.reduce(codes, axis=0)
+    return np.count_nonzero(folded, axis=0)
+
+
 def line_counts(words: np.ndarray, shape: Sequence[int], axis: int) -> np.ndarray:
     """Number of nonzero direction-`axis` lines of each flat word: an int64
     array of shape (...) for words of shape (..., N), N = prod(shape)."""
-    lead = words.shape[:-1]
-    nonzero = np.any(words.reshape(lead + tuple(shape)) != 0, axis=len(lead) + axis)
-    return nonzero.reshape(lead + (-1,)).sum(axis=-1, dtype=np.int64)
+    return _nonzero_codes(_line_codes(words, shape, axis))
 
 
 def xor_line_counts(
     rows: np.ndarray, cols: np.ndarray, shape: Sequence[int], axis: int
 ) -> np.ndarray:
     """(R, C) table of `line_counts(rows[r] ^ cols[c])` for flat (R, N) and
-    (C, N) words, a block of at most `_XOR_BLOCK` pairs at a time."""
+    (C, N) words, a block of at most `_XOR_BLOCK` pairs at a time.
+
+    Each pair is counted on the line codes (`_line_codes`), not on its N
+    cells: packing puts every cell in its own byte of the code, so the code
+    of rows[r] ^ cols[c] is the XOR of the two codes, and a line is nonzero
+    iff its code is.  A pair costs the XOR of its L = N/n codes (of
+    ceil(n/8) words each above 8 cells) and a count of L."""
     table = np.empty((rows.shape[0], cols.shape[0]), dtype=np.int64)
+    row_codes = _line_codes(rows, shape, axis)[..., None]
+    col_codes = _line_codes(cols, shape, axis)[..., None, :]
     step = max(1, _XOR_BLOCK // max(1, cols.shape[0]))
     for s in range(0, rows.shape[0], step):
-        table[s : s + step] = line_counts(rows[s : s + step, None] ^ cols[None], shape, axis)
+        table[s : s + step] = _nonzero_codes(row_codes[:, :, s : s + step] ^ col_codes)
     return table
 
 

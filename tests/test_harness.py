@@ -263,6 +263,43 @@ def test_flag_the_branch_does_not_read_exits_2(argv, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "rho-exact --instance rep2",
+        "rho-sampled --instance rep2 --seed 1",
+        "robustness --instance rep2 --mode exact",
+        "robustness --instance rep2 --mode sampled --seed 1",
+        "agreement --instance rep2 --mode exact",
+        "agreement --instance rep2 --mode sampled --seed 1",
+        "check-lemmas --instance rep2",
+        "constants",
+    ],
+    ids=[
+        "rho-exact",
+        "rho-sampled",
+        "robustness-exact",
+        "robustness-sampled",
+        "agreement-exact",
+        "agreement-sampled",
+        "check-lemmas",
+        "constants",
+    ],
+)
+def test_fewer_than_two_factors_exits_2(argv, m, tmp_path, capsys):
+    """A product needs two factors: at m = 1, rho-exact and rho-sampled once
+    reported the one code's "product" with exit 0, and the other commands
+    failed later with messages about flats, sampled tuples or, at m = 0,
+    an empty family.  As a flag or as a config key, m < 2 now exits 2."""
+    assert main(argv.split() + ["--m", str(m)]) == EXIT_USAGE
+    assert "--m must be at least 2" in capsys.readouterr().err
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"m": m}))
+    assert main(argv.split() + ["--config", str(cfg_file)]) == EXIT_USAGE
+    assert "--m must be at least 2" in capsys.readouterr().err
+
+
 def test_direction_code_too_large_exits_2_before_building_its_basis(monkeypatch, capsys):
     """RS[63,21]^3 has a direction code of dimension 83,349: its words, and
     the 64^83,349 coefficient rows that `direction_words` would encode into

@@ -2,7 +2,8 @@
 the membership kernel, line, product and sum-code membership against their
 oracles, certificate text and its blocks, batched line decoding
 against per-line Berlekamp-Welch decoding and per-word nearest-codeword
-scans, and the product decoder against brute-force nearest codewords."""
+scans, the product decoder against brute-force nearest codewords, and line
+counts on packed line codes against the per-line oracle."""
 
 import math
 from contextlib import contextmanager
@@ -18,6 +19,7 @@ from oracles import (
     brute_nearest,
     orc_axis_syndrome,
     orc_bounded_distance_decode,
+    orc_line_norm,
     orc_matmul,
     orc_mul_table,
     orc_product_contains,
@@ -40,11 +42,13 @@ from prodexp.tensor import (
     CodeFamily,
     TensorWord,
     decode_to_product,
+    line_counts,
     nearest_in_direction,
     product_codewords,
     product_contains,
     random_direction_word,
     sum_contains_batch,
+    xor_line_counts,
 )
 
 F2 = field_make(1)
@@ -563,3 +567,54 @@ def test_decode_to_product_stops_after_a_sweep_that_changes_nothing(monkeypatch)
     )
     assert decode_to_product(word, family) is None
     assert axes == [0, 1, 2]
+
+
+# ----------------------------------------------------------------------
+# Line counts on packed line codes.
+# ----------------------------------------------------------------------
+
+#: lines of one code word (up to 8 cells) and of two or three uint64 words
+LINE_LENGTHS = (1, 2, 3, 5, 8, 9, 15, 16, 17)
+
+
+@st.composite
+def line_count_cases(draw):
+    """(shape, axis, rows, cols): direction-`axis` lines of a drawn length in
+    a grid of up to three axes, or the (N, 1) grid whose lines are single
+    cells (the Hamming tables of `rho_a_exact`); flat rows and columns of
+    cells 0..255, each cell zero with a drawn probability so that zero and
+    nonzero lines both occur."""
+    n = draw(st.sampled_from(LINE_LENGTHS))
+    shape, axis = draw(
+        st.sampled_from([((n,), 0), ((n, 2), 0), ((3, n), 1), ((2, n, 2), 1), ((n, 1), 1)])
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero = draw(st.sampled_from([0.0, 0.7, 0.95, 1.0]))
+
+    def flat_words(count):
+        words = rng.integers(1, 256, size=(count, prod(shape)), dtype=np.uint8)
+        words[rng.random(words.shape) < zero] = 0
+        return words
+
+    return shape, axis, flat_words(draw(st.integers(1, 5))), flat_words(draw(st.integers(1, 5)))
+
+
+@REPRODUCIBLE
+@given(line_count_cases())
+def test_line_counts_match_oracle(case):
+    """`line_counts` of (W, N) words and of one (N,) word, and every entry of
+    `xor_line_counts`, in blocks of the default size and of one pair, are
+    the oracle's nonzero-line count."""
+    shape, axis, rows, cols = case
+    lines = prod(shape) // shape[axis]
+
+    def count(word):
+        return orc_line_norm(shape, word.tolist(), axis) * lines
+
+    assert line_counts(rows, shape, axis).tolist() == [count(r) for r in rows]
+    assert line_counts(rows[0], shape, axis) == count(rows[0])
+    want = [[count(r ^ c) for c in cols] for r in rows]
+    assert xor_line_counts(rows, cols, shape, axis).tolist() == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_XOR_BLOCK", 1)
+        assert xor_line_counts(rows, cols, shape, axis).tolist() == want

@@ -34,18 +34,33 @@ def test_no_np_roll_in_package_source():
 
 
 def test_one_line_count_implementation():
-    """Nonzero lines are counted only by `tensor.line_counts`: no other
-    function of the package calls `np.any`."""
-    found = []
+    """Nonzero lines are counted only on line codes: nothing in the package
+    calls `np.any`, and only `tensor.line_counts` and
+    `tensor.xor_line_counts` build line codes and count them."""
+    any_calls, code_calls = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        any_calls += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.any"
+        ]
         for func in ast.walk(tree):
             if not isinstance(func, ast.FunctionDef):
                 continue
             for node in ast.walk(func):
-                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.any":
-                    found.append(f"{path.name}:{func.name}")
-    assert found == ["tensor.py:line_counts"], found
+                if not isinstance(node, ast.Call):
+                    continue
+                called = ast.unparse(node.func).rpartition(".")[2]
+                if called in ("_line_codes", "_nonzero_codes"):
+                    code_calls.append(f"{path.name}:{func.name}:{called}")
+    assert any_calls == [], any_calls
+    assert sorted(set(code_calls)) == [
+        "tensor.py:line_counts:_line_codes",
+        "tensor.py:line_counts:_nonzero_codes",
+        "tensor.py:xor_line_counts:_line_codes",
+        "tensor.py:xor_line_counts:_nonzero_codes",
+    ], code_calls
 
 
 def test_one_batched_line_decoder():
