@@ -220,7 +220,7 @@ class CyclicCode:
         message into the codeword equal to it on the first k positions, an
         information set of a cyclic code.  Built on first use, kept on the code."""
         if self._systematic_bits is None:
-            systematic = linalg.row_space_basis(self.field, self.generator_matrix)
+            systematic = linalg.rref(self.field, self.generator_matrix)[0]  # full rank k
             self._systematic_bits = linalg.bit_matrix(self.field, systematic)
         return self._systematic_bits
 

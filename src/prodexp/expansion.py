@@ -233,8 +233,8 @@ def verify_certificate(cert: ExpansionCertificate, family: CodeFamily) -> bool:
     if not sum_contains(w, family):
         return False
     L, tight = line_cover_lower_bound(w)  # tight iff the support is line-disjoint
-    if L != cert.cover_lower_bound or tight != cert.tight or tight != cert.line_disjoint:
-        return False
+    if L == 0 or (L, tight, tight) != (cert.cover_lower_bound, cert.tight, cert.line_disjoint):
+        return False  # the zero word certifies nothing
     lines_max = max(w.size // n for n in w.shape)
     return cert.bound == w.norm() * Fraction(lines_max, L)
 
@@ -246,8 +246,14 @@ def verify_certificate(cert: ExpansionCertificate, family: CodeFamily) -> bool:
 class DecompositionSpace:
     """Linear parametrization of all splittings of sum-code words.
 
-    Columns of Phi are the direction-code basis words (flattened); the
-    kernel of Phi parametrizes the ambiguity coset of any fixed splitting.
+    The D rows of `basis` are the direction-code basis words (flattened); a
+    coefficient vector beta stands for the splitting beta . basis.  One row
+    reduction of [basis | I], its pivots sought among the N cells only,
+    gives [T basis | T]: its first r rows hold `image`, the sum code's
+    basis in reduced form with pivot cells `pivots`, and `coeffs`, with
+    coeffs . basis = image; its other rows hold `kernel`, the vectors with
+    kernel . basis = 0, whose combinations make up the ambiguity coset of
+    any fixed splitting.
     """
 
     def __init__(self, family: CodeFamily) -> None:
@@ -264,8 +270,10 @@ class DecompositionSpace:
             start += basis.shape[0]
         self.basis = np.concatenate(cols, axis=0)  # (D, N)
         self.D = self.basis.shape[0]
-        self.phi = self.basis.T.copy()  # (N, D)
-        self.kernel = linalg.kernel_basis(family.field, self.phi)  # (K, D)
+        augmented = np.concatenate([self.basis, np.eye(self.D, dtype=np.uint8)], axis=1)
+        R, self.pivots = linalg.rref(family.field, augmented, self.N)
+        r = len(self.pivots)
+        self.image, self.coeffs, self.kernel = R[:r, : self.N], R[:r, self.N :], R[r:, self.N :]
         # integer line-count weights: cost = sum_i weights[i] |a_i|_i / denom
         counts = [self.N // n for n in shape]
         self.denom = math.lcm(*counts)
@@ -276,8 +284,17 @@ class DecompositionSpace:
         return self.kernel.shape[0]
 
     def particular(self, word: TensorWord) -> Optional[np.ndarray]:
-        """One coefficient vector with Phi beta = word, or None."""
-        return linalg.solve(self.family.field, self.phi, word.data.reshape(-1))
+        """One coefficient vector with beta . basis = word, or None: `image`
+        is the identity at `pivots`, so msg = the word's cells there is the
+        only combination of it that can equal the word, and msg . coeffs
+        splits it."""
+        if word.shape != self.family.shape:
+            raise ValueError("word shape does not match the family")
+        field, flat = self.family.field, word.data.reshape(1, -1)
+        msg = flat[:, self.pivots]
+        if not np.array_equal(linalg.matmul(field, msg, self.image), flat):
+            return None
+        return linalg.matmul(field, msg, self.coeffs)[0]
 
     def axis_parts(self, coeffs: np.ndarray) -> List[np.ndarray]:
         """Per axis, the flat (W, N) parts of the (W, D) coefficient rows."""
@@ -346,7 +363,8 @@ def min_decomposition(
     space: Optional[DecompositionSpace] = None,
 ) -> Tuple[Decomposition, Fraction]:
     """Minimum-cost splitting by an exhaustive scan of the ambiguity coset;
-    ties resolve to the lexicographically smallest ambiguity coefficients."""
+    ties resolve to the lexicographically smallest coefficients over
+    `space.kernel`."""
     if space is None:
         space = DecompositionSpace(family)
     base = space.particular(word)
@@ -365,29 +383,27 @@ def min_decomposition(
 def rho_exact(family: CodeFamily) -> Fraction:
     """Exact expansion constant by full enumeration (tiny instances).
 
-    Word msg . image has the splittings beta(msg) + kernel combinations, with
-    beta(msg) = msg . B linear in the message (B: one particular solution per
-    image row), so one `cost_table` of all q^D coefficient vectors (D
-    direction-code basis words; refused above `_AMBIGUITY_LIMIT`) gives every
-    word's exact cost as a row minimum.  The minimizing word is split again
-    by `min_decomposition`, which validates, and must cost the same.
+    Word msg . image has the splittings msg . coeffs + kernel combinations,
+    linear in the message (`DecompositionSpace`), so one `cost_table` of all
+    q^D coefficient vectors (D direction-code basis words; refused above
+    `_AMBIGUITY_LIMIT`) gives every word's exact cost as a row minimum.  The
+    minimizing word is split again by `min_decomposition`, which validates,
+    and must cost the same.
     """
     field, N = family.field, prod(family.shape)
     D = sum(c.dimension * (N // c.length) for c in family.codes)  # before the (D, N) basis is built
     if field.degree * D >= _AMBIGUITY_LIMIT.bit_length():  # q^D > limit, q = 2^degree
         raise ValueError(f"rho_exact would scan {field.order}^{D} splittings; too large")
     space = DecompositionSpace(family)
-    image = linalg.row_space_basis(field, space.basis)
-    B = np.array([linalg.solve(field, space.phi, row) for row in image], np.uint8)
-    msgs = linalg.enumerate_vectors(field.order, image.shape[0])
+    msgs = linalg.enumerate_vectors(field.order, space.image.shape[0])
     kernel_combos = linalg.enumerate_vectors(field.order, space.ambiguity_dim)
     costs = space.cost_table(
-        linalg.matmul(field, msgs, B.reshape(-1, space.D)),
+        linalg.matmul(field, msgs, space.coeffs),
         linalg.matmul(field, kernel_combos, space.kernel),
     ).min(axis=1)
     if not costs.any():
         raise ValueError("sum code is trivial; expansion constant undefined")
-    words = linalg.matmul(field, msgs, image)
+    words = linalg.matmul(field, msgs, space.image)
     best, idx = _exact_ratio_min(np.count_nonzero(words, axis=1), costs, space.N, space.denom)
     want = Fraction(int(costs[idx]), space.denom)
     _, cost = min_decomposition(TensorWord(field, words[idx].reshape(family.shape)), family, space)

@@ -1,5 +1,9 @@
 """Dense linear algebra over GF(2^m) on numpy uint8 matrices.
 
+`rref` is the one elimination: a caller that needs the operations too (a
+kernel, the solutions of a system) reduces [A | I] and reads them from the
+identity block.
+
 Every matrix product is one GF(2) product of bit planes through BLAS
 (`bit_product`): multiplication by a fixed matrix B is GF(2)-linear in the
 bits of the left operand, so B expands once into a 0/1 float32 matrix
@@ -24,8 +28,14 @@ _PRODUCT_CELLS = 1 << 15
 _PRODUCT_ROWS = 64
 
 
-def rref(field: GF2m, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+def rref(
+    field: GF2m, mat: np.ndarray, pivot_cols: Optional[int] = None
+) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    Pivots are sought in the first `pivot_cols` columns only (default: all);
+    the row operations still act on whole rows, so the columns after them
+    record the operations when they start as an identity block."""
     R = np.array(mat, dtype=np.uint8, copy=True)
     if R.ndim != 2:
         raise ValueError("expected a 2-D matrix")
@@ -33,7 +43,7 @@ def rref(field: GF2m, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     table = field.mul_table
     pivots: List[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(cols if pivot_cols is None else pivot_cols):
         if r == rows:
             break
         nz = np.nonzero(R[r:, c])[0]
@@ -53,43 +63,6 @@ def rref(field: GF2m, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
         pivots.append(c)
         r += 1
     return R, pivots
-
-
-def row_space_basis(field: GF2m, mat: np.ndarray) -> np.ndarray:
-    R, pivots = rref(field, mat)
-    return R[: len(pivots)].copy()
-
-
-def solve(field: GF2m, A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """One solution of A x = b (free variables set to 0), or None."""
-    A = np.asarray(A, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8).reshape(-1)
-    if A.shape[0] != b.shape[0]:
-        raise ValueError("shape mismatch")
-    aug = np.concatenate([A, b[:, None]], axis=1)
-    R, pivots = rref(field, aug)
-    ncols = A.shape[1]
-    if ncols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = np.zeros(ncols, dtype=np.uint8)
-    for r, c in enumerate(pivots):
-        x[c] = R[r, -1]
-    return x
-
-
-def kernel_basis(field: GF2m, A: np.ndarray) -> np.ndarray:
-    """Basis of the right kernel of A, one vector per row."""
-    A = np.asarray(A, dtype=np.uint8)
-    ncols = A.shape[1]
-    R, pivots = rref(field, A)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for r, c in enumerate(pivots):
-            # pivot variable = -R[r, f] * x_f; minus is identity in char 2
-            basis[i, c] = R[r, f]
-    return basis
 
 
 def matmul(field: GF2m, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -325,16 +325,6 @@ def rho_r_sampled_upper(
 # Agreement testability.
 # ----------------------------------------------------------------------
 
-def _direction_space_words(family: CodeFamily, axis: int) -> np.ndarray:
-    """All words of C^(axis), flattened to (count, N): the `direction_words`
-    of every coefficient row, in lexicographic order."""
-    code, shape, field = family.codes[axis], family.shape, family.field
-    dim = code.dimension * prod(shape) // shape[axis]
-    if field.degree * dim > 20:  # q^dim > 2^20, q = 2^degree; before any word is built
-        raise ValueError("direction code too large to enumerate")
-    return direction_words(code, shape, axis, linalg.enumerate_vectors(field.order, dim))
-
-
 def rho_a_exact(family: CodeFamily) -> Fraction:
     """Exact agreement testability by enumerating all tuples (tiny instances).
 
@@ -351,10 +341,18 @@ def rho_a_exact(family: CodeFamily) -> Fraction:
         raise ValueError("agreement testability needs at least two directions")
     shape = family.shape
     N = prod(shape)
-    spaces = [_direction_space_words(family, axis) for axis in range(m)]
-    grid = tuple(words.shape[0] for words in spaces)
-    if prod(grid) > 1 << 20:
+    degree, q = family.field.degree, family.field.order
+    dims = [code.dimension * N // n for code, n in zip(family.codes, shape)]
+    if degree * max(dims) > 20:  # q^dim > 2^20, q = 2^degree; before any word is built
+        raise ValueError("direction code too large to enumerate")
+    if degree * sum(dims) > 20:
         raise ValueError("tuple space too large for exact agreement testability")
+    # all words of each C^(i), flattened to (q^dim, N), in lexicographic order
+    spaces = [
+        direction_words(code, shape, i, linalg.enumerate_vectors(q, dim))
+        for i, (code, dim) in enumerate(zip(family.codes, dims))
+    ]
+    grid = tuple(words.shape[0] for words in spaces)
     prod_cws = product_codewords(family)
     L = lcm(*(N // n for n in shape))
     dist = [

@@ -14,10 +14,11 @@ The exceptions are the membership references `orc_sum_contains` and
 which have to reach words far beyond full enumeration: they work on numpy arrays, but still build their own field
 table and parity-check matrices from nothing but the field's modulus and
 each code's check polynomial.  The decoder alone takes two package
-routines, the linear solver `prodexp.linalg.solve` and the polynomial
-division `prodexp.gf_poly.unipoly_divmod`.  `orc_dual` builds the dual of
-a package `CyclicCode` as another one, with that division.  `sum_code_words`
-lists a sum code from the package's own `DecompositionSpace`, for tests
+routines, the row reduction `prodexp.linalg.rref`, from which it solves its
+system, and the polynomial division `prodexp.gf_poly.unipoly_divmod`.
+`orc_dual` builds the dual of a package `CyclicCode` as another one, with
+that division.  `sum_code_words` lists a sum code from the `rref` of the
+basis words of the package's own `DecompositionSpace`, for tests
 that need every word of it, `brute_nearest` scans the codewords that a package code
 lists, one word at a time, and `delta_to_product` scans those of a
 package product code, from `prodexp.tensor.product_codewords`.
@@ -36,7 +37,6 @@ from prodexp import linalg
 from prodexp.codes import CyclicCode
 from prodexp.expansion import DecompositionSpace
 from prodexp.gf_poly import unipoly_divmod, unipoly_trim, x_pow_n_minus_1
-from prodexp.linalg import solve
 from prodexp.tensor import product_codewords
 
 # GF(2): elements {0,1}, add = xor, mul = and.
@@ -442,9 +442,12 @@ def orc_bounded_distance_decode(code, word):
     A = np.zeros((n, 2 * e + k), dtype=np.uint8)
     A[:, :e] = mul[w[:, None], powers[:, :e]]
     A[:, e:] = powers[:, : e + k]
-    sol = solve(field, A, mul[w, powers[:, e]])
-    if sol is None:
-        return None
+    # one solution, free unknowns 0, from the reduced form of [A | b]
+    R, pivots = linalg.rref(field, np.concatenate([A, mul[w, powers[:, e]][:, None]], axis=1))
+    if A.shape[1] in pivots:
+        return None  # a pivot in the b column: no solution
+    sol = np.zeros(A.shape[1], dtype=np.uint8)
+    sol[pivots] = R[: len(pivots), -1]
     E = [int(v) for v in sol[:e]] + [1]
     f, rem = unipoly_divmod(field, [int(v) for v in sol[e:]], E)
     if rem or len(f) > k:
@@ -462,7 +465,8 @@ def sum_code_words(family, space=None):
     if space is None:
         space = DecompositionSpace(family)
     field = family.field
-    image = linalg.row_space_basis(field, space.basis)
+    R, pivots = linalg.rref(field, space.basis)
+    image = R[: len(pivots)]
     msgs = linalg.enumerate_vectors(field.order, image.shape[0])
     return linalg.matmul(field, msgs, image)
 

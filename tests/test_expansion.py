@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prodexp import expansion, tensor
+from prodexp import expansion, linalg, tensor
 from prodexp.codes import full_code, repetition, rs_primitive
 from prodexp.expansion import (
     Decomposition,
@@ -202,6 +202,19 @@ def test_verify_certificate_rejects_flipped_cover_flag(field_name):
     cert = certify_upper_bound(counterexample_word(F4, 1), fam)
     bad = dataclasses.replace(cert, **{field_name: False})
     assert not verify_certificate(bad, fam)
+
+
+def test_verify_certificate_rejects_zero_witness():
+    """The zero word is in every sum code and has cover bound 0; a file
+    that claims it once raised ZeroDivisionError in the bound check."""
+    fam = CodeFamily.power(rs_primitive(F4, 1, 3), 3)
+    cert = certify_upper_bound(counterexample_word(F4, 1), fam)
+    zero = dataclasses.replace(
+        cert, witness=TensorWord.zeros(F4, fam.shape), cover_lower_bound=0, bound=Fraction(0)
+    )
+    parsed = ExpansionCertificate.from_text(zero.to_text())
+    assert parsed.cover_lower_bound == 0 and parsed.witness.weight() == 0
+    assert not verify_certificate(parsed, fam)
 
 
 def test_certificate_of_word_with_shared_lines_uses_greedy_cover():
@@ -499,6 +512,44 @@ def test_search_min_ties_go_to_first_brute_force_minimizer(fam):
         want_coeffs, want_cost = _brute_first_minimizer(space, base)
         assert coeffs.tolist() == want_coeffs
         assert Fraction(num, den) == want_cost
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        CodeFamily.power(REP2, 2),
+        CodeFamily.power(REP2, 3),
+        CodeFamily((REP2, repetition(F2, 3))),
+        CodeFamily.power(C31, 2),
+        CodeFamily.power(C31, 3),
+        CodeFamily.power(repetition(F4, 2), 3),
+    ],
+    ids=["rep2_m2", "rep2_m3", "rep2_rep3", "rs31_m2", "rs31_m3", "gf4_rep2_m3"],
+)
+def test_space_blocks_of_one_row_reduction(fam):
+    """`image`, `coeffs` and `kernel` split the basis as the reduction
+    [basis | I] -> [T basis | T] promises."""
+    import oracles
+
+    space = DecompositionSpace(fam)
+    field = fam.field
+    r, K = space.image.shape[0], space.ambiguity_dim
+    assert np.array_equal(linalg.matmul(field, space.coeffs, space.basis), space.image)
+    assert not linalg.matmul(field, space.kernel, space.basis).any()
+    assert len(linalg.rref(field, space.image)[1]) == r and r + K == space.D
+    assert np.array_equal(space.image[:, space.pivots], np.eye(r, dtype=np.uint8))
+    if fam.shape != (2, 2):
+        return
+    members = {tuple(w) for w in oracles.sum_code_words(fam, space).tolist()}
+    for cells in itertools.product(range(2), repeat=4):
+        word = W(field, np.array(cells).reshape(2, 2))
+        beta = space.particular(word)
+        if cells in members:
+            assert np.array_equal(linalg.matmul(field, beta[None], space.basis)[0], cells)
+        else:
+            assert beta is None, cells
+    with pytest.raises(ValueError):
+        space.particular(TensorWord.zeros(field, (4,)))
 
 
 def test_rho_exact_unequal_lengths_matches_oracle():

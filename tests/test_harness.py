@@ -318,6 +318,26 @@ def test_direction_code_too_large_exits_2_before_building_its_basis(monkeypatch,
 
 
 @pytest.mark.parametrize(
+    "argv", ["--instance rs --t 1 --m 3", "--instance rep2 --m 5"], ids=["rs_t1_m3", "rep2_m5"]
+)
+def test_tuple_space_too_large_exits_2_before_building_a_direction_code(argv, monkeypatch, capsys):
+    """Each direction code of RS[3,1]^3 (4^9 words) and rep2^5 (2^16) can
+    be listed, but their tuples cannot: `rho_a_exact` must refuse from the
+    dimensions alone.  It once listed every direction code and the
+    product code first, 0.1-0.4 s and 42-55 MB before exit 2."""
+    from prodexp import linalg, testability
+
+    for module, name in (
+        (testability, "direction_words"),
+        (testability, "product_codewords"),
+        (linalg, "enumerate_vectors"),
+    ):
+        monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} past the guard"))
+    assert main(f"agreement {argv} --mode exact".split()) == EXIT_USAGE
+    assert "tuple space too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         ("robustness --instance rs --t 4 --m 3 --mode exact", "word space too large"),
@@ -328,7 +348,7 @@ def test_direction_code_too_large_exits_2_before_building_its_basis(monkeypatch,
     ids=["robustness", "rho-exact", "agreement", "check-lemmas"],
 )
 def test_size_guards_on_rs255_cubed_refuse_in_little_memory(argv, message, capsys):
-    """The guards of `rho_r_exact`, `rho_exact`, `_direction_space_words` and
+    """The guards of `rho_r_exact`, `rho_exact`, `rho_a_exact` and
     `check-lemmas` compare degree * count with the limit's bit length, since
     q = 2^degree.  Each once built q^count first, on RS[255,85]^3 an integer
     of up to 133 M bits (17 MB), and took 0.2-1 s to refuse."""
@@ -372,6 +392,21 @@ def test_sampled_agreement_row_reduces_each_code_once(monkeypatch):
     code, _ = run_cli(argv.split())
     assert code == EXIT_OK
     assert calls == [(5, 15)], calls  # the generator matrix of RS[15,5], the one code
+
+
+def test_rho_exact_row_reduces_once(monkeypatch):
+    """`DecompositionSpace` reads its image, splitting coefficients and
+    kernel from one `linalg.rref` of [basis | I]; `rho_exact` and
+    `min_decomposition` make no other.  The space once ran ten."""
+    from prodexp import linalg
+
+    real, calls = linalg.rref, []
+    monkeypatch.setattr(
+        linalg, "rref", lambda field, mat, *a: calls.append(mat.shape) or real(field, mat, *a)
+    )
+    code, _ = run_cli("rho-exact --instance rep2 --m 3".split())
+    assert code == EXIT_OK
+    assert calls == [(12, 20)], calls  # D = 12 basis words, N = 8 cells, I_12
 
 
 def test_splitting_space_too_large_exits_2_before_building_it(monkeypatch, capsys):

@@ -65,10 +65,8 @@ def test_one_line_count_implementation():
 
 def test_one_batched_line_decoder():
     """Batches of lines go through `codes.nearest_lines`: no module but
-    `codes` calls `bounded_distance_decode`, no module but `expansion` solves
-    linear systems (`linalg.solve`, which a per-line decoder would need), and
-    `tensor` and `testability` run no Python loop that calls
-    `nearest_lines` line by line."""
+    `codes` calls `bounded_distance_decode`, and `tensor` and `testability`
+    run no Python loop that calls `nearest_lines` line by line."""
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -79,8 +77,6 @@ def test_one_batched_line_decoder():
             called = ast.unparse(node.func).rpartition(".")[2]
             if called == "bounded_distance_decode" and path.name != "codes.py":
                 found.append(f"{path.name}:{node.lineno}")
-            if called == "solve" and path.name != "expansion.py":
-                found.append(f"{path.name}:{node.lineno}:solve")
         if path.name not in ("tensor.py", "testability.py"):
             continue
         for loop in ast.walk(tree):
@@ -89,6 +85,23 @@ def test_one_batched_line_decoder():
             for node in ast.walk(loop):
                 if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("nearest_lines"):
                     found.append(f"{path.name}:{node.lineno}")
+    assert found == [], found
+
+
+def test_one_elimination():
+    """`linalg.rref` is the package's only elimination: no module defines a
+    solver, a kernel or a row-space basis of its own (`DecompositionSpace`
+    reads all three from one reduction, and a per-line decoder would need a
+    solver)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}:{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("solve", "kernel_basis", "row_space_basis")
+        ]
     assert found == [], found
 
 
