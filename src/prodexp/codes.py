@@ -412,18 +412,18 @@ def bounded_distance_decode(
 
 
 def _syndrome_context(code: CyclicCode):
-    """Tables of the syndrome decoder, built once per code: the syndrome
-    matrix w^((k+t)i), the evaluation matrix w^(-iu) of polynomials of degree
-    at most e at X^-1 = w^-i and its first e rows (a view: the first e m
-    rows of its bit matrix), each expanded by `linalg.bit_matrix` for
-    `linalg.bit_product`; the Forney factors X^(1-k), and field inverses
-    (0 -> 0)."""
+    """Tables of the syndrome decoder, built once per code: the matrix of the
+    2e syndromes w^((k+t)i) that Berlekamp-Massey reads, the evaluation
+    matrix w^(-iu) of polynomials of degree at most e at X^-1 = w^-i and its
+    first e rows (a view: the first e m rows of its bit matrix), each
+    expanded by `linalg.bit_matrix` for `linalg.bit_product`; the Forney
+    factors X^(1-k), and field inverses (0 -> 0)."""
     if code._syndrome_ctx is None:
         field, n, k = code.field, code.length, code.dimension
         e = (n - k) // 2
         i = np.arange(n)
         exp = np.array([field.omega_pow(j) for j in range(n)], dtype=np.uint8)
-        syndrome = exp[np.outer(i, k + np.arange(n - k)) % n]
+        syndrome = exp[np.outer(i, k + np.arange(2 * e)) % n]
         evaluate = exp[np.outer(np.arange(e + 1), -i) % n]
         forney = exp[i * (1 - k) % n]
         inv = np.array([0] + [field.inv(a) for a in range(1, field.order)], dtype=np.uint8)
@@ -449,14 +449,17 @@ def decode_lines(
     codeword within distance e and that distance; an unresolved line, which
     has no codeword that close, keeps the received word at distance 0.
 
-    Codewords vanish at w^k .. w^(n-1), so an error pattern of values Y_j at
-    X_j = w^(i_j) has syndromes S_t = sum_j Y_j X_j^k X_j^t.  Berlekamp-Massey
-    (Massey 1969) runs its 2e steps on every line at once and gives the
-    locator Lambda(x) = prod_j (1 - X_j x); the Chien search finds its roots
-    X_j^-1; Forney's formula (Forney 1965) gives Y_j = X_j^(1-k)
-    Omega(X_j^-1) / Lambda'(X_j^-1) with Omega = S Lambda mod x^(2e).  A line
-    is resolved only when every step is consistent and the corrected word
-    is a codeword within distance e, which is then the only one.
+    Each step runs only on the lines that can still resolve.  Codewords,
+    found by `CyclicCode.contains_batch`, vanish at w^k .. w^(n-1), so an
+    error pattern of values Y_j at X_j = w^(i_j) has syndromes S_t = sum_j
+    Y_j X_j^k X_j^t.  Berlekamp-Massey (Massey 1969) runs its 2e steps on
+    the other lines at once and gives the locator Lambda(x) = prod_j (1 -
+    X_j x) of length L; the Chien search finds its roots X_j^-1 where L <= e;
+    where they are L roots, Forney's formula (Forney 1965) gives Y_j =
+    X_j^(1-k) Omega(X_j^-1) / Lambda'(X_j^-1) with Omega = S Lambda mod
+    x^(2e).  A line is resolved only when every step is consistent and the
+    corrected word is a codeword within distance e, which is then the only
+    one.
     """
     if not code.is_rs_primitive:
         raise ValueError("bounded-distance decoding requires a primitive RS code")
@@ -465,17 +468,21 @@ def decode_lines(
     if lines.ndim != 2 or lines.shape[1] != n:
         raise ValueError("expected a (W, n) array of lines")
     e, syndrome, evaluate, evaluate_e, forney, inv = _syndrome_context(code)
-    S = linalg.bit_product(field, lines, syndrome)
     codewords = lines.copy()
     dists = np.zeros(lines.shape[0], dtype=np.int64)
-    resolved = ~S.any(axis=1)  # zero syndromes: a codeword at distance 0
+    resolved = code.contains_batch(lines)  # a codeword at distance 0
     todo = np.flatnonzero(~resolved)
     if e == 0 or todo.size == 0:
         return codewords, dists, resolved
     table = field.mul_table
-    S = S[todo, : 2 * e]
+    S = linalg.bit_product(field, lines[todo], syndrome)
     locator, length = _berlekamp_massey(table, inv, S)
-    lam = locator[:, : e + 1]
+    # deg Lambda <= L (Massey 1969), so with L <= e it fits in columns 0 .. e
+    short = length <= e
+    todo, S, lam, length = todo[short], S[short], locator[short, : e + 1], length[short]
+    roots = linalg.bit_product(field, lam, evaluate) == 0
+    full = roots.sum(axis=1) == length
+    todo, S, lam, roots = todo[full], S[full], lam[full], roots[full]
     # Lambda generates S, so S Lambda mod x^(2e) has degree below L: when
     # L <= e, its first e terms are all of Omega
     omega = np.zeros((todo.size, e), dtype=np.uint8)
@@ -483,19 +490,11 @@ def decode_lines(
         omega[:, u:] ^= table[lam[:, u : u + 1], S[:, : e - u]]
     deriv = np.zeros((todo.size, e), dtype=np.uint8)
     deriv[:, 0::2] = lam[:, 1::2]  # characteristic 2: only odd powers survive
-    roots = linalg.bit_product(field, lam, evaluate) == 0
     slope = linalg.bit_product(field, deriv, evaluate_e)
     values = table[table[forney, linalg.bit_product(field, omega, evaluate_e)], inv[slope]]
     errors = np.where(roots, values, 0)
     dist = np.count_nonzero(errors, axis=1)
-    ok = (
-        (length <= e)
-        & ~locator[:, e + 1 :].any(axis=1)
-        & (roots.sum(axis=1) == length)
-        & ~(roots & (slope == 0)).any(axis=1)
-        & (dist >= 1)
-        & (dist <= e)
-    )
+    ok = ~(roots & (slope == 0)).any(axis=1) & (dist >= 1) & (dist <= e)
     ok[ok] = code.contains_batch(lines[todo[ok]] ^ errors[ok])
     done = todo[ok]
     codewords[done] ^= errors[ok]

@@ -61,7 +61,7 @@ class Decomposition:
         if len(self.parts) != family.m:
             raise ValueError("wrong number of parts")
         for axis, (part, code) in enumerate(zip(self.parts, family.codes)):
-            if not in_direction_code(part, code, axis):
+            if not in_direction_code(part.data[None], code, axis)[0]:
                 raise ValueError(f"part {axis} leaves C^({axis})")
         if self.total() != target:
             raise ValueError("parts do not sum to the target word")

@@ -352,19 +352,31 @@ def _exact_ratio_min(
 # Membership.
 # ----------------------------------------------------------------------
 
-def in_direction_code(word: TensorWord, code: CyclicCode, axis: int) -> bool:
-    """True iff every direction-`axis` line lies in `code`."""
-    if word.shape[axis] != code.length:
+def in_direction_code(words: np.ndarray, code: CyclicCode, axis: int) -> np.ndarray:
+    """Per word of a (W, n_1, ..., n_m) array, whether every direction-`axis`
+    line lies in `code`."""
+    if words.shape[axis + 1] != code.length:
         raise ValueError("axis length does not match the code")
-    return not code.check_products(np.moveaxis(word.data, axis, 0)).any()
+    kept = code.check_products(np.moveaxis(words, axis + 1, 0))
+    return ~kept.any(axis=tuple(range(1, kept.ndim)))
 
 
 def product_contains(word: TensorWord, family: CodeFamily) -> bool:
-    if word.shape != family.shape:
+    """Membership in C_1 (x) ... (x) C_m, one word of `product_contains_batch`."""
+    return bool(product_contains_batch(word.data[None], family)[0])
+
+
+def product_contains_batch(words: np.ndarray, family: CodeFamily) -> np.ndarray:
+    """Vectorized product-code membership for a (W, n_1, ..., n_m) array: a
+    word is a member iff it lies in every direction code, and each axis tests
+    only the words that passed the axes before it."""
+    words = np.asarray(words, dtype=np.uint8)
+    if words.shape[1:] != family.shape:
         raise ValueError("word shape does not match the family")
-    return all(
-        in_direction_code(word, code, axis) for axis, code in enumerate(family.codes)
-    )
+    member = np.ones(words.shape[0], dtype=bool)
+    for axis, code in enumerate(family.codes):
+        member[member] = in_direction_code(words[member], code, axis)
+    return member
 
 
 def sum_contains(word: TensorWord, family: CodeFamily) -> bool:
@@ -465,26 +477,36 @@ def nearest_in_direction(
     return decoded, lower.reshape(per_word).sum(axis=1), upper.reshape(per_word).sum(axis=1)
 
 
-def decode_to_product(word: TensorWord, family: CodeFamily) -> Optional[TensorWord]:
-    """The product codeword reached by sweeps of `nearest_in_direction` over
-    the axes 0 ... m-1, testing membership after each sweep; None when m
-    sweeps do not reach it, or as soon as a sweep leaves the word unchanged
-    outside the product code: decoding is deterministic, so every later
-    sweep would repeat that one.  A result within half the product code's
-    minimum distance prod_i d_i of the word is its unique nearest codeword
-    (Elias, "Error-free coding", IRE Trans. PGIT 1954); another need not be
-    nearest."""
-    arr = word.data[None]
+def decode_to_products(words: np.ndarray, family: CodeFamily) -> Tuple[np.ndarray, np.ndarray]:
+    """The product codewords reached from a (W, n_1, ..., n_m) stack by at
+    most m sweeps of `nearest_in_direction` over the axes 0 ... m-1, each
+    one call per axis and one membership test on the words still in the
+    stack: (decoded, reached), every word after its last sweep and whether
+    it is a product codeword.  A word leaves the stack once it is one, or
+    when a sweep leaves it unchanged: a line's decoding depends on that line
+    alone, so every later sweep would repeat that one.  A result within half
+    the product code's minimum distance prod_i d_i of the word is its unique
+    nearest codeword (Elias, "Error-free coding", IRE Trans. PGIT 1954);
+    another need not be nearest."""
+    decoded = np.array(words, dtype=np.uint8)
+    reached = np.zeros(decoded.shape[0], dtype=bool)
+    active = np.arange(decoded.shape[0])
     for _ in range(family.m):
-        start = arr
+        start = arr = decoded[active]
         for axis in range(family.m):
             arr = nearest_in_direction(arr, family, axis)[0]
-        word = TensorWord(family.field, arr[0])
-        if product_contains(word, family):
-            return word
-        if np.array_equal(arr, start):
-            return None
-    return None
+        decoded[active] = arr
+        reached[active] = product_contains_batch(arr, family)
+        active = active[~reached[active] & (arr != start).any(axis=tuple(range(1, arr.ndim)))]
+        if active.size == 0:
+            break
+    return decoded, reached
+
+
+def decode_to_product(word: TensorWord, family: CodeFamily) -> Optional[TensorWord]:
+    """One word's product codeword by `decode_to_products`, or None."""
+    decoded, reached = decode_to_products(word.data[None], family)
+    return TensorWord(family.field, decoded[0]) if reached[0] else None
 
 
 def _min_distance_to_rows(words: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from .tensor import (
     TensorWord,
     _exact_ratio_min,
     _min_distance_to_rows,
-    decode_to_product,
+    decode_to_products,
     direction_words,
     enumerate_flats,
     line_weight,
@@ -399,9 +399,10 @@ def agreement_ratio_sampled(
     The inner minimization over product codewords is replaced by the best of
     a few candidates for each c_i, so the returned value only estimates the
     tuple's true ratio (a candidate codeword upper-bounds the denominator's
-    minimum).  The candidates are `decode_to_product` of c_i, when it
-    reaches the product code, and the product codeword that agrees
-    with c_i on the first k_j positions of every axis j, which always exists.
+    minimum).  The candidates are the product codewords that
+    `decode_to_products` reaches from the c_i, decoded in one batch, and
+    for each c_i the product codeword that agrees with it on the first k_j
+    positions of every axis j, which always exists.
     Exact computation should be preferred whenever the instance allows it.
     """
     m = family.m
@@ -413,11 +414,11 @@ def agreement_ratio_sampled(
     if pair_sum == 0:
         return None
     num = Fraction(pair_sum, m * m * N)
+    decoded, reached = decode_to_products(np.stack([w.data for w in tuple_words]), family)
     candidates: List[TensorWord] = []
     for i in range(m):
-        cand = decode_to_product(tuple_words[i], family)
-        if cand is not None:
-            candidates.append(cand)
+        if reached[i]:
+            candidates.append(TensorWord(family.field, decoded[i]))
         candidates.append(_systematic_reencode(tuple_words[i], family))
     den_best = min(
         sum((line_weight(tuple_words[i] + cand, i) for i in range(m)), start=Fraction(0))
@@ -582,21 +583,21 @@ def check_pair_proximity(
 
     Each trial plants c in C (x) C and derives c1 (every column a codeword)
     and c2 (every row a codeword) by re-randomizing whole lines within a
-    budget that keeps delta(c1, c2) <= (1/2 - k/n)^2.  The verifier then
-    decodes c1 with `decode_to_product`, without knowledge of c, and must
-    find a product codeword within 2*delta(c1, c2) of c1.  At rates where
+    budget that keeps delta(c1, c2) <= (1/2 - k/n)^2.  Every trial is drawn
+    first; the verifier then decodes all the c1 in one `decode_to_products`
+    call, without knowledge of c, and must find for each a product codeword
+    within 2*delta(c1, c2) of it.  At rates where
     the budget is zero the pairs are forced to coincide with the planted
     codeword and the decode path is exercised on exact members.
     """
-    field, n, k = code.field, code.length, code.dimension
+    n, k = code.length, code.dimension
     if not code.is_rs_primitive or not 1 <= k or k >= n / 2:
         raise ValueError("requires a primitive RS code with k < n/2")
     bound = (Fraction(1, 2) - Fraction(k, n)) ** 2
     budget = int(bound * n * n) // n  # whole re-randomized lines within delta budget
     fam = CodeFamily.power(code, 2)
     rng = np.random.Generator(np.random.PCG64(seed))
-    failures = 0
-    max_delta = Fraction(0)
+    planted, deltas = [], []
     for _trial in range(trials):
         c = random_product_codeword(fam, rng)
         c1 = c.data.copy()
@@ -607,26 +608,24 @@ def check_pair_proximity(
             c1[:, col] = code.random_codeword(rng)
         for row in rng.choice(n, size=r2, replace=False) if r2 else []:
             c2[row, :] = code.random_codeword(rng)
-        w1 = TensorWord(field, c1)
         delta12 = Fraction(int(np.count_nonzero(c1 ^ c2)), n * n)
-        if delta12 > bound:
-            failures += 1
-            continue
-        max_delta = max(max_delta, delta12)
-        decoded = decode_to_product(w1, fam)
-        if decoded is None:
-            failures += 1
-            continue
-        dist = Fraction((w1 + decoded).weight(), n * n)
-        if dist > 2 * delta12:
-            failures += 1
+        if delta12 <= bound:  # a pair beyond the budget is a failure
+            planted.append(c1)
+            deltas.append(delta12)
+    words = np.array(planted, dtype=np.uint8).reshape(-1, n, n)
+    decoded, reached = decode_to_products(words, fam)
+    dists = np.count_nonzero(words ^ decoded, axis=(1, 2))
+    failures = trials - len(planted) + sum(
+        not ok or Fraction(int(d), n * n) > 2 * delta
+        for ok, d, delta in zip(reached, dists, deltas)
+    )
     return PairProximityReport(
         instance=fam.label(),
         seed=seed,
         trials=trials,
         failures=failures,
         line_budget=budget,
-        max_observed_delta=max_delta,
+        max_observed_delta=max(deltas, default=Fraction(0)),
     )
 
 

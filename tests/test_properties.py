@@ -5,6 +5,7 @@ against per-line Berlekamp-Welch decoding and per-word nearest-codeword
 scans, the product decoder against brute-force nearest codewords, and line
 counts on packed line codes against the per-line oracle."""
 
+import itertools
 import math
 from contextlib import contextmanager
 from functools import lru_cache
@@ -42,11 +43,13 @@ from prodexp.tensor import (
     CodeFamily,
     TensorWord,
     decode_to_product,
+    decode_to_products,
     line_counts,
     nearest_in_direction,
     product_codewords,
     product_contains,
     random_direction_word,
+    random_product_codeword,
     sum_contains_batch,
     xor_line_counts,
 )
@@ -462,6 +465,73 @@ def test_decode_lines_matches_bounded_distance_decode_rs255(case):
     _assert_decode_lines_matches_bounded(*case)
 
 
+def test_decode_lines_skips_codewords_and_hopeless_forney_products(monkeypatch):
+    """RS[15,5] lines: 6 codewords, 6 codewords with 1, 2, ..., 6 errors,
+    and 40 uniform words.  Counted at `linalg.bit_product`, the syndrome
+    product receives only the lines outside the code, the Chien search only
+    the rows whose locator has length L <= e, and each Forney product (Omega
+    and Lambda') only those whose locator has L roots among the n points,
+    found here by evaluating it term by term."""
+    code, field, n = RS15, F16, RS15.length
+    rng = np.random.Generator(np.random.PCG64(5))
+    lines = code.encode_batch(rng.integers(0, field.order, size=(12, code.dimension), dtype=np.uint8))
+    for row, errors in zip(range(4, 10), range(1, 7)):
+        where = rng.choice(n, size=errors, replace=False)
+        lines[row, where] ^= rng.integers(1, field.order, size=errors, dtype=np.uint8)
+    lines = np.concatenate([lines, rng.integers(0, field.order, size=(40, n), dtype=np.uint8)])
+    e, syndrome, evaluate, evaluate_e, _forney, inv = codes._syndrome_context(code)
+    dirty = lines[np.r_[4:10, 12 : len(lines)]]
+    weights = [[field.omega_pow((code.dimension + t) * i) for t in range(2 * e)] for i in range(n)]
+    S = linalg.matmul(field, dirty, np.array(weights, dtype=np.uint8))
+    C, L = codes._berlekamp_massey(field.mul_table, inv, S)
+
+    def root_count(locator):
+        values = [
+            np.bitwise_xor.reduce([field.mul(c, field.omega_pow(-i * u % n)) for u, c in enumerate(locator)])
+            for i in range(n)
+        ]
+        return values.count(0)
+
+    full = [r for r in np.flatnonzero(L <= e) if root_count(C[r]) == L[r]]
+    real, rows = linalg.bit_product, {}
+
+    def counting(f, A, bits):
+        rows.setdefault(id(bits), []).append(len(A))
+        return real(f, A, bits)
+
+    monkeypatch.setattr(linalg, "bit_product", counting)
+    resolved = decode_lines(code, lines)[2]
+    assert rows.pop(id(syndrome)) == [len(dirty)]
+    assert rows.pop(id(evaluate)) == [np.count_nonzero(L <= e)]
+    assert rows.pop(id(evaluate_e)) == [len(full)] * 2
+    assert rows == {}
+    # the five lines within the radius reach Forney's products, and many
+    # uniform lines with L <= e do not
+    assert resolved[:9].all() and len(full) >= 5 and np.count_nonzero(L <= e) - len(full) >= 20
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8])
+@pytest.mark.parametrize("density", [1, 0.3, 0.05])
+def test_berlekamp_massey_locator_degree_at_most_its_length(degree, density):
+    """Massey's invariant deg C <= L, on 1,000 random rows of the 2e
+    syndromes of the rate-1/3 RS code over GF(2^degree), a share `density`
+    of their entries nonzero: `decode_lines` reads a locator of length
+    L <= e from its columns 0 .. e alone.  C generates the row: every
+    S_t with t >= L is sum_(j=1..L) C_j S_(t-j)."""
+    field = field_make(degree)
+    e, *_tables, inv = codes._syndrome_context(rs_primitive(field, 1, 3))
+    rng = np.random.default_rng(degree)
+    S = rng.integers(1, field.order, size=(1000, 2 * e)) * (rng.random((1000, 2 * e)) < density)
+    C, L = codes._berlekamp_massey(field.mul_table, inv, S.astype(np.uint8))
+    degree_of_C = C.shape[1] - 1 - np.argmax(C[:, ::-1] != 0, axis=1)
+    assert (C[:, 0] == 1).all() and (degree_of_C <= L).all()
+    table = field.mul_table
+    for t in range(2 * e):
+        terms = table[C[:, : t + 1], S[:, t::-1]]  # C_j S_(t-j), j = 0 .. t
+        generated = np.bitwise_xor.reduce(terms, axis=1) == 0
+        assert generated[L <= t].all()
+
+
 #: the binary [7,3] cyclic code with check polynomial 1 + x + x^3: 64 of
 #: the 128 words of F_2^7 have more than one nearest codeword
 BINARY_7_3 = CyclicCode(F2, 7, (1, 1, 0, 1))
@@ -567,6 +637,65 @@ def test_decode_to_product_stops_after_a_sweep_that_changes_nothing(monkeypatch)
     )
     assert decode_to_product(word, family) is None
     assert axes == [0, 1, 2]
+
+
+MIXED_STACK_FAMILIES = [CodeFamily.power(RS15, 2), CodeFamily.power(RS15, 3), CodeFamily.power(C31, 3)]
+
+
+def _mixed_stack(family: CodeFamily):
+    """A product codeword c and words around it, in a (W, n_1, ..., n_m)
+    stack, and the sweeps that decoding each word takes.  On RS[15,5]^m
+    (e = 5): c with three cells changed, which one sweep decodes; c with
+    errors on a 5 x 6 block of the first two axes and on the cells (6 + j,
+    j), j < 6, times 0 .. 5 on every further axis, which a second sweep
+    finishes; and c with an error cube of side 6, which one sweep leaves
+    unchanged.  RS[3,1] is the constant lines, so every RS[3,1]^3 word
+    reaches the product code in one sweep: there c and uniform words."""
+    rng = np.random.Generator(np.random.PCG64(7))
+    q, m, n = family.field.order, family.m, family.shape[0]
+    c = random_product_codeword(family, rng).data
+    if n == 3:
+        uniform = rng.integers(0, q, size=(6,) + family.shape, dtype=np.uint8)
+        return np.concatenate([c[None], uniform]), [1] * 7
+    block = [(i, j) for i in range(5) for j in range(6)] + [(6 + j, j) for j in range(6)]
+    cell_sets = [
+        [tuple(rng.integers(0, n, size=m)) for _ in range(3)],
+        [cell + rest for cell in block for rest in itertools.product(range(6), repeat=m - 2)],
+        list(itertools.product(range(6), repeat=m)),
+    ]
+    stack = np.repeat(c[None], 1 + len(cell_sets), axis=0)
+    for word, cells in zip(stack[1:], cell_sets):
+        for cell in cells:
+            word[cell] ^= rng.integers(1, q)
+    return stack, [1, 1, 2, 1]
+
+
+@pytest.mark.parametrize("family", MIXED_STACK_FAMILIES, ids=lambda f: f.label())
+def test_decode_to_products_matches_decode_to_product_word_for_word(family):
+    """The batched decoder gives every word of a mixed stack what the
+    one-word decoder gives it alone: the same array where that reaches the
+    product code, and not reached where it gives None."""
+    words, _sweeps = _mixed_stack(family)
+    decoded, reached = decode_to_products(words, family)
+    for word, got, ok in zip(words, decoded, reached):
+        one = decode_to_product(TensorWord(family.field, word), family)
+        assert ok == (one is not None)
+        assert one is None or np.array_equal(one.data, got)
+    assert reached.tolist() == ([True] * 7 if family.shape[0] == 3 else [True, True, True, False])
+
+
+@pytest.mark.parametrize("family", MIXED_STACK_FAMILIES, ids=lambda f: f.label())
+def test_decode_to_products_never_decodes_a_retired_word(family, monkeypatch):
+    """Counted at `nearest_in_direction`: sweep s hands each axis exactly the
+    words whose decoding takes at least s sweeps, so a word that reached the
+    product code or came out of a sweep unchanged is not decoded again."""
+    words, sweeps = _mixed_stack(family)
+    real, calls = tensor.nearest_in_direction, []
+    monkeypatch.setattr(
+        tensor, "nearest_in_direction", lambda w, fam, axis: calls.append(len(w)) or real(w, fam, axis)
+    )
+    decode_to_products(words, family)
+    assert calls == [sum(s > r for s in sweeps) for r in range(max(sweeps)) for _axis in range(family.m)]
 
 
 # ----------------------------------------------------------------------

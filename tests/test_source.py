@@ -174,8 +174,9 @@ def test_one_line_decoding_path_and_one_product_decoder():
     """Only `codes` applies the decoder rule: no other module calls
     `decode_lines` or `_decodes_within_radius`, and outside `codes` lines
     reach `nearest_lines` only from `tensor.nearest_in_direction`.  A product
-    codeword is sought only by `tensor.decode_to_product`: no other function
-    calls both `nearest_in_direction` and `product_contains`."""
+    codeword is sought only by the batched `tensor.decode_to_products`: no
+    other function calls both `nearest_in_direction` and a product-membership
+    test (`product_contains` or `product_contains_batch`)."""
     decoders, line_paths, sweeps = [], [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -193,11 +194,12 @@ def test_one_line_decoding_path_and_one_product_decoder():
                 decoders.append(f"{path.name}:{func.name}")
             if "nearest_lines" in called:
                 line_paths.append(f"{path.name}:{func.name}")
-            if {"nearest_in_direction", "product_contains"} <= called:
+            membership = called & {"product_contains", "product_contains_batch"}
+            if "nearest_in_direction" in called and membership:
                 sweeps.append(f"{path.name}:{func.name}")
     assert decoders == [], decoders
     assert line_paths == ["tensor.py:nearest_in_direction"], line_paths
-    assert sweeps == ["tensor.py:decode_to_product"], sweeps
+    assert sweeps == ["tensor.py:decode_to_products"], sweeps
 
 
 def test_one_membership_kernel():

@@ -15,6 +15,7 @@ from prodexp.gf_poly import field_make
 from prodexp.tensor import (
     CodeFamily,
     TensorWord,
+    decode_to_product,
     enumerate_flats,
     line_weight,
     product_codewords,
@@ -515,6 +516,51 @@ def test_pair_proximity_rs63_replaces_one_line():
     assert rep.line_budget == 1
     assert rep.max_observed_delta > 0
     assert rep.failures == 0
+
+
+def _pair_proximity_per_trial(code, trials, seed):
+    """(failures, max delta) of the planted-pair check with every trial
+    drawn and then decoded on its own by `decode_to_product`, the loop that
+    `check_pair_proximity` turned into one batch."""
+    n, k = code.length, code.dimension
+    bound = (Fraction(1, 2) - Fraction(k, n)) ** 2
+    budget = int(bound * n * n) // n
+    fam = CodeFamily.power(code, 2)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    failures, max_delta = 0, Fraction(0)
+    for _ in range(trials):
+        c1 = random_product_codeword(fam, rng).data.copy()
+        c2 = c1.copy()
+        r1 = int(rng.integers(0, budget + 1))
+        for col in rng.choice(n, size=r1, replace=False) if r1 else []:
+            c1[:, col] = code.random_codeword(rng)
+        for row in rng.choice(n, size=budget - r1, replace=False) if budget - r1 else []:
+            c2[row, :] = code.random_codeword(rng)
+        delta = Fraction(int(np.count_nonzero(c1 ^ c2)), n * n)
+        if delta > bound:
+            failures += 1
+            continue
+        max_delta = max(max_delta, delta)
+        decoded = decode_to_product(TensorWord(code.field, c1), fam)
+        far = decoded is not None and Fraction((decoded.data != c1).sum(), n * n) > 2 * delta
+        failures += decoded is None or far
+    return failures, max_delta
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "code",
+    [RS15, rs_primitive(F16, 2, 15), rs_primitive(field_make(6), 1, 3)],
+    ids=lambda c: c.label(),
+)
+def test_pair_proximity_batch_matches_per_trial_decoding(code, seed):
+    """Drawing every trial first and decoding all planted words in one
+    batch reports what drawing and decoding trial by trial reports, at
+    t = 2 (RS[15,5], and RS[15,2] with two re-randomized lines) and t = 3
+    (RS[63,21])."""
+    rep = check_pair_proximity(code, trials=6, seed=seed)
+    assert (rep.failures, rep.max_observed_delta) == _pair_proximity_per_trial(code, 6, seed)
+    assert rep.trials == 6 and rep.seed == seed
 
 
 def test_pair_proximity_rejects_high_rate():
