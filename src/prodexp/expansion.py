@@ -71,6 +71,17 @@ class Decomposition:
 # The non-expanding witness word for rate-1/3 Reed-Solomon triples.
 # ----------------------------------------------------------------------
 
+def twisted_diagonal(field: GF2m, shape: Sequence[int], shifts: Sequence[int]) -> TensorWord:
+    """The twisted diagonal T_s of the grid [n]^m: w^(s_1 x_1 + ... + s_(m-1) x_(m-1) mod n)
+    where x_0 + ... + x_(m-1) = 0 mod n, else 0.  Every axis-parallel line meets
+    its support once; only the n^(m-1) support cells are indexed."""
+    n, rest = shape[0], np.indices(shape[1:])
+    pow_table = np.array([field.omega_pow(e) for e in range(n)], dtype=np.uint8)
+    data = np.zeros(shape, dtype=np.uint8)
+    data[(-rest.sum(axis=0) % n, *rest)] = pow_table[sum(s * x for s, x in zip(shifts, rest)) % n]
+    return TensorWord._adopt(field, data)
+
+
 def counterexample_word(field: GF2m, k: int) -> TensorWord:
     """Rescaled diagonal word of support n^2 in the cube [n]^3, n = 2^m - 1.
 
@@ -85,22 +96,15 @@ def counterexample_word(field: GF2m, k: int) -> TensorWord:
         raise ValueError(f"n = {n} is not divisible by 3")
     if k != n // 3:
         raise ValueError(f"expected k = n/3 = {n // 3}, got {k}")
-    j, l = np.indices((n, n))
-    pow_table = np.array([field.omega_pow(e) for e in range(n)], dtype=np.uint8)
-    data = np.zeros((n, n, n), dtype=np.uint8)
-    data[-(j + l) % n, j, l] = pow_table[(-(k * j) - 2 * k * l) % n]
-    return TensorWord(field, data)
+    return twisted_diagonal(field, (n,) * 3, (-k, -2 * k))
 
 
 def rs_triple_witness(family: CodeFamily) -> Optional[TensorWord]:
     """`counterexample_word` when the family is the rate-1/3 primitive
     Reed-Solomon triple C^3, otherwise None."""
     n = family.codes[0].length
-    if family.m == 3 and all(
-        c.is_rs_primitive and c.length == n and 3 * c.dimension == n for c in family.codes
-    ):
-        return counterexample_word(family.field, n // 3)
-    return None
+    rate_third = all(c.is_rs_primitive and c.length == n == 3 * c.dimension for c in family.codes)
+    return counterexample_word(family.field, n // 3) if family.m == 3 and rate_third else None
 
 
 def line_disjoint_support(word: TensorWord) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from io import StringIO
 from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
@@ -32,10 +32,10 @@ from .codes import CyclicCode, min_distance, repetition, rs_primitive
 from .expansion import (
     NotInSumCode,
     certify_upper_bound,
-    counterexample_word,
     line_disjoint_support,
     rho_exact,
     rho_upper_sampled,
+    rs_triple_witness,
     sum_contains,  # not called here; perfbench/tests removes harness.sum_contains by name
 )
 from .gf_poly import field_make
@@ -223,13 +223,11 @@ def _build_family(cfg: ExperimentConfig) -> CodeFamily:
 # ----------------------------------------------------------------------
 
 def _run_certify_counterexample(cfg: ExperimentConfig):
-    if cfg.t is None:
-        raise UsageError("--t is required")
-    field = field_make(2 * cfg.t)
-    n = field.order - 1
-    code = rs_primitive(field, cfg.rate[0], cfg.rate[1])
-    family = CodeFamily.power(code, 3)
-    word = counterexample_word(field, code.dimension)
+    family = CodeFamily.power(_build_code(replace(cfg, instance=cfg.instance or "rs")), 3)
+    n = family.shape[0]
+    word = rs_triple_witness(family)
+    if word is None:
+        raise UsageError(f"the witness requires the rate-1/3 RS triple, not {family.label()}")
     try:
         # the one sum-code membership test of the run
         cert = certify_upper_bound(word, family)

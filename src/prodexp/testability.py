@@ -19,7 +19,10 @@ component codes used throughout.
 
 Exact ratios of many words come from one kernel, `_exact_ratio`, over the
 whole word space (`rho_r_exact`) or over a sampled pool (`check_composition`).
-Both sampled robustness estimators read one seeded pool, `_word_pool`;
+Both sampled robustness estimators read one seeded pool, `_word_pool`, whose
+diagonal words are twisted diagonals T_s (`expansion.twisted_diagonal`): the
+witness, s = (-k, -2k) with k = n/3 on the rate-1/3 RS triple; `diagonal`, s = 0;
+`diagonal-scaled`, s_j = j k with k = max(1, n // 3) whatever the family's rate.
 `rho_a_sampled` draws tuples of uniform direction words instead.
 """
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import linalg
 from .codes import CyclicCode, DistanceBound, min_distance
-from .expansion import rs_triple_witness
+from .expansion import rs_triple_witness, twisted_diagonal
 from .tensor import (
     CodeFamily,
     TensorWord,
@@ -245,8 +248,9 @@ class SampledRobustnessReport:
 
 def _word_pool(family: CodeFamily, samples: int, seed: int) -> List[Tuple[str, TensorWord]]:
     """The pool of the sampled estimators, drawn from one PCG64 generator:
-    the rescaled-diagonal witness where the family supports it, codeword
-    single-line corruptions, diagonal patterns, then `samples` uniform words."""
+    the witness T_(-k,-2k), k = n/3, on the rate-1/3 RS triple; codeword
+    single-line corruptions; on a cube [n]^m, `diagonal` T_0 and `diagonal-scaled`
+    T_s, s_j = j k with k = max(1, n // 3) whatever the rate; `samples` uniform words."""
     rng = np.random.Generator(np.random.PCG64(seed))
     pool: List[Tuple[str, TensorWord]] = []
     shape = family.shape
@@ -269,17 +273,11 @@ def _word_pool(family: CodeFamily, samples: int, seed: int) -> List[Tuple[str, T
             word = TensorWord(field, np.moveaxis(moved, -1, axis))
             pool.append((f"line-corrupt-{r}-ax{axis}", word))
     if len(set(shape)) == 1:
-        n = shape[0]
-        m = len(shape)
-        idx = np.indices(shape, dtype=np.int64)
-        diag_mask = (sum(idx) % n) == 0
-        pool.append(("diagonal", TensorWord(field, diag_mask.astype(np.uint8))))
-        if n > 1:
-            k = max(1, n // 3)
-            pow_table = np.array([field.omega_pow(e) for e in range(n)], dtype=np.uint8)
-            exps = sum((j * k * idx[j]) % n for j in range(m)) % n
-            scaled = np.where(diag_mask, pow_table[exps], 0).astype(np.uint8)
-            pool.append(("diagonal-scaled", TensorWord(field, scaled)))
+        axes, k = range(1, len(shape)), max(1, shape[0] // 3)
+        pool.append(("diagonal", twisted_diagonal(field, shape, [0 for _ in axes])))
+        if shape[0] > 1:
+            scaled = twisted_diagonal(field, shape, [j * k for j in axes])
+            pool.append(("diagonal-scaled", scaled))
     for i in range(samples):
         arr = rng.integers(0, field.order, size=shape, dtype=np.uint8)
         pool.append((f"uniform-{i}", TensorWord(field, arr)))

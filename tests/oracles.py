@@ -10,7 +10,8 @@ the frozen fixture table used by the acceptance tests.
 The exceptions are the membership references `orc_sum_contains` and
 `orc_product_contains`, the Reed-Solomon evaluation vectors
 `low_degree_evaluation_vectors`, the Berlekamp-Welch decoder
-`orc_bounded_distance_decode` and the column-loop product `orc_matmul`,
+`orc_bounded_distance_decode`, the column-loop product `orc_matmul` and the
+full-grid twisted diagonal `orc_twisted_diagonal`,
 which have to reach words far beyond full enumeration: they work on numpy arrays, but still build their own field
 table and parity-check matrices from nothing but the field's modulus and
 each code's check polynomial.  The decoder alone takes two package
@@ -406,6 +407,24 @@ def low_degree_evaluation_vectors(field, k):
     for j in range(k):
         out ^= mul[coeffs[:, j][:, None], V[j][None, :]]
     return out
+
+
+def orc_twisted_diagonal(field, shape, shifts):
+    """The twisted diagonal T_s of the grid [n]^m as a uint8 array, built
+    over the whole grid from `np.indices(shape)` where
+    `prodexp.expansion.twisted_diagonal` indexes the support cells only:
+    w^(s_1 x_1 + ... + s_(m-1) x_(m-1) mod n) where x_0 + ... + x_(m-1)
+    = 0 mod n, else 0, with w the class of x (1 in GF(2)) and its powers
+    taken from the oracle's own multiplication table."""
+    n, q = shape[0], 1 << field.degree
+    mul = orc_mul_table(field.degree, field.modulus)
+    powers = [1]  # w^0, w^1, ..., w^(n-1)
+    for _ in range(n - 1):
+        powers.append(int(mul[powers[-1], 2 if q > 2 else 1]))
+    idx = np.indices(shape, dtype=np.int64)
+    diag_mask = (sum(idx) % n) == 0
+    exps = sum((s * idx[j]) % n for j, s in enumerate(shifts, start=1)) % n
+    return np.where(diag_mask, np.array(powers, dtype=np.uint8)[exps], 0).astype(np.uint8)
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from prodexp import expansion, linalg, tensor
 from prodexp.codes import full_code, repetition, rs_primitive
 from prodexp.expansion import (
@@ -21,6 +22,7 @@ from prodexp.expansion import (
     min_decomposition,
     rho_exact,
     rho_upper_sampled,
+    rs_triple_witness,
     verify_certificate,
 )
 from prodexp.gf_poly import field_make
@@ -66,6 +68,61 @@ def test_counterexample_entry_formula():
             j, l = int(rng.integers(n)), int(rng.integers(n))
             i = (-j - l) % n
             assert int(w.data[i, j, l]) == field.omega_pow(-k * j - 2 * k * l)
+
+
+def _shift_vectors(n, m):
+    """The pool's two shift vectors (0 and s_j = j k, k = max(1, n // 3)) and
+    the witness shifts s_j = -j k."""
+    k = max(1, n // 3)
+    return [[0] * (m - 1), [j * k for j in range(1, m)], [-j * k for j in range(1, m)]]
+
+
+def test_twisted_diagonal_matches_full_grid_oracle():
+    """`twisted_diagonal`, which indexes the support cells only, gives the
+    bytes of the full-grid construction `orc_twisted_diagonal`: on RS grids
+    at t = 1..3 and m = 2..4 with n^m <= 2^18, and on rep2 grids at m = 2..5."""
+    grids = [
+        (field_make(2 * t), (4**t - 1,) * m)
+        for t in (1, 2, 3)
+        for m in (2, 3, 4)
+        if (4**t - 1) ** m <= 1 << 18
+    ]
+    grids += [(F2, (2,) * m) for m in (2, 3, 4, 5)]
+    assert len(grids) == 12
+    for field, shape in grids:
+        for shifts in _shift_vectors(shape[0], len(shape)):
+            word = expansion.twisted_diagonal(field, shape, shifts)
+            assert np.array_equal(word.data, oracles.orc_twisted_diagonal(field, shape, shifts))
+
+
+def test_counterexample_word_is_the_witness_twisted_diagonal():
+    for t in (1, 2, 3):
+        field = field_make(2 * t)
+        n = field.order - 1
+        k = n // 3
+        word = counterexample_word(field, k)
+        cube, shifts = (n,) * 3, (-k, -2 * k)
+        assert word == expansion.twisted_diagonal(field, cube, shifts)
+        assert np.array_equal(word.data, oracles.orc_twisted_diagonal(field, cube, shifts))
+
+
+def test_rs_triple_witness_only_on_the_rate_third_triple():
+    """The one predicate for the rate-1/3 RS triple: the witness on RS[3,1]^3
+    and RS[15,5]^3; None on other powers, another rate or a mixed triple."""
+    for field in (F4, F16):
+        n = field.order - 1
+        fam = CodeFamily.power(rs_primitive(field, 1, 3), 3)
+        assert rs_triple_witness(fam) == counterexample_word(field, n // 3)
+    rs15 = {k: rs_primitive(F16, k, 15) for k in (3, 5, 10)}
+    assert [c.dimension for c in rs15.values()] == [3, 5, 10]
+    others = [
+        CodeFamily.power(rs15[5], 2),
+        CodeFamily.power(rs15[5], 4),
+        CodeFamily.power(rs15[3], 3),
+        CodeFamily((rs15[5], rs15[5], rs15[10])),
+    ]
+    for fam in others:
+        assert rs_triple_witness(fam) is None, fam.label()
 
 
 def test_counterexample_t2_line_disjoint():

@@ -566,6 +566,17 @@ def test_certify_counterexample_rejects_other_m(tmp_path, capsys):
     assert reports[0] == reports[1] and json.loads(reports[0])["holds"] is True
 
 
+def test_certify_counterexample_requires_the_rate_third_triple(tmp_path, capsys):
+    """`rs_triple_witness` decides: another rate or the rep2 instance exits 2,
+    names the rate-1/3 RS triple on stderr and writes no file."""
+    out = tmp_path / "F"
+    for extra in (["--t", "2", "--rate", "1/5"], ["--instance", "rep2"]):
+        assert main(["certify-counterexample", *extra, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "rate-1/3 RS triple" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def _count_sum_membership_tests(monkeypatch, result=None):
     """Count every sum-code membership test; optionally force its answer."""
     import numpy as np

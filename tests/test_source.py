@@ -360,6 +360,17 @@ def test_one_word_pool():
     assert pools == ["testability.py:_word_pool"], pools
 
 
+def test_one_diagonal_builder():
+    """Diagonal words have one builder, `expansion.twisted_diagonal`: no other
+    function of `expansion` or `testability` calls `omega_pow`."""
+    builders = [
+        name
+        for name, called in _calls_by_function().items()
+        if name.partition(":")[0] in ("expansion.py", "testability.py") and "omega_pow" in called
+    ]
+    assert builders == ["expansion.py:twisted_diagonal"], builders
+
+
 def test_harness_runs_no_estimator_loop():
     """The CLI builds records: `harness` imports no numpy, and it neither
     draws direction words nor rates tuples itself."""

@@ -1,6 +1,7 @@
 """Robustness and agreement testability: exact values, checks, sampling."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -275,6 +276,40 @@ def test_check_composition_sampled_pool_minima_match_oracle():
         flats, sub_codes = oracles.orc_flat_test((3, 3, 3), codes, k)
         ratios = [oracles.orc_word_ratio(w, prod_code, flats, sub_codes) for w in pool]
         assert rep.quantities[f"rho_r_T3^{k}_pool"] == min(r for r in ratios if r is not None)
+
+
+def test_word_pool_diagonals_are_twisted_diagonals():
+    """`diagonal` is T_0 and `diagonal-scaled` is T_s with s_j = j k,
+    k = max(1, n // 3) whatever the rate: k = 5 on RS[15,3]^3, k = 1 on rep2^4."""
+    for fam in (CodeFamily.power(rs_primitive(F16, 1, 5), 3), CodeFamily.power(REP2, 4)):
+        k, axes = max(1, fam.shape[0] // 3), range(1, fam.m)
+        pool = dict(_word_pool(fam, 0, 1))
+        for name, step in (("diagonal", 0), ("diagonal-scaled", k)):
+            shifts = [j * step for j in axes]
+            want = oracles.orc_twisted_diagonal(fam.field, fam.shape, shifts)
+            assert np.array_equal(pool[name].data, want), (fam.label(), name)
+
+
+def test_word_pool_holds_little_beyond_its_words():
+    """The tracemalloc peak of building the RS[63,21]^3 pool (250,047 cells a
+    word) stays within its words' bytes plus 6 words.  Besides the pool, a
+    corruption round holds at most 4 words: the last round's base codeword and
+    corrupted copy while `random_product_codeword` encodes the next base and
+    copies it into its word.  The other 2 words cover the encodings' smaller
+    arrays and the diagonals' support indices (2 x 3,969 int64).  Int64 index
+    arrays over the whole grid would take 24 words (6 MB) alone.  A tiny pool
+    built first loads what numpy imports lazily outside the measurement."""
+    _word_pool(CodeFamily.power(C31, 3), 1, 1)
+    fam = CodeFamily.power(rs_primitive(field_make(6), 1, 3), 3)
+    tracemalloc.start()
+    try:
+        pool = _word_pool(fam, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    word_bytes = prod(fam.shape)
+    assert len(pool) == 28 and word_bytes == 250_047
+    assert peak <= sum(word.data.nbytes for _, word in pool) + 6 * word_bytes
 
 
 def test_check_hyperplane_bound_instances():
