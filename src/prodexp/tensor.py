@@ -104,10 +104,10 @@ class TensorWord:
         flat = self.data.reshape(-1, self.shape[-1])
         step = max(1, _TEXT_BLOCK // flat.shape[1])
         for s in range(0, flat.shape[0], step):
-            cells = _HEX_CELL[flat[s : s + step]]
-            cells[:, -1, 2] = ord("\n")
-            chars = cells.reshape(-1)
-            yield chars[chars != 0].tobytes().decode("ascii")
+            rows = flat[s : s + step]
+            cells = np.take(_HEX_CELL, rows)
+            cells[:, -1] = np.take(_HEX_LINE_END, rows[:, -1])
+            yield cells.tobytes().translate(None, b"\0").decode("ascii")
 
     def to_text(self) -> str:
         return "".join(self.text_blocks())
@@ -157,8 +157,15 @@ class TensorWord:
         return word
 
 
-#: value -> (high hex digit or 0 when below 16, low hex digit, space)
-_HEX_CELL = np.array([[*f"{v:x}".rjust(2, "\0").encode(), 32] for v in range(256)], np.uint8)
+#: value -> the 4 bytes (high hex digit or NUL when below 16, low hex digit,
+#: separator, NUL) as one uint32; the separator is a space in `_HEX_CELL`
+#: and a newline in `_HEX_LINE_END`, the table of each row's last cell
+_HEX_CELL, _HEX_LINE_END = (
+    np.array([[*f"{v:x}".rjust(2, "\0").encode(), sep, 0] for v in range(256)], np.uint8)
+    .view(np.uint32)
+    .reshape(-1)
+    for sep in b" \n"
+)
 #: the leading whitespace that `str.lstrip` removes
 _LEADING_SPACE = re.compile(r"\s*")
 #: character -> hex digit value, _SPACE for whitespace (as `str.split`), _BAD otherwise

@@ -17,8 +17,9 @@ equal).  Restrictions of the product code to an axis-parallel flat are the
 product code of the restricted family, which is exact for the nonzero cyclic
 component codes used throughout.
 
-Exact ratios of many words come from one kernel, `_exact_ratio`, over the
-whole word space (`rho_r_exact`) or over a sampled pool (`check_composition`).
+Exact ratios of many words come from one kernel, `_exact_ratio`, over one
+word per coset of the product code (`rho_r_exact`) or over a sampled pool
+(`check_composition`).
 Both sampled robustness estimators read one seeded pool, `_word_pool`, whose
 diagonal words are twisted diagonals T_s (`expansion.twisted_diagonal`): the
 witness, s = (-k, -2k) with k = n/3 on the rate-1/3 RS triple; `diagonal`, s = 0;
@@ -141,7 +142,7 @@ test_expectation.__test__ = False  # keep pytest from collecting the operation
 
 
 # ----------------------------------------------------------------------
-# Exact robustness by full word-space enumeration (vectorized).
+# Exact robustness by enumerating the cosets of the product code.
 # ----------------------------------------------------------------------
 
 def _flat_distances(words: np.ndarray, test: FlatTest, family: CodeFamily) -> np.ndarray:
@@ -174,27 +175,44 @@ def _exact_ratio(
 
 
 def word_space_enumerable(family: CodeFamily) -> bool:
-    """Whether `rho_r_exact` enumerates the family's word space: q^N <= 2^24."""
+    """Whether `rho_r_exact` may run on the family: q^N <= 2^24.  It scans
+    only q^(N-K) coset representatives, but the guard counts the whole word
+    space q^N on purpose, so that it refuses exactly the families it always
+    refused."""
     return family.field.degree * prod(family.shape) <= 24  # q = 2^degree
 
 
 def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
-    """Exact robustness of a flat test by enumerating the whole word space."""
+    """Exact robustness of a flat test, from one word per coset of the
+    product code P.
+
+    A word's ratio is constant on its coset x + P: adding c in P changes
+    neither its distance to P nor any flat's distance, since c restricted to
+    a flat lies in that flat's restricted product code.  Positions
+    0..k_i - 1 are an information set of each cyclic C_i (the generator
+    matrix is triangular there, with diagonal g(0) != 0), so I = I_1 x ... x
+    I_m is one of P, and each coset holds exactly one word that vanishes on
+    I.  Those q^(N-K) words are scanned, their free cells enumerated."""
     if test.shape != family.shape:
         raise ValueError("test grid does not match the family")
     if not word_space_enumerable(family):
         raise ValueError("word space too large for exact robustness")
     N = prod(family.shape)
     q = family.field.order
-    total = q**N
     prod_cws = product_codewords(family)
-    if prod_cws.shape[0] == total:
+    info = np.zeros(family.shape, dtype=bool)
+    info[tuple(slice(code.dimension) for code in family.codes)] = True
+    free = np.flatnonzero(~info.reshape(-1))
+    if free.size == 0:
         raise ValueError("degenerate family: no word lies outside the product code")
 
     best: Optional[Fraction] = None
+    total = q**free.size
     chunk = 1 << 18
     for start in range(0, total, chunk):
-        words = linalg.enumerate_vectors(q, N, start, min(start + chunk, total))
+        reps = linalg.enumerate_vectors(q, free.size, start, min(start + chunk, total))
+        words = np.zeros((reps.shape[0], N), dtype=np.uint8)
+        words[:, free] = reps
         value = _exact_ratio(words, test, family, prod_cws)
         if value is not None and (best is None or value < best):
             best = value

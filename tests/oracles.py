@@ -10,8 +10,9 @@ the frozen fixture table used by the acceptance tests.
 The exceptions are the membership references `orc_sum_contains` and
 `orc_product_contains`, the Reed-Solomon evaluation vectors
 `low_degree_evaluation_vectors`, the Berlekamp-Welch decoder
-`orc_bounded_distance_decode`, the column-loop product `orc_matmul` and the
-full-grid twisted diagonal `orc_twisted_diagonal`,
+`orc_bounded_distance_decode`, the column-loop product `orc_matmul`, the
+full-grid twisted diagonal `orc_twisted_diagonal` and the certificate
+writer `orc_tensor_text`,
 which have to reach words far beyond full enumeration: they work on numpy arrays, but still build their own field
 table and parity-check matrices from nothing but the field's modulus and
 each code's check polynomial.  The decoder alone takes two package
@@ -23,6 +24,8 @@ basis words of the package's own `DecompositionSpace`, for tests
 that need every word of it, `brute_nearest` scans the codewords that a package code
 lists, one word at a time, and `delta_to_product` scans those of a
 package product code, from `prodexp.tensor.product_codewords`.
+`full_space_rho_r` scores every word of a package family with the
+package's own ratio kernel, to check its reduced scan.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from prodexp.codes import CyclicCode
 from prodexp.expansion import DecompositionSpace
 from prodexp.gf_poly import unipoly_divmod, unipoly_trim, x_pow_n_minus_1
 from prodexp.tensor import product_codewords
+from prodexp.testability import _exact_ratio
 
 # GF(2): elements {0,1}, add = xor, mul = and.
 GF2_MUL = ((0, 0), (0, 1))
@@ -425,6 +429,33 @@ def orc_twisted_diagonal(field, shape, shifts):
     diag_mask = (sum(idx) % n) == 0
     exps = sum((s * idx[j]) % n for j, s in enumerate(shifts, start=1)) % n
     return np.where(diag_mask, np.array(powers, dtype=np.uint8)[exps], 0).astype(np.uint8)
+
+
+def orc_tensor_text(word):
+    """The text form of a package `TensorWord` by one gather of three bytes
+    per cell (high hex digit or NUL below 16, low hex digit, space), a
+    newline in place of each row's last space, and the NULs dropped by a
+    boolean compaction."""
+    table = np.array([[*f"{v:x}".rjust(2, "\0").encode(), 32] for v in range(256)], np.uint8)
+    cells = table[word.data.reshape(-1, word.shape[-1])]
+    cells[:, -1, 2] = ord("\n")
+    chars = cells.reshape(-1)
+    head = "shape " + " ".join(str(n) for n in word.shape) + f" field 2^{word.field.degree}\n"
+    return head + chars[chars != 0].tobytes().decode("ascii")
+
+
+def full_space_rho_r(test, family):
+    """rho_r of a package `FlatTest` on a package family from all q^N words,
+    2^18 at a time through `prodexp.testability._exact_ratio`, where
+    `rho_r_exact` scores one word per coset of the product code."""
+    N, q = prod(family.shape), family.field.order
+    prod_cws = product_codewords(family)
+    chunk = 1 << 18
+    ratios = (
+        _exact_ratio(linalg.enumerate_vectors(q, N, s, min(s + chunk, q**N)), test, family, prod_cws)
+        for s in range(0, q**N, chunk)
+    )
+    return min(r for r in ratios if r is not None)
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,9 @@
 the membership kernel, line, product and sum-code membership against their
 oracles, certificate text and its blocks, batched line decoding
 against per-line Berlekamp-Welch decoding and per-word nearest-codeword
-scans, the product decoder against brute-force nearest codewords, and line
-counts on packed line codes against the per-line oracle."""
+scans, the product decoder against brute-force nearest codewords, line
+counts on packed line codes against the per-line oracle, and the coset
+invariance of flat and product-code distances."""
 
 import itertools
 import math
@@ -42,6 +43,7 @@ from prodexp.gf_poly import field_make
 from prodexp.tensor import (
     CodeFamily,
     TensorWord,
+    _min_distance_to_rows,
     decode_to_product,
     decode_to_products,
     line_counts,
@@ -53,6 +55,7 @@ from prodexp.tensor import (
     sum_contains_batch,
     xor_line_counts,
 )
+from prodexp.testability import FlatTest, _flat_distances
 
 F2 = field_make(1)
 F4 = field_make(2)
@@ -747,3 +750,31 @@ def test_line_counts_match_oracle(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "_XOR_BLOCK", 1)
         assert xor_line_counts(rows, cols, shape, axis).tolist() == want
+
+
+#: families whose product code `product_codewords` lists, with m >= 2
+COSET_FAMILIES = [
+    CodeFamily.power(repetition(F2, 2), 2),
+    CodeFamily.power(repetition(F2, 2), 4),
+    CodeFamily((repetition(F2, 3), repetition(F2, 4))),
+    CodeFamily.power(C31, 3),
+    CodeFamily.power(rs_primitive(F4, 2, 3), 2),
+    CodeFamily((C31, full_code(F4, 3))),
+]
+
+
+@REPRODUCIBLE
+@given(family_and_word(COSET_FAMILIES, words), st.data())
+def test_flat_and_product_distances_are_coset_invariant(family_word, data):
+    """Adding a product codeword c to a word x changes neither its distance
+    to the product code nor any flat's distance to its restricted product
+    code: the coset invariance that lets `rho_r_exact` scan one word per
+    coset."""
+    family, word = family_word
+    c = data.draw(product_code_words(family))
+    test = FlatTest.build(family.shape, data.draw(st.integers(1, family.m - 1)))
+    pair = np.stack([word.data.reshape(-1), (word + c).data.reshape(-1)])
+    flat = _flat_distances(pair, test, family)
+    dist = _min_distance_to_rows(pair, product_codewords(family))
+    assert flat[0] == flat[1]
+    assert dist[0] == dist[1]

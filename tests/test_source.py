@@ -228,12 +228,13 @@ def test_one_membership_kernel():
 def test_one_text_writer_streamed_to_the_file():
     """The certificate reaches its file block by block: `harness` never calls
     `to_text`, which joins the blocks into one string.  Only `tensor` reads
-    `_HEX_CELL`, so the hex text has one writer, `TensorWord.text_blocks`."""
+    the cell tables `_HEX_CELL` and `_HEX_LINE_END`, so the hex text has one
+    writer, `TensorWord.text_blocks`."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-            if name == "_HEX_CELL" and path.name != "tensor.py":
+            if name in ("_HEX_CELL", "_HEX_LINE_END") and path.name != "tensor.py":
                 found.append(f"{path.name}:{node.lineno}:{name}")
             if name == "to_text" and path.name == "harness.py":
                 found.append(f"{path.name}:{node.lineno}:{name}")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import delta_to_product, orc_sum_contains, orc_sum_syndrome
+from oracles import delta_to_product, orc_sum_contains, orc_sum_syndrome, orc_tensor_text
 from prodexp.codes import (
     bounded_distance_decode,
     delta_to_code,
@@ -424,6 +424,22 @@ def test_tensor_text_blocks_match_per_entry_format(monkeypatch):
         monkeypatch.setattr(tensor, "_TEXT_BLOCK", block)
         assert word.to_text() == want
         assert TensorWord.from_text(want) == word
+
+
+@pytest.mark.parametrize("degree", [1, 2, 8])
+@pytest.mark.parametrize("shape", [(3,), (4, 1), (3, 2, 1), (5, 7), (2, 3, 17)])
+def test_tensor_text_matches_the_gather_writer(degree, shape):
+    """The uint32 cell tables give the text of the three-byte gather and
+    compaction of `oracles.orc_tensor_text`, including rows of one cell,
+    whose only cell carries the newline."""
+    field = field_make(degree)
+    rng = np.random.default_rng(degree * 100 + len(shape))
+    data = rng.integers(0, field.order, size=shape, dtype=np.uint8)
+    if degree == 8:
+        data.reshape(-1)[:3] = (0, 15, 16)  # one and two hex digits
+        assert data.min() < 16 <= data.max()
+    word = TensorWord(field, data)
+    assert word.to_text() == orc_tensor_text(word)
 
 
 def test_tensor_text_rejects_bad_counts():

@@ -124,6 +124,79 @@ def test_rho_r_exact_matches_oracle_rep2():
     )[0]
 
 
+REP3 = oracles.orc_cyclic_code(oracles.GF2_MUL, 2, 3, (1, 1))
+REP4 = oracles.orc_cyclic_code(oracles.GF2_MUL, 2, 4, (1, 1))
+
+
+def test_rho_r_exact_matches_oracle_unequal_lengths():
+    """One word per coset of the product code against the oracle's scan of
+    every word, on grids whose sides differ; rep3 x rep4 sits below the 1/m
+    ceiling."""
+    fam23 = CodeFamily((REP2, repetition(F2, 3)))
+    assert rho_r_exact(line_test((2, 3)), fam23) == oracles.orc_rho_r(
+        (2, 3), [oracles.REP2, REP3], 1
+    )[0]
+    fam34 = CodeFamily((repetition(F2, 3), repetition(F2, 4)))
+    value = rho_r_exact(line_test((3, 4)), fam34)
+    assert value == Fraction(5, 12)
+    assert value == oracles.orc_rho_r((3, 4), [REP3, REP4], 1)[0]
+
+
+@pytest.mark.parametrize(
+    "family, k",
+    [(G2, 1), (CodeFamily.power(REP2, 4), 1), (CodeFamily.power(REP2, 4), 3)],
+    ids=["RS[3,1]^2", "rep2^4-k1", "rep2^4-k3"],
+)
+def test_rho_r_exact_equals_full_space_scan(family, k):
+    """The coset representatives give the minimum over all q^N words."""
+    test = FlatTest.build(family.shape, k)
+    assert rho_r_exact(test, family) == oracles.full_space_rho_r(test, family)
+
+
+def test_rho_r_exact_scores_one_word_per_coset(monkeypatch):
+    """RS[3,1]^2 has N = 9 and K = 1: the kernel scores 4^8 distinct words,
+    each zero on the information cell (0, 0), not the 4^9 of the space."""
+    from prodexp import testability
+
+    real, seen = testability._exact_ratio, []
+
+    def counted(words, *args):
+        seen.append(words.copy())
+        return real(words, *args)
+
+    monkeypatch.setattr(testability, "_exact_ratio", counted)
+    assert rho_r_exact(line_test((3, 3)), G2) == Fraction(1, 2)
+    words = np.concatenate(seen)
+    assert words.shape == (4**8, 9)
+    assert not words[:, 0].any()
+    assert np.unique(words, axis=0).shape[0] == 4**8
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        FAM2,
+        CodeFamily((REP2, repetition(F2, 3))),
+        CodeFamily((repetition(F2, 3), repetition(F2, 4))),
+        CodeFamily.power(C31, 3),
+        CodeFamily.power(rs_primitive(F4, 2, 3), 2),
+        CodeFamily((rs_primitive(field_make(3), 3, 7), rs_primitive(field_make(3), 1, 7))),
+        CodeFamily.power(rs_primitive(field_make(3), 2, 7), 2),
+        CodeFamily((C31, full_code(F4, 3))),
+    ],
+    ids=lambda fam: fam.label(),
+)
+def test_product_codewords_on_the_information_set_are_a_bijection(family):
+    """The product code restricted to I = I_1 x ... x I_m, I_i = {0, ...,
+    k_i - 1}, is F_q^K cell for cell: each coset of the product code holds
+    exactly one word that vanishes on I, the words `rho_r_exact` scans."""
+    cws = product_codewords(family).reshape((-1,) + family.shape)
+    on_info = cws[(slice(None),) + tuple(slice(c.dimension) for c in family.codes)]
+    K = prod(c.dimension for c in family.codes)
+    assert cws.shape[0] == family.field.order**K
+    assert np.unique(on_info.reshape(cws.shape[0], K), axis=0).shape[0] == cws.shape[0]
+
+
 def test_rho_a_exact_matches_oracle():
     assert rho_a_exact(FAM2) == oracles.orc_rho_a((2, 2), oracles.rep2_codes(2))
     assert rho_a_exact(FAM3) == oracles.orc_rho_a((2, 2, 2), oracles.rep2_codes(3))
