@@ -28,9 +28,10 @@ through it: each direction of the line test and of the pair-proximity check
 (which is defined by unique decoding), and `delta_to_code`, its one-row
 view.  `distance_bound` bounds the distance of each line it returns.
 `decode_lines`, the batched syndrome decoder, is the one unique decoder, and
-`bounded_distance_decode` is its one-row view.  The per-word scan and the
-Berlekamp-Welch decoder that these replaced are the references
-`brute_nearest` and `orc_bounded_distance_decode` in `tests/oracles.py`.
+`bounded_distance_decode` is its one-row view.  The per-word scan, the
+Berlekamp-Welch decoder and the row-layout Berlekamp-Massey that these
+replaced are the references `brute_nearest`, `orc_bounded_distance_decode`
+and `orc_berlekamp_massey` in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -413,11 +414,11 @@ def bounded_distance_decode(
 
 def _syndrome_context(code: CyclicCode):
     """Tables of the syndrome decoder, built once per code: the matrix of the
-    2e syndromes w^((k+t)i) that Berlekamp-Massey reads, the evaluation
-    matrix w^(-iu) of polynomials of degree at most e at X^-1 = w^-i and its
-    first e rows (a view: the first e m rows of its bit matrix), each
-    expanded by `linalg.bit_matrix` for `linalg.bit_product`; the Forney
-    factors X^(1-k), and field inverses (0 -> 0)."""
+    2e syndromes w^((k+t)i) that Berlekamp-Massey reads and the evaluation
+    matrix w^(-iu) of polynomials of degree at most e at X^-1 = w^-i, each
+    expanded by `linalg.bit_matrix` for `linalg.bit_product`; the points
+    w^-i and the Forney factors X^(1-k) as (n,) tables, and field inverses
+    (0 -> 0)."""
     if code._syndrome_ctx is None:
         field, n, k = code.field, code.length, code.dimension
         e = (n - k) // 2
@@ -425,15 +426,13 @@ def _syndrome_context(code: CyclicCode):
         exp = np.array([field.omega_pow(j) for j in range(n)], dtype=np.uint8)
         syndrome = exp[np.outer(i, k + np.arange(2 * e)) % n]
         evaluate = exp[np.outer(np.arange(e + 1), -i) % n]
-        forney = exp[i * (1 - k) % n]
         inv = np.array([0] + [field.inv(a) for a in range(1, field.order)], dtype=np.uint8)
-        evaluate_bits = linalg.bit_matrix(field, evaluate)
         code._syndrome_ctx = (
             e,
             linalg.bit_matrix(field, syndrome),
-            evaluate_bits,
-            evaluate_bits[: e * field.degree],
-            forney,
+            linalg.bit_matrix(field, evaluate),
+            exp[-i % n],
+            exp[i * (1 - k) % n],
             inv,
         )
     return code._syndrome_ctx
@@ -454,12 +453,12 @@ def decode_lines(
     error pattern of values Y_j at X_j = w^(i_j) has syndromes S_t = sum_j
     Y_j X_j^k X_j^t.  Berlekamp-Massey (Massey 1969) runs its 2e steps on
     the other lines at once and gives the locator Lambda(x) = prod_j (1 -
-    X_j x) of length L; the Chien search finds its roots X_j^-1 where L <= e;
-    where they are L roots, Forney's formula (Forney 1965) gives Y_j =
-    X_j^(1-k) Omega(X_j^-1) / Lambda'(X_j^-1) with Omega = S Lambda mod
-    x^(2e).  A line is resolved only when every step is consistent and the
-    corrected word is a codeword within distance e, which is then the only
-    one.
+    X_j x) of length L; the Chien search finds its roots X_j^-1 where L <= e.
+    Where they are L roots, all simple, Forney's formula (Forney 1965) gives
+    Y_j = X_j^(1-k) Omega(X_j^-1) / Lambda'(X_j^-1) with Omega = S Lambda mod
+    x^(2e), evaluated by Horner at those L roots only.  A line is resolved
+    only when the corrected word is a codeword within distance e, which is
+    then the only one.
     """
     if not code.is_rs_primitive:
         raise ValueError("bounded-distance decoding requires a primitive RS code")
@@ -467,7 +466,7 @@ def decode_lines(
     lines = np.asarray(lines, dtype=np.uint8)
     if lines.ndim != 2 or lines.shape[1] != n:
         raise ValueError("expected a (W, n) array of lines")
-    e, syndrome, evaluate, evaluate_e, forney, inv = _syndrome_context(code)
+    e, syndrome, evaluate, points, forney, inv = _syndrome_context(code)
     codewords = lines.copy()
     dists = np.zeros(lines.shape[0], dtype=np.int64)
     resolved = code.contains_batch(lines)  # a codeword at distance 0
@@ -490,11 +489,16 @@ def decode_lines(
         omega[:, u:] ^= table[lam[:, u : u + 1], S[:, : e - u]]
     deriv = np.zeros((todo.size, e), dtype=np.uint8)
     deriv[:, 0::2] = lam[:, 1::2]  # characteristic 2: only odd powers survive
-    slope = linalg.bit_product(field, deriv, evaluate_e)
-    values = table[table[forney, linalg.bit_product(field, omega, evaluate_e)], inv[slope]]
-    errors = np.where(roots, values, 0)
+    # L distinct roots of a degree <= L polynomial are simple: Lambda' != 0
+    row, at = np.nonzero(roots)
+    x, value, slope = points[at], omega[row, e - 1], deriv[row, e - 1]
+    for u in range(e - 2, -1, -1):
+        value = table[value, x] ^ omega[row, u]
+        slope = table[slope, x] ^ deriv[row, u]
+    errors = np.zeros(roots.shape, dtype=np.uint8)
+    errors[row, at] = table[table[forney[at], value], inv[slope]]
     dist = np.count_nonzero(errors, axis=1)
-    ok = ~(roots & (slope == 0)).any(axis=1) & (dist >= 1) & (dist <= e)
+    ok = (dist >= 1) & (dist <= e)
     ok[ok] = code.contains_batch(lines[todo[ok]] ^ errors[ok])
     done = todo[ok]
     codewords[done] ^= errors[ok]
@@ -508,33 +512,40 @@ def _berlekamp_massey(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shortest LFSR (connection polynomial C, length L) of every row of a
     (W, N) syndrome array, N steps of Massey's algorithm on all rows at once.
-    The branch on the discrepancy d becomes a mask.  A product a b is a
-    gather from the raveled multiplication table at a q + b, the syndromes
-    reversed and scaled by q once.  x^m B is kept as it is: each step
-    multiplies it by x, after replacing it by C on the rows where L grows.
-    At step r it has degree at most r + 1, and so has C after the step, so
-    the step touches columns 0 .. r + 1 only.  Returns C as a (W, N + 1)
-    coefficient array and L."""
+    The steps run on (column, line) arrays, lines along the contiguous axis,
+    so a sum over coefficients is a reduction over axis 0.  The branch on the
+    discrepancy d becomes a mask.  A product a b is a gather from the raveled
+    multiplication table at a q + b, the syndromes reversed and scaled by q
+    once.  deg C <= L after every step (Massey 1969), so the discrepancy and
+    the update C + (d / b) x^m B read columns 0 .. max L of the batch only.
+    x^m B, which has degree at most the new L where d != 0, is kept as it
+    is: each step multiplies it by x over columns 0 .. r + 2, then puts x C
+    in its place on the lines where L grows, in columns 0 .. M + 1 and zeros
+    above, with M the batch's max L before the step.  Returns C as a (W, N + 1) coefficient array and L."""
     W, N = S.shape
     shift = table.shape[0].bit_length() - 1
     mul = table.reshape(-1)
-    rev = S[:, ::-1].astype(np.intp) << shift  # S_r, ..., S_0 at rev[:, N - 1 - r :]
-    C = np.zeros((W, N + 1), dtype=np.uint8)
-    C[:, 0] = 1
-    xB = np.zeros((W, N + 2), dtype=np.uint8)  # x^m B, with B = 1 and m = 1 first
-    xB[:, 1] = 1
+    rev = S.T[::-1].astype(np.intp) << shift  # S_r, ..., S_0 at rev[N - 1 - r :]
+    C = np.zeros((N + 1, W), dtype=np.uint8)
+    C[0] = 1
+    xB = np.zeros((N + 2, W), dtype=np.uint8)  # x^m B, with B = 1 and m = 1 first
+    xB[1] = 1
     L = np.zeros(W, dtype=np.int64)
     b = np.ones(W, dtype=np.intp)
+    top = 0  # max L of the batch
     for r in range(N):
-        d = np.bitwise_xor.reduce(mul[rev[:, N - 1 - r :] | C[:, : r + 1]], axis=1)
+        d = np.bitwise_xor.reduce(mul[rev[N - 1 - r : N + top - r] | C[: top + 1]], axis=0)
         grow = (d != 0) & (2 * L <= r)
-        factor = mul[(d.astype(np.intp) << shift) | inv[b]]
-        update = mul[(factor[:, None].astype(np.intp) << shift) | xB[:, : r + 2]]
-        xB[:, 1 : r + 3] = np.where(grow[:, None], C[:, : r + 2], xB[:, : r + 2])
-        C[:, : r + 2] ^= update  # d = 0: no change
         L = np.where(grow, r + 1 - L, L)
+        last, top = top, int(L.max(initial=0))
+        factor = mul[(d.astype(np.intp) << shift) | inv[b]]
+        update = mul[(factor.astype(np.intp) << shift) | xB[: top + 1]]
+        xB[1 : r + 3] = xB[: r + 2]
+        np.copyto(xB[1 : last + 2], C[: last + 1], where=grow)  # x C: deg C <= last
+        np.copyto(xB[last + 2 : r + 3], 0, where=grow)
+        C[: top + 1] ^= update  # d = 0: no change
         b = np.where(grow, d, b)
-    return C, L
+    return C.T, L
 
 
 def nearest_lines(

@@ -10,7 +10,8 @@ the frozen fixture table used by the acceptance tests.
 The exceptions are the membership references `orc_sum_contains` and
 `orc_product_contains`, the Reed-Solomon evaluation vectors
 `low_degree_evaluation_vectors`, the Berlekamp-Welch decoder
-`orc_bounded_distance_decode`, the column-loop product `orc_matmul`, the
+`orc_bounded_distance_decode`, the row-layout Berlekamp-Massey
+`orc_berlekamp_massey`, the column-loop product `orc_matmul`, the
 full-grid twisted diagonal `orc_twisted_diagonal` and the certificate
 writer `orc_tensor_text`,
 which have to reach words far beyond full enumeration: they work on numpy arrays, but still build their own field
@@ -507,6 +508,41 @@ def orc_bounded_distance_decode(code, word):
         cw = mul[cw, pts] ^ c
     dist = int(np.count_nonzero(cw ^ w))
     return (cw, dist) if dist <= e else None
+
+
+def orc_berlekamp_massey(table, inv, S):
+    """Shortest LFSR (connection polynomial C, length L) of every row of a
+    (W, N) syndrome array, N steps of Massey's algorithm on all rows at once.
+    The branch on the discrepancy d becomes a mask.  A product a b is a
+    gather from the raveled multiplication table at a q + b, the syndromes
+    reversed and scaled by q once.  x^m B is kept as it is: each step
+    multiplies it by x, after replacing it by C on the rows where L grows.
+    At step r it has degree at most r + 1, and so has C after the step, so
+    the step touches columns 0 .. r + 1 only.  Returns C as a (W, N + 1)
+    coefficient array and L.
+
+    The row layout of the package's `codes._berlekamp_massey`, kept as its
+    reference: every step reads columns 0 .. r + 1 of every row."""
+    W, N = S.shape
+    shift = table.shape[0].bit_length() - 1
+    mul = table.reshape(-1)
+    rev = S[:, ::-1].astype(np.intp) << shift  # S_r, ..., S_0 at rev[:, N - 1 - r :]
+    C = np.zeros((W, N + 1), dtype=np.uint8)
+    C[:, 0] = 1
+    xB = np.zeros((W, N + 2), dtype=np.uint8)  # x^m B, with B = 1 and m = 1 first
+    xB[:, 1] = 1
+    L = np.zeros(W, dtype=np.int64)
+    b = np.ones(W, dtype=np.intp)
+    for r in range(N):
+        d = np.bitwise_xor.reduce(mul[rev[:, N - 1 - r :] | C[:, : r + 1]], axis=1)
+        grow = (d != 0) & (2 * L <= r)
+        factor = mul[(d.astype(np.intp) << shift) | inv[b]]
+        update = mul[(factor[:, None].astype(np.intp) << shift) | xB[:, : r + 2]]
+        xB[:, 1 : r + 3] = np.where(grow[:, None], C[:, : r + 2], xB[:, : r + 2])
+        C[:, : r + 2] ^= update  # d = 0: no change
+        L = np.where(grow, r + 1 - L, L)
+        b = np.where(grow, d, b)
+    return C, L
 
 
 def sum_code_words(family, space=None):

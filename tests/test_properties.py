@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_nearest,
     orc_axis_syndrome,
+    orc_berlekamp_massey,
     orc_bounded_distance_decode,
     orc_line_norm,
     orc_matmul,
@@ -471,10 +472,11 @@ def test_decode_lines_matches_bounded_distance_decode_rs255(case):
 def test_decode_lines_skips_codewords_and_hopeless_forney_products(monkeypatch):
     """RS[15,5] lines: 6 codewords, 6 codewords with 1, 2, ..., 6 errors,
     and 40 uniform words.  Counted at `linalg.bit_product`, the syndrome
-    product receives only the lines outside the code, the Chien search only
-    the rows whose locator has length L <= e, and each Forney product (Omega
-    and Lambda') only those whose locator has L roots among the n points,
-    found here by evaluating it term by term."""
+    product receives only the lines outside the code and the Chien search
+    only the rows whose locator has length L <= e, and these are its only
+    two calls.  Forney's values are evaluated only at the L roots of the
+    locators that have L roots among the n points, found here by evaluating
+    them term by term: counted as gathers from the table of points w^-i."""
     code, field, n = RS15, F16, RS15.length
     rng = np.random.Generator(np.random.PCG64(5))
     lines = code.encode_batch(rng.integers(0, field.order, size=(12, code.dimension), dtype=np.uint8))
@@ -482,7 +484,8 @@ def test_decode_lines_skips_codewords_and_hopeless_forney_products(monkeypatch):
         where = rng.choice(n, size=errors, replace=False)
         lines[row, where] ^= rng.integers(1, field.order, size=errors, dtype=np.uint8)
     lines = np.concatenate([lines, rng.integers(0, field.order, size=(40, n), dtype=np.uint8)])
-    e, syndrome, evaluate, evaluate_e, _forney, inv = codes._syndrome_context(code)
+    context = codes._syndrome_context(code)
+    e, syndrome, evaluate, points, _forney, inv = context
     dirty = lines[np.r_[4:10, 12 : len(lines)]]
     weights = [[field.omega_pow((code.dimension + t) * i) for t in range(2 * e)] for i in range(n)]
     S = linalg.matmul(field, dirty, np.array(weights, dtype=np.uint8))
@@ -496,18 +499,24 @@ def test_decode_lines_skips_codewords_and_hopeless_forney_products(monkeypatch):
         return values.count(0)
 
     full = [r for r in np.flatnonzero(L <= e) if root_count(C[r]) == L[r]]
-    real, rows = linalg.bit_product, {}
+    real, rows, gathers = linalg.bit_product, {}, []
 
     def counting(f, A, bits):
         rows.setdefault(id(bits), []).append(len(A))
         return real(f, A, bits)
 
+    class Points(np.ndarray):
+        def __getitem__(self, key):
+            gathers.append(np.size(key))
+            return np.asarray(self)[key]
+
     monkeypatch.setattr(linalg, "bit_product", counting)
+    monkeypatch.setattr(codes, "_syndrome_context", lambda _code: (*context[:3], points.view(Points), *context[4:]))
     resolved = decode_lines(code, lines)[2]
     assert rows.pop(id(syndrome)) == [len(dirty)]
     assert rows.pop(id(evaluate)) == [np.count_nonzero(L <= e)]
-    assert rows.pop(id(evaluate_e)) == [len(full)] * 2
     assert rows == {}
+    assert gathers == [sum(L[r] for r in full)]
     # the five lines within the radius reach Forney's products, and many
     # uniform lines with L <= e do not
     assert resolved[:9].all() and len(full) >= 5 and np.count_nonzero(L <= e) - len(full) >= 20
@@ -533,6 +542,104 @@ def test_berlekamp_massey_locator_degree_at_most_its_length(degree, density):
         terms = table[C[:, : t + 1], S[:, t::-1]]  # C_j S_(t-j), j = 0 .. t
         generated = np.bitwise_xor.reduce(terms, axis=1) == 0
         assert generated[L <= t].all()
+
+
+#: the rate-1/3 RS code over GF(2^degree)
+RATE_THIRD = {4: RS15, 6: RS63, 8: RS255}
+
+
+def _random_syndromes(code, rng, count, density):
+    """`count` rows of 2e field elements, a share `density` of them nonzero."""
+    e, q = codes._syndrome_context(code)[0], code.field.order
+    S = rng.integers(1, q, size=(count, 2 * e)) * (rng.random((count, 2 * e)) < density)
+    return S.astype(np.uint8)
+
+
+def _mixed_syndromes(code, rng, count, uniform):
+    """The 2e syndromes of `count` lines of `code`: a share `uniform` of
+    uniform words, the others codewords plus nu errors for nu = 1, 2, ...,
+    e + 1 in turn, so that the batch's largest L changes as
+    Berlekamp-Massey runs."""
+    field, n = code.field, code.length
+    e, syndrome = codes._syndrome_context(code)[:2]
+    lines = code.encode_batch(rng.integers(0, field.order, size=(count, code.dimension), dtype=np.uint8))
+    for row in range(count):
+        if rng.random() < uniform:
+            lines[row] = rng.integers(0, field.order, size=n, dtype=np.uint8)
+        else:
+            nu = 1 + row % (e + 1)
+            lines[row, rng.choice(n, size=nu, replace=False)] ^= rng.integers(1, field.order, size=nu, dtype=np.uint8)
+    return linalg.bit_product(field, lines, syndrome)
+
+
+def _assert_berlekamp_massey_matches_oracle(code, S):
+    """`codes._berlekamp_massey` gives the (C, L) of the row-layout oracle,
+    which runs on the oracle's own multiplication table and inverses."""
+    field = code.field
+    table = orc_mul_table(field.degree, field.modulus)
+    C, L = codes._berlekamp_massey(field.mul_table, codes._syndrome_context(code)[-1], S)
+    C_orc, L_orc = orc_berlekamp_massey(table, np.argmax(table == 1, axis=1).astype(np.uint8), S)
+    assert C.shape == C_orc.shape and L.dtype == L_orc.dtype
+    assert np.array_equal(C, C_orc) and np.array_equal(L, L_orc)
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8])
+@pytest.mark.parametrize("density", [1, 0.3, 0.05])
+def test_berlekamp_massey_matches_row_layout_oracle(degree, density):
+    """400 random syndrome rows of the rate-1/3 RS code over GF(2^degree)."""
+    code = RATE_THIRD[degree]
+    _assert_berlekamp_massey_matches_oracle(code, _random_syndromes(code, np.random.default_rng(degree), 400, density))
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8])
+@pytest.mark.parametrize("uniform", [0.5, 0.1, 0])
+def test_berlekamp_massey_matches_row_layout_oracle_on_mixed_lines(degree, uniform):
+    """400 lines: uniform words and codewords plus 1 .. e + 1 errors."""
+    code = RATE_THIRD[degree]
+    _assert_berlekamp_massey_matches_oracle(code, _mixed_syndromes(code, np.random.default_rng(degree), 400, uniform))
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8])
+def test_berlekamp_massey_matches_row_layout_oracle_on_one_row(degree):
+    """Batches of one row: a uniform word, a codeword plus one error, a
+    codeword plus e errors, and a random syndrome row."""
+    code, rng = RATE_THIRD[degree], np.random.default_rng(degree)
+    e = codes._syndrome_context(code)[0]
+    rows = [_mixed_syndromes(code, rng, 1, 1)]
+    rows += [_mixed_syndromes(code, rng, row + 1, 0)[row:] for row in (0, e - 1)]
+    rows += [_random_syndromes(code, rng, 1, 0.3)]
+    for S in rows:
+        assert S.shape == (1, 2 * e)
+        _assert_berlekamp_massey_matches_oracle(code, S)
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_locator_derivative_nonzero_at_every_root_of_a_full_line(degree, mixed):
+    """A locator of length L <= e with L roots among the n points w^-i has
+    degree at most L, so every root is simple and Lambda' vanishes at none
+    of them: `decode_lines` divides by Lambda' there without a guard.
+    Evaluated by Horner at every point, on 600 random syndrome rows (a third
+    of their entries nonzero) or 600 mixed lines.  Random rows have full
+    locators with roots only over GF(16); over GF(64) and GF(256) nearly all
+    their locators have length near e and fewer roots."""
+    code = RATE_THIRD[degree]
+    n, table = code.length, code.field.mul_table
+    e, _syndrome, _evaluate, points, _forney, inv = codes._syndrome_context(code)
+    rng = np.random.default_rng(degree)
+    S = _mixed_syndromes(code, rng, 600, 0.5) if mixed else _random_syndromes(code, rng, 600, 0.3)
+    C, L = codes._berlekamp_massey(table, inv, S)
+    lam, length = C[L <= e, : e + 1], L[L <= e]
+    value = np.zeros((len(lam), n), dtype=np.uint8)
+    slope = np.zeros((len(lam), n), dtype=np.uint8)
+    for u in range(e, -1, -1):
+        value = table[value, points] ^ lam[:, u : u + 1]
+        if u < e:  # characteristic 2: Lambda' = sum over odd u + 1 of lam_(u+1) x^u
+            slope = table[slope, points] ^ (lam[:, u + 1 : u + 2] if u % 2 == 0 else 0)
+    roots = value == 0
+    full = roots.sum(axis=1) == length
+    assert (slope[full][roots[full]] != 0).all()
+    assert np.count_nonzero(roots[full]) >= (100 if mixed else 10 if degree == 4 else 0)
 
 
 #: the binary [7,3] cyclic code with check polynomial 1 + x + x^3: 64 of
