@@ -191,7 +191,7 @@ class CyclicCode:
         width = max(unit, min(_BLOCK_CELLS // n, -(-R // unit) * unit) // unit * unit)
         products = (_bitsliced_products if bitsliced else _pair_products)(self, width)
         # zeros pad the last block; stale columns of earlier blocks are valid cells
-        block = np.zeros((n, width), dtype=np.uint8)
+        block = _aligned_zeros((n, width), np.uint8)
         for s in range(0, R, width):
             b = min(width, R - s)
             block[:, :b] = cols[:, s : s + b]
@@ -288,11 +288,11 @@ def _bitsliced_products(code: CyclicCode, width: int):
     n, m = code.length, code.field.degree
     keep = n - code.dimension
     words = width // 8  # uint64 words of 8 cells per row of a block
-    shifted = np.empty((n, words), dtype=np.uint64)
-    planes = np.empty((m, n, words), dtype=np.uint8)  # bytes of 8 bits, one per cell
-    acc = np.empty((m, keep, width // 64), dtype=np.uint64)
-    cells = np.empty((keep, words), dtype=np.uint64)
-    spread = np.empty_like(cells)
+    shifted = _aligned_zeros((n, words), np.uint64)
+    planes = _aligned_zeros((m, n, words), np.uint8)  # bytes of 8 bits, one per cell
+    acc = _aligned_zeros((m, keep, width // 64), np.uint64)
+    cells = _aligned_zeros((keep, words), np.uint64)
+    spread = _aligned_zeros((keep, words), np.uint64)
     bit_planes = planes.view(np.uint64)
     pairs = [(acc[bo], bit_planes[bi, off : off + keep]) for bi, bo, off in _bitslice_terms(code)]
     acc_bytes = acc.view(np.uint8)
@@ -316,6 +316,13 @@ def _bitsliced_products(code: CyclicCode, width: int):
         return cells.view(np.uint8)
 
     return products
+
+
+def _aligned_zeros(shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros from a 64-byte boundary, so that no vector load splits a cache line."""
+    raw = np.zeros(prod(shape) * np.dtype(dtype).itemsize + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + raw.size - 64].view(dtype).reshape(shape)
 
 
 def _bitslice_terms(code: CyclicCode) -> List[Tuple[int, int, int]]:
@@ -511,17 +518,15 @@ def _berlekamp_massey(
     table: np.ndarray, inv: np.ndarray, S: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shortest LFSR (connection polynomial C, length L) of every row of a
-    (W, N) syndrome array, N steps of Massey's algorithm on all rows at once.
-    The steps run on (column, line) arrays, lines along the contiguous axis,
-    so a sum over coefficients is a reduction over axis 0.  The branch on the
-    discrepancy d becomes a mask.  A product a b is a gather from the raveled
+    (W, N) syndrome array, N steps of Massey's algorithm on all rows at once,
+    on (column, line) arrays: lines run along the contiguous axis, so a sum
+    over coefficients is a reduction over axis 0.  The branch on the
+    discrepancy d becomes a mask; a product a b is a gather from the raveled
     multiplication table at a q + b, the syndromes reversed and scaled by q
     once.  deg C <= L after every step (Massey 1969), so the discrepancy and
     the update C + (d / b) x^m B read columns 0 .. max L of the batch only.
-    x^m B, which has degree at most the new L where d != 0, is kept as it
-    is: each step multiplies it by x over columns 0 .. r + 2, then puts x C
-    in its place on the lines where L grows, in columns 0 .. M + 1 and zeros
-    above, with M the batch's max L before the step.  Returns C as a (W, N + 1) coefficient array and L."""
+    Each step shifts x^m B up by one over columns 0 .. r + 2 and puts x C in
+    its place where L grows.  Returns C as a (W, N + 1) array and L."""
     W, N = S.shape
     shift = table.shape[0].bit_length() - 1
     mul = table.reshape(-1)

@@ -348,6 +348,22 @@ def test_check_products_matches_axis_syndrome(code, width, data):
         assert not want.any()
 
 
+@pytest.mark.parametrize(
+    "shape, dtype", [((255, 256), np.uint64), ((8, 255, 2048), np.uint8), ((170, 32), np.uint64), ((5,), np.uint16)]
+)
+def test_aligned_zeros_start_on_a_cache_line(shape, dtype):
+    """The membership kernels' buffers are zeros of the shape and dtype asked
+    for, C-contiguous and writeable, from a 64-byte boundary whatever offset
+    the allocator hands out: allocations of every size in between move it."""
+    held = []
+    for pad in range(0, 160, 16):
+        held.append(np.empty(pad + 1, dtype=np.uint8))
+        a = codes._aligned_zeros(shape, dtype)
+        assert a.shape == shape and a.dtype == dtype
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert a.ctypes.data % 64 == 0 and not a.any()
+
+
 PRODUCT_FAMILIES = [
     CodeFamily.power(C31, 3),
     CodeFamily((RS15, repetition(F16, 5))),
