@@ -28,7 +28,10 @@ through it: each direction of the line test and of the pair-proximity check
 (which is defined by unique decoding), and `delta_to_code`, its one-row
 view.  `distance_bound` bounds the distance of each line it returns.
 `decode_lines`, the batched syndrome decoder, is the one unique decoder, and
-`bounded_distance_decode` is its one-row view.  The per-word scan, the
+`bounded_distance_decode` is its one-row view.  Its one `check_products`
+call finds the codewords and feeds the other lines' syndromes; geometric
+syndromes skip Berlekamp-Massey's steps, and the Chien search and Forney's
+values run at each line's own locator length.  The per-word scan, the
 Berlekamp-Welch decoder and the row-layout Berlekamp-Massey that these
 replaced are the references `brute_nearest`, `orc_bounded_distance_decode`
 and `orc_berlekamp_massey` in `tests/oracles.py`.
@@ -420,23 +423,31 @@ def bounded_distance_decode(
 
 
 def _syndrome_context(code: CyclicCode):
-    """Tables of the syndrome decoder, built once per code: the matrix of the
-    2e syndromes w^((k+t)i) that Berlekamp-Massey reads and the evaluation
-    matrix w^(-iu) of polynomials of degree at most e at X^-1 = w^-i, each
-    expanded by `linalg.bit_matrix` for `linalg.bit_product`; the points
-    w^-i and the Forney factors X^(1-k) as (n,) tables, and field inverses
-    (0 -> 0)."""
+    """Tables of the syndrome decoder, built once per code, on first use.
+
+    The 2e syndromes S_t = sum_i a_i w^((k+t)i) are linear in the word and
+    vanish on the code, the kernel of its kept check products
+    (`CyclicCode.check_products`); so a word's syndromes are its kept
+    products times one (n - k, 2e) matrix M.  The products K of the unit
+    words e_k .. e_(n-1) are invertible, since 0 .. k - 1 is an information
+    set, and M = K^-1 Y with Y their syndromes: one `linalg.rref` of
+    [K | Y].  The context holds M and the evaluation matrix w^(-iu) of
+    polynomials of degree at most e at X^-1 = w^-i, each expanded by
+    `linalg.bit_matrix` for `linalg.bit_product`; the points w^-i and the
+    Forney factors X^(1-k) as (n,) tables, and field inverses (0 -> 0)."""
     if code._syndrome_ctx is None:
         field, n, k = code.field, code.length, code.dimension
         e = (n - k) // 2
         i = np.arange(n)
         exp = np.array([field.omega_pow(j) for j in range(n)], dtype=np.uint8)
-        syndrome = exp[np.outer(i, k + np.arange(2 * e)) % n]
+        units = code.check_products(np.eye(n, dtype=np.uint8)[:, k:])
+        direct = exp[np.outer(i[k:], k + np.arange(2 * e)) % n]
+        to_syndromes = linalg.rref(field, np.hstack([units, direct]))[0][:, n - k :]
         evaluate = exp[np.outer(np.arange(e + 1), -i) % n]
         inv = np.array([0] + [field.inv(a) for a in range(1, field.order)], dtype=np.uint8)
         code._syndrome_ctx = (
             e,
-            linalg.bit_matrix(field, syndrome),
+            linalg.bit_matrix(field, to_syndromes),
             linalg.bit_matrix(field, evaluate),
             exp[-i % n],
             exp[i * (1 - k) % n],
@@ -455,17 +466,20 @@ def decode_lines(
     codeword within distance e and that distance; an unresolved line, which
     has no codeword that close, keeps the received word at distance 0.
 
-    Each step runs only on the lines that can still resolve.  Codewords,
-    found by `CyclicCode.contains_batch`, vanish at w^k .. w^(n-1), so an
-    error pattern of values Y_j at X_j = w^(i_j) has syndromes S_t = sum_j
-    Y_j X_j^k X_j^t.  Berlekamp-Massey (Massey 1969) runs its 2e steps on
-    the other lines at once and gives the locator Lambda(x) = prod_j (1 -
-    X_j x) of length L; the Chien search finds its roots X_j^-1 where L <= e.
+    Each step runs only on the lines that can still resolve.  One call of
+    `CyclicCode.check_products` finds the codewords, whose kept products all
+    vanish, and feeds the syndromes of the other lines, through the matrix
+    of `_syndrome_context`.  Codewords vanish at w^k .. w^(n-1), so an error
+    pattern of values Y_j at X_j = w^(i_j) has syndromes S_t = sum_j Y_j
+    X_j^k X_j^t.  Berlekamp-Massey (Massey 1969) gives the locator Lambda(x)
+    = prod_j (1 - X_j x) of length L of every line, and the lines with
+    1 <= L <= e go on in groups of one L each.  deg Lambda <= L, so the
+    Chien search finds its roots X_j^-1 from its first L + 1 coefficients.
     Where they are L roots, all simple, Forney's formula (Forney 1965) gives
     Y_j = X_j^(1-k) Omega(X_j^-1) / Lambda'(X_j^-1) with Omega = S Lambda mod
-    x^(2e), evaluated by Horner at those L roots only.  A line is resolved
-    only when the corrected word is a codeword within distance e, which is
-    then the only one.
+    x^(2e), of degree below L, evaluated by Horner over its L terms at those
+    L roots only.  A line is resolved only when the corrected word is a
+    codeword within distance e, which is then the only one.
     """
     if not code.is_rs_primitive:
         raise ValueError("bounded-distance decoding requires a primitive RS code")
@@ -476,34 +490,35 @@ def decode_lines(
     e, syndrome, evaluate, points, forney, inv = _syndrome_context(code)
     codewords = lines.copy()
     dists = np.zeros(lines.shape[0], dtype=np.int64)
-    resolved = code.contains_batch(lines)  # a codeword at distance 0
+    kept = code.check_products(lines.T)
+    resolved = ~kept.any(axis=1)  # a codeword at distance 0
     todo = np.flatnonzero(~resolved)
     if e == 0 or todo.size == 0:
         return codewords, dists, resolved
-    table = field.mul_table
-    S = linalg.bit_product(field, lines[todo], syndrome)
+    table, m = field.mul_table, field.degree
+    S = linalg.bit_product(field, kept[todo], syndrome)
+    del kept  # not held through Berlekamp-Massey's temporaries
     locator, length = _berlekamp_massey(table, inv, S)
-    # deg Lambda <= L (Massey 1969), so with L <= e it fits in columns 0 .. e
-    short = length <= e
-    todo, S, lam, length = todo[short], S[short], locator[short, : e + 1], length[short]
-    roots = linalg.bit_product(field, lam, evaluate) == 0
-    full = roots.sum(axis=1) == length
-    todo, S, lam, roots = todo[full], S[full], lam[full], roots[full]
-    # Lambda generates S, so S Lambda mod x^(2e) has degree below L: when
-    # L <= e, its first e terms are all of Omega
-    omega = np.zeros((todo.size, e), dtype=np.uint8)
-    for u in range(e):
-        omega[:, u:] ^= table[lam[:, u : u + 1], S[:, : e - u]]
-    deriv = np.zeros((todo.size, e), dtype=np.uint8)
-    deriv[:, 0::2] = lam[:, 1::2]  # characteristic 2: only odd powers survive
-    # L distinct roots of a degree <= L polynomial are simple: Lambda' != 0
-    row, at = np.nonzero(roots)
-    x, value, slope = points[at], omega[row, e - 1], deriv[row, e - 1]
-    for u in range(e - 2, -1, -1):
-        value = table[value, x] ^ omega[row, u]
-        slope = table[slope, x] ^ deriv[row, u]
-    errors = np.zeros(roots.shape, dtype=np.uint8)
-    errors[row, at] = table[table[forney[at], value], inv[slope]]
+    errors = np.zeros((todo.size, n), dtype=np.uint8)
+    for ell in (np.flatnonzero(np.bincount(length)[1 : e + 1]) + 1).tolist():
+        rows = np.flatnonzero(length == ell)
+        lam = locator[rows, : ell + 1]
+        roots = linalg.bit_product(field, lam, evaluate[: (ell + 1) * m]) == 0
+        full = roots.sum(axis=1) == ell
+        rows, lam, roots = rows[full], lam[full], roots[full]
+        # Lambda generates S, so S Lambda mod x^(2e) has degree below L
+        omega = np.zeros((rows.size, ell), dtype=np.uint8)
+        for u in range(ell):
+            omega[:, u:] ^= table[lam[:, u : u + 1], S[rows, : ell - u]]
+        deriv = np.zeros((rows.size, ell), dtype=np.uint8)
+        deriv[:, 0::2] = lam[:, 1::2]  # characteristic 2: only odd powers survive
+        # L distinct roots of a degree <= L polynomial are simple: Lambda' != 0
+        row, at = np.nonzero(roots)
+        x, value, slope = points[at], omega[row, ell - 1], deriv[row, ell - 1]
+        for u in range(ell - 2, -1, -1):
+            value = table[value, x] ^ omega[row, u]
+            slope = table[slope, x] ^ deriv[row, u]
+        errors[rows[row], at] = table[table[forney[at], value], inv[slope]]
     dist = np.count_nonzero(errors, axis=1)
     ok = (dist >= 1) & (dist <= e)
     ok[ok] = code.contains_batch(lines[todo[ok]] ^ errors[ok])
@@ -518,27 +533,36 @@ def _berlekamp_massey(
     table: np.ndarray, inv: np.ndarray, S: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Shortest LFSR (connection polynomial C, length L) of every row of a
-    (W, N) syndrome array, N steps of Massey's algorithm on all rows at once,
-    on (column, line) arrays: lines run along the contiguous axis, so a sum
-    over coefficients is a reduction over axis 0.  The branch on the
-    discrepancy d becomes a mask; a product a b is a gather from the raveled
-    multiplication table at a q + b, the syndromes reversed and scaled by q
-    once.  deg C <= L after every step (Massey 1969), so the discrepancy and
-    the update C + (d / b) x^m B read columns 0 .. max L of the batch only.
-    Each step shifts x^m B up by one over columns 0 .. r + 2 and puts x C in
-    its place where L grows.  Returns C as a (W, N + 1) array and L."""
+    (W, N) syndrome array.  Returns C as a (W, N + 1) array and L.
+
+    A geometric row, S_0 != 0 and S_(t+1) = r S_t for every t with r = S_1 /
+    S_0, gets C = 1 + r x and L = 1 without Massey's steps, which return just
+    that (C = 1 where S_1 = 0).  The other rows run N steps of Massey's
+    algorithm at once, on (column, line) arrays: lines run along the
+    contiguous axis, so a sum over coefficients is a reduction over axis 0.
+    The branch on the discrepancy d becomes a mask; a product a b is a
+    gather from the raveled multiplication table at a q + b, the syndromes
+    reversed and scaled by q once.  deg C <= L after every step (Massey
+    1969), so the discrepancy and the update C + (d / b) x^m B read columns
+    0 .. max L of the batch only.  Each step shifts x^m B up by one over
+    columns 0 .. r + 2 and puts x C in its place where L grows."""
     W, N = S.shape
+    geometric, ratio = np.zeros(W, dtype=bool), np.zeros(W, dtype=np.uint8)
+    if N >= 2:
+        ratio = table[S[:, 1], inv[S[:, 0]]]
+        geometric = (S[:, 0] != 0) & (table[S[:, :-1], ratio[:, None]] == S[:, 1:]).all(axis=1)
+    rest = np.flatnonzero(~geometric)
     shift = table.shape[0].bit_length() - 1
     mul = table.reshape(-1)
-    rev = S.T[::-1].astype(np.intp) << shift  # S_r, ..., S_0 at rev[N - 1 - r :]
-    C = np.zeros((N + 1, W), dtype=np.uint8)
+    rev = S[rest].T[::-1].astype(np.intp) << shift  # S_r, ..., S_0 at rev[N - 1 - r :]
+    C = np.zeros((N + 1, rest.size), dtype=np.uint8)
     C[0] = 1
-    xB = np.zeros((N + 2, W), dtype=np.uint8)  # x^m B, with B = 1 and m = 1 first
+    xB = np.zeros((N + 2, rest.size), dtype=np.uint8)  # x^m B, with B = 1 and m = 1 first
     xB[1] = 1
-    L = np.zeros(W, dtype=np.int64)
-    b = np.ones(W, dtype=np.intp)
+    L = np.zeros(rest.size, dtype=np.int64)
+    b = np.ones(rest.size, dtype=np.intp)
     top = 0  # max L of the batch
-    for r in range(N):
+    for r in range(N if rest.size else 0):  # no steps when every row is geometric
         d = np.bitwise_xor.reduce(mul[rev[N - 1 - r : N + top - r] | C[: top + 1]], axis=0)
         grow = (d != 0) & (2 * L <= r)
         L = np.where(grow, r + 1 - L, L)
@@ -550,7 +574,13 @@ def _berlekamp_massey(
         np.copyto(xB[last + 2 : r + 3], 0, where=grow)
         C[: top + 1] ^= update  # d = 0: no change
         b = np.where(grow, d, b)
-    return C.T, L
+    # the output is allocated only now, past the steps' largest temporaries
+    locator = np.zeros((W, N + 1), dtype=np.uint8)
+    locator[:, 0] = 1
+    locator[geometric, 1] = ratio[geometric]
+    locator[rest], length = C.T, geometric.astype(np.int64)
+    length[rest] = L
+    return locator, length
 
 
 def nearest_lines(

@@ -25,6 +25,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from io import StringIO
 from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
@@ -470,7 +471,9 @@ def run(config: ExperimentConfig, stream=None) -> int:
 # Argument parsing.
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="prodexp",
         description="Product-code expansion and testability experiments.",

@@ -383,7 +383,10 @@ def test_check_lemmas_enumerates_each_constant_once(monkeypatch):
 
 def test_sampled_agreement_row_reduces_each_code_once(monkeypatch):
     """`_systematic_reencode` reads the systematic bit matrix kept on the
-    code: one `linalg.rref` per code, where it ran one per word and axis."""
+    code: one `linalg.rref` per code, where it ran one per word and axis.
+    The line decoder's context adds one of its own, of [K | Y]: the n - k
+    kept check products of the unit words e_k .. e_(n-1) and their 2e
+    syndromes."""
     from prodexp import linalg
 
     real, calls = linalg.rref, []
@@ -391,7 +394,7 @@ def test_sampled_agreement_row_reduces_each_code_once(monkeypatch):
     argv = "agreement --instance rs --t 2 --m 3 --mode sampled --samples 4 --seed 4"
     code, _ = run_cli(argv.split())
     assert code == EXIT_OK
-    assert calls == [(5, 15)], calls  # the generator matrix of RS[15,5], the one code
+    assert calls == [(10, 20), (5, 15)], calls  # RS[15,5], the one code: [K | Y], then its generator matrix
 
 
 def test_rho_exact_row_reduces_once(monkeypatch):
@@ -698,6 +701,32 @@ def test_constants_cli_csv_header_fixed():
     lines = out.splitlines()
     assert lines[0] == "kind,quantity,value,mode,instance,test,seed,samples,holds,detail"
     assert any("rho^8/576" in line for line in lines)
+
+
+def test_parser_built_once_serves_a_refused_and_a_valid_command():
+    """`build_parser` is cached for the process: a refused parse (exit 2)
+    through `main` leaves the parser as it was, so the next command in the
+    same process prints what it prints in a fresh process."""
+    argv = ["robustness", "--instance", "rep2", "--m", "2", "--mode", "exact"]
+    script = (
+        "import sys\n"
+        "from prodexp.harness import build_parser, main\n"
+        "parser = build_parser()\n"
+        "assert main(['robustness', '--bogus']) == 2\n"
+        "assert build_parser() is parser\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    run_here = dict(
+        capture_output=True,
+        text=True,
+        cwd=str(Path(__file__).resolve().parent.parent),
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+    )
+    both = subprocess.run([sys.executable, "-c", script], **run_here)
+    fresh = subprocess.run([sys.executable, "-m", "prodexp", *argv], **run_here)
+    assert both.returncode == fresh.returncode == EXIT_OK, both.stderr
+    assert "unrecognized arguments: --bogus" in both.stderr
+    assert both.stdout == fresh.stdout and '"quantity":"rho_r"' in fresh.stdout
 
 
 def test_module_entrypoint_subprocess():

@@ -488,11 +488,13 @@ def test_decode_lines_matches_bounded_distance_decode_rs255(case):
 def test_decode_lines_skips_codewords_and_hopeless_forney_products(monkeypatch):
     """RS[15,5] lines: 6 codewords, 6 codewords with 1, 2, ..., 6 errors,
     and 40 uniform words.  Counted at `linalg.bit_product`, the syndrome
-    product receives only the lines outside the code and the Chien search
-    only the rows whose locator has length L <= e, and these are its only
-    two calls.  Forney's values are evaluated only at the L roots of the
-    locators that have L roots among the n points, found here by evaluating
-    them term by term: counted as gathers from the table of points w^-i."""
+    product receives only the kept check products of the lines outside the
+    code, and each locator length L in 1 .. e gets one Chien search, on the
+    rows of that length and the first (L + 1) m rows of the evaluation bit
+    matrix; these are its only calls.  Forney's values are evaluated only at
+    the L roots of the locators that have L roots among the n points, found
+    here by evaluating them term by term: counted as gathers from the table
+    of points w^-i, one per locator length."""
     code, field, n = RS15, F16, RS15.length
     rng = np.random.Generator(np.random.PCG64(5))
     lines = code.encode_batch(rng.integers(0, field.order, size=(12, code.dimension), dtype=np.uint8))
@@ -503,8 +505,7 @@ def test_decode_lines_skips_codewords_and_hopeless_forney_products(monkeypatch):
     context = codes._syndrome_context(code)
     e, syndrome, evaluate, points, _forney, inv = context
     dirty = lines[np.r_[4:10, 12 : len(lines)]]
-    weights = [[field.omega_pow((code.dimension + t) * i) for t in range(2 * e)] for i in range(n)]
-    S = linalg.matmul(field, dirty, np.array(weights, dtype=np.uint8))
+    S = linalg.matmul(field, dirty, _direct_syndrome_matrix(code))
     C, L = codes._berlekamp_massey(field.mul_table, inv, S)
 
     def root_count(locator):
@@ -515,10 +516,10 @@ def test_decode_lines_skips_codewords_and_hopeless_forney_products(monkeypatch):
         return values.count(0)
 
     full = [r for r in np.flatnonzero(L <= e) if root_count(C[r]) == L[r]]
-    real, rows, gathers = linalg.bit_product, {}, []
+    real, calls, gathers = linalg.bit_product, [], []
 
     def counting(f, A, bits):
-        rows.setdefault(id(bits), []).append(len(A))
+        calls.append((np.array(A), bits))
         return real(f, A, bits)
 
     class Points(np.ndarray):
@@ -529,13 +530,95 @@ def test_decode_lines_skips_codewords_and_hopeless_forney_products(monkeypatch):
     monkeypatch.setattr(linalg, "bit_product", counting)
     monkeypatch.setattr(codes, "_syndrome_context", lambda _code: (*context[:3], points.view(Points), *context[4:]))
     resolved = decode_lines(code, lines)[2]
-    assert rows.pop(id(syndrome)) == [len(dirty)]
-    assert rows.pop(id(evaluate)) == [np.count_nonzero(L <= e)]
-    assert rows == {}
-    assert gathers == [sum(L[r] for r in full)]
+    (products, bits), *chien = calls
+    assert bits is syndrome and np.array_equal(products, code.check_products(dirty.T))
+    lengths = sorted(set(L[(L >= 1) & (L <= e)].tolist()))
+    assert all(np.shares_memory(bits, evaluate) for _A, bits in chien)
+    assert [(len(A), bits.shape[0]) for A, bits in chien] == [
+        (np.count_nonzero(L == ell), (ell + 1) * field.degree) for ell in lengths
+    ]
+    assert gathers == [sum(L[r] for r in full if L[r] == ell) for ell in lengths]
     # the five lines within the radius reach Forney's products, and many
     # uniform lines with L <= e do not
     assert resolved[:9].all() and len(full) >= 5 and np.count_nonzero(L <= e) - len(full) >= 20
+
+
+def _direct_syndrome_matrix(code):
+    """The (n, 2e) matrix w^((k+t)i) of the 2e syndromes of a word."""
+    field, n, k = code.field, code.length, code.dimension
+    e = (n - k) // 2
+    return np.array([[field.omega_pow((k + t) * i % n) for t in range(2 * e)] for i in range(n)], dtype=np.uint8)
+
+
+#: RS[15,4]: n - k = 11 is odd, so its 2e = 10 syndromes do not decide membership
+RS15_4 = rs_primitive(F16, 4, 15)
+
+
+@pytest.mark.parametrize("code", [RS15, RS63, RS255, RS15_4], ids=lambda c: c.label())
+def test_products_to_syndromes_matrix_matches_power_sums(code):
+    """The context's matrix M takes the kept check products of a word to
+    its 2e syndromes sum_i a_i w^((k+t)i), on 300 uniform words, 100
+    codewords (all syndromes 0) and the unit words."""
+    field, n = code.field, code.length
+    rng = np.random.default_rng(n + code.dimension)
+    words = np.concatenate([
+        rng.integers(0, field.order, size=(300, n), dtype=np.uint8),
+        code.encode_batch(rng.integers(0, field.order, size=(100, code.dimension), dtype=np.uint8)),
+        np.eye(n, dtype=np.uint8),
+    ])
+    got = linalg.bit_product(field, code.check_products(words.T), codes._syndrome_context(code)[1])
+    want = orc_matmul(orc_mul_table(field.degree, field.modulus), words, _direct_syndrome_matrix(code))
+    assert np.array_equal(got, want)
+    assert not want[300:400].any()
+
+
+@pytest.mark.parametrize("code", [RS15, RS63, RS255], ids=lambda c: c.label())
+def test_decode_lines_matches_oracle_at_every_locator_length(code):
+    """One batch that holds every locator length from 0 to e + 1, shuffled:
+    codewords plus nu = 0 .. e errors (L = nu), and two codewords plus
+    e + 1 errors, picked from 2,000 such lines, one with L = e and one
+    with L = e + 1 (about one line in q).  Each line gets the codeword,
+    the distance or the failure of the Berlekamp-Welch reference decoder."""
+    field, n = code.field, code.length
+    e = (n - code.dimension) // 2
+    rng = np.random.default_rng(n)
+    table, inv = field.mul_table, codes._syndrome_context(code)[-1]
+
+    def noisy(count, nu):
+        lines = code.encode_batch(rng.integers(0, field.order, size=(count, code.dimension), dtype=np.uint8))
+        for row in range(count):
+            lines[row, rng.choice(n, size=nu, replace=False)] ^= rng.integers(1, field.order, size=nu, dtype=np.uint8)
+        return lines
+
+    def lengths(lines):
+        return codes._berlekamp_massey(table, inv, linalg.matmul(field, lines, _direct_syndrome_matrix(code)))[1]
+
+    beyond = noisy(2000, e + 1)
+    L_beyond = lengths(beyond)
+    picked = [beyond[L_beyond == e][:1], beyond[L_beyond == e + 1][:1]]
+    lines = np.concatenate([noisy(1, nu) for nu in range(e + 1)] + picked)[rng.permutation(e + 3)]
+    assert sorted(lengths(lines).tolist()) == [*range(e + 1), e, e + 1]
+    _assert_decode_lines_matches_bounded(code, lines)
+
+
+def test_decode_lines_keeps_non_codeword_with_vanishing_syndromes_unresolved():
+    """RS[15,4] has n - k = 11 check products but reads 2e = 10 syndromes.
+    The word w^i plus a codeword has S_0 = ... = S_9 = 0 (its only nonzero
+    power sum is at w^14), so its locator has length L = 0, yet it is no
+    codeword, and no codeword lies within e = 5 of it: it stays unresolved
+    at distance 0, beside a codeword and a codeword with 5 errors, as the
+    reference decoder says."""
+    code, field, n = RS15_4, F16, RS15_4.length
+    rng = np.random.default_rng(4)
+    lines = code.encode_batch(rng.integers(0, field.order, size=(3, code.dimension), dtype=np.uint8))
+    lines[1] ^= np.array([field.omega_pow(i) for i in range(n)], dtype=np.uint8)
+    lines[2, rng.choice(n, size=5, replace=False)] ^= rng.integers(1, field.order, size=5, dtype=np.uint8)
+    S = linalg.matmul(field, lines, _direct_syndrome_matrix(code))
+    assert not S[1].any() and not code.contains(lines[1])
+    codewords, dists, resolved = decode_lines(code, lines)
+    assert resolved.tolist() == [True, False, True] and dists.tolist() == [0, 0, 5]
+    assert np.array_equal(codewords[1], lines[1])
+    _assert_decode_lines_matches_bounded(code, lines)
 
 
 @pytest.mark.parametrize("degree", [4, 6, 8])
@@ -572,7 +655,8 @@ def _random_syndromes(code, rng, count, density):
 
 
 def _mixed_syndromes(code, rng, count, uniform):
-    """The 2e syndromes of `count` lines of `code`: a share `uniform` of
+    """The 2e syndromes of `count` lines of `code`, from their kept check
+    products through the decoder's matrix: a share `uniform` of
     uniform words, the others codewords plus nu errors for nu = 1, 2, ...,
     e + 1 in turn, so that the batch's largest L changes as
     Berlekamp-Massey runs."""
@@ -585,7 +669,7 @@ def _mixed_syndromes(code, rng, count, uniform):
         else:
             nu = 1 + row % (e + 1)
             lines[row, rng.choice(n, size=nu, replace=False)] ^= rng.integers(1, field.order, size=nu, dtype=np.uint8)
-    return linalg.bit_product(field, lines, syndrome)
+    return linalg.bit_product(field, code.check_products(lines.T), syndrome)
 
 
 def _assert_berlekamp_massey_matches_oracle(code, S):
@@ -627,6 +711,31 @@ def test_berlekamp_massey_matches_row_layout_oracle_on_one_row(degree):
     for S in rows:
         assert S.shape == (1, 2 * e)
         _assert_berlekamp_massey_matches_oracle(code, S)
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8])
+def test_berlekamp_massey_matches_row_layout_oracle_on_geometric_rows(degree):
+    """Rows that skip Massey's steps and rows that only just do not, in one
+    batch: geometric rows S_t = S_0 r^t (L = 1), with S_1 = 0 among them
+    (r = 0, C = 1), and the same rows with their last syndrome changed,
+    which run the steps; beside them the zero row (L = 0) and random rows."""
+    code, rng = RATE_THIRD[degree], np.random.default_rng(degree)
+    field, table = code.field, code.field.mul_table
+    e = codes._syndrome_context(code)[0]
+    start = rng.integers(1, field.order, size=300)
+    ratio = rng.integers(0, field.order, size=300)
+    ratio[:50] = 0
+    geometric = np.empty((300, 2 * e), dtype=np.uint8)
+    geometric[:, 0] = start
+    for t in range(1, 2 * e):
+        geometric[:, t] = table[geometric[:, t - 1], ratio]
+    broken = geometric.copy()
+    broken[:, -1] ^= rng.integers(1, field.order, size=300, dtype=np.uint8)
+    S = np.concatenate([geometric, broken, np.zeros((1, 2 * e), np.uint8), _random_syndromes(code, rng, 100, 0.5)])
+    _assert_berlekamp_massey_matches_oracle(code, S[rng.permutation(len(S))])
+    C, L = codes._berlekamp_massey(table, codes._syndrome_context(code)[-1], geometric)
+    assert (L == 1).all() and (C[:50, 1] == 0).all() and (C[50:, 1] == ratio[50:]).all()
+    assert not C[:, 2:].any()
 
 
 @pytest.mark.parametrize("degree", [4, 6, 8])
