@@ -74,7 +74,18 @@ class Decomposition:
 def twisted_diagonal(field: GF2m, shape: Sequence[int], shifts: Sequence[int]) -> TensorWord:
     """The twisted diagonal T_s of the grid [n]^m: w^(s_1 x_1 + ... + s_(m-1) x_(m-1) mod n)
     where x_0 + ... + x_(m-1) = 0 mod n, else 0.  Every axis-parallel line meets
-    its support once; only the n^(m-1) support cells are indexed."""
+    its support once; only the n^(m-1) support cells are indexed.
+
+    Its spectrum says when it is in the sum code of RS[n,k]^m, n = 2^degree - 1.
+    Let F apply [w^(ij)] along every axis.  A codeword c_i = f(w^-i), deg f < k,
+    of `rs_primitive` transforms to f's coefficients, so RS[n,k] is the words
+    whose transform vanishes outside W = {0, ..., k-1}, and the sum code those
+    whose F vanishes wherever no u_i lies in W.  With x_0 = -(x_1 + ... +
+    x_(m-1)), F T_s(u) factors into geometric sums sum_x w^(x (s_i + u_i - u_0)),
+    each n = 1 (n is odd) where u_i = u_0 - s_i, else 0: F T_s is 1 exactly at
+    the n points (u, u - s_1, ..., u - s_(m-1)).  So T_s is in the sum code
+    iff W, W + s_1, ..., W + s_(m-1) cover Z_n, as the witness shifts (-k, -2k)
+    do at n = 3k."""
     n, rest = shape[0], np.indices(shape[1:])
     pow_table = np.array([field.omega_pow(e) for e in range(n)], dtype=np.uint8)
     data = np.zeros(shape, dtype=np.uint8)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from io import StringIO
-from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, get_args, get_type_hints
 
 from .codes import CyclicCode, min_distance, repetition, rs_primitive
 from .expansion import (
@@ -60,20 +60,6 @@ from .testability import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-_RECORD_FIELDS = (
-    "kind",
-    "quantity",
-    "value",
-    "mode",
-    "instance",
-    "test",
-    "seed",
-    "samples",
-    "holds",
-    "detail",
-)
-
 
 class UsageError(Exception):
     pass
@@ -124,45 +110,32 @@ def _detail_str(items: Dict[str, str]) -> str:
     return ";".join(f"{k}={v}" for k, v in items.items())
 
 
-def make_record(
-    kind: str,
-    quantity: str = "",
-    value: str = "",
-    mode: str = "",
-    instance: str = "",
-    test: str = "",
-    seed: Optional[int] = None,
-    samples: Optional[int] = None,
-    holds: Optional[bool] = None,
-    detail: str = "",
-) -> Dict[str, object]:
-    return {
-        "kind": kind,
-        "quantity": quantity,
-        "value": value,
-        "mode": mode,
-        "instance": instance,
-        "test": test,
-        "seed": seed,
-        "samples": samples,
-        "holds": holds,
-        "detail": detail,
-    }
+class Record(NamedTuple):
+    """One report record; the fields are in output order."""
+
+    kind: str
+    quantity: str = ""
+    value: str = ""
+    mode: str = ""
+    instance: str = ""
+    test: str = ""
+    seed: Optional[int] = None
+    samples: Optional[int] = None
+    holds: Optional[bool] = None
+    detail: str = ""
 
 
-def _value_record(
-    quantity: str, value: Fraction, mode: str, instance: str, **extra
-) -> Dict[str, object]:
+def _value_record(quantity: str, value: Fraction, mode: str, instance: str, **extra) -> Record:
     """The record of one estimated or exactly computed constant."""
-    return make_record("test", quantity, frac_str(value), mode, instance, **extra)
+    return Record("test", quantity, frac_str(value), mode, instance, **extra)
 
 
-def records_from_check(rep: CheckReport) -> List[Dict[str, object]]:
+def records_from_check(rep: CheckReport) -> List[Record]:
     out = []
     quantities = _detail_str({k: frac_str(v) for k, v in rep.quantities.items()})
     for desc, lhs, rhs in rep.inequalities:
         out.append(
-            make_record(
+            Record(
                 kind="check",
                 quantity=f"{rep.name}:{desc}",
                 value=f"{frac_str(lhs)}>=:{frac_str(rhs)}",
@@ -177,18 +150,16 @@ def records_from_check(rep: CheckReport) -> List[Dict[str, object]]:
     return out
 
 
-def emit_report(records: Sequence[Dict[str, object]], fmt: str, stream) -> None:
-    """Serialize records with deterministic field order."""
+def emit_report(records: Sequence[Record], fmt: str, stream) -> None:
+    """Serialize records in `Record`'s field order."""
     if fmt == "jsonlines":
         for rec in records:
-            ordered = {k: rec.get(k) for k in _RECORD_FIELDS}
-            stream.write(json.dumps(ordered, separators=(",", ":")) + "\n")
+            stream.write(json.dumps(rec._asdict(), separators=(",", ":")) + "\n")
     elif fmt == "csv":
-        stream.write(",".join(_RECORD_FIELDS) + "\n")
+        stream.write(",".join(Record._fields) + "\n")
         for rec in records:
             row = []
-            for k in _RECORD_FIELDS:
-                v = rec.get(k)
+            for v in rec:
                 if v is None:
                     row.append("")
                 elif isinstance(v, bool):
@@ -239,7 +210,7 @@ def _run_certify_counterexample(cfg: ExperimentConfig):
     disjoint = cert.line_disjoint if in_sum else line_disjoint_support(word)
     ok = in_sum and support_ok and disjoint
     records = [
-        make_record(
+        Record(
             kind="certificate",
             quantity="rho",
             value=frac_str(cert.bound) if ok else "",
@@ -333,7 +304,7 @@ def _run_check_lemmas(cfg: ExperimentConfig):
     code = _build_code(cfg)
     m = cfg.m
     family = CodeFamily.power(code, m)
-    records: List[Dict[str, object]] = []
+    records: List[Record] = []
     reports: List[CheckReport] = []
     if word_space_enumerable(family):
         if cfg.seed is not None or cfg.samples is not None:
@@ -385,9 +356,7 @@ def _run_check_lemmas(cfg: ExperimentConfig):
     elif m >= 3:
         seed = cfg.seed if cfg.seed is not None else 0
         samples = cfg.samples if cfg.samples is not None else 32
-        reports.append(
-            check_composition(code, m, 1, 2, mode="sampled", samples=samples, seed=seed)
-        )
+        reports.append(check_composition(code, m, 1, 2, samples, seed))
     else:
         raise UsageError("instance too large for the exact checks")
 
@@ -403,7 +372,7 @@ def _run_ps_corollary(cfg: ExperimentConfig):
     code = _build_code(cfg)
     seed = cfg.seed if cfg.seed is not None else 0
     rep = check_pair_proximity(code, cfg.trials, seed)
-    rec = make_record(
+    rec = Record(
         kind="check",
         quantity="pair_proximity",
         value=f"failures={rep.failures}",
@@ -425,7 +394,7 @@ def _run_ps_corollary(cfg: ExperimentConfig):
 def _run_constants(cfg: ExperimentConfig):
     c = derived_constants(cfg.m)
     records = [
-        make_record(
+        Record(
             kind="constants", quantity=quantity, value=value, mode="exact", instance=f"m={cfg.m}"
         )
         for quantity, value in (

@@ -510,12 +510,6 @@ def decode_to_products(words: np.ndarray, family: CodeFamily) -> Tuple[np.ndarra
     return decoded, reached
 
 
-def decode_to_product(word: TensorWord, family: CodeFamily) -> Optional[TensorWord]:
-    """One word's product codeword by `decode_to_products`, or None."""
-    decoded, reached = decode_to_products(word.data[None], family)
-    return TensorWord(family.field, decoded[0]) if reached[0] else None
-
-
 def _min_distance_to_rows(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per-word minimum Hamming distance to any row of `rows`, a loop over
     the rows or, when there are fewer words, over the words."""

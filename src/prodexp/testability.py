@@ -522,33 +522,20 @@ def composition_report(
 
 
 def check_composition(
-    code: CyclicCode,
-    m: int,
-    k1: int,
-    k2: int,
-    mode: str = "exact",
-    samples: int = 64,
-    seed: int = 0,
+    code: CyclicCode, m: int, k1: int, k2: int, samples: int, seed: int
 ) -> CheckReport:
-    """Composition bound rho_r(T_m^k1) >= rho_r(T_m^k2) * rho_r(T_k2^k1),
-    reported by `composition_report`.
-
-    Exact mode computes all three constants by enumeration.  Sampled mode
-    evaluates the two m-dimensional sides on the shared `_word_pool` (one
-    `_exact_ratio` pass each; the pool minima replace the true minima) and
-    is labeled accordingly.
+    """Composition bound rho_r(T_m^k1) >= rho_r(T_m^k2) * rho_r(T_k2^k1) on
+    a pool, reported by `composition_report`: the two m-dimensional sides are
+    evaluated on the shared `_word_pool` (one `_exact_ratio` pass each; the
+    pool minima replace the true minima, and the report says so), the inner
+    constant exactly.  The exact check is `composition_report` on the three
+    `rho_r_exact` values.
     """
     if not 1 <= k1 < k2 < m:
         raise ValueError(f"need 1 <= k1 < k2 < m, got k1={k1}, k2={k2}, m={m}")
     fam_m = CodeFamily.power(code, m)
     fam_k2 = CodeFamily.power(code, k2)
     inner = rho_r_exact(FlatTest.build(fam_k2.shape, k1), fam_k2)
-    if mode == "exact":
-        lhs = rho_r_exact(FlatTest.build(fam_m.shape, k1), fam_m)
-        outer = rho_r_exact(FlatTest.build(fam_m.shape, k2), fam_m)
-        return composition_report(fam_m, k1, k2, lhs, outer, inner)
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
     words = np.stack([word.data.reshape(-1) for _, word in _word_pool(fam_m, samples, seed)])
     prod_cws = product_codewords(fam_m)
     lhs_min = _exact_ratio(words, FlatTest.build(fam_m.shape, k1), fam_m, prod_cws)

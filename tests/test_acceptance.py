@@ -30,9 +30,9 @@ from prodexp.tensor import (
 )
 from prodexp.testability import (
     FlatTest,
-    check_composition,
     check_pair_proximity,
     check_robust_agreement,
+    composition_report,
     derived_constants,
     line_test,
     rho_a_exact,
@@ -195,7 +195,15 @@ def test_criterion_4_robust_agreement_checks():
 
 @_criterion(5, "composition inequality on rep2, m=3")
 def test_criterion_5_composition():
-    rep = check_composition(REP2, 3, 1, 2, mode="exact")
+    fam2, fam3 = CodeFamily.power(REP2, 2), CodeFamily.power(REP2, 3)
+    rep = composition_report(
+        fam3,
+        1,
+        2,
+        rho_r_exact(line_test(fam3.shape), fam3),
+        rho_r_exact(FlatTest.build(fam3.shape, 2), fam3),
+        rho_r_exact(line_test(fam2.shape), fam2),
+    )
     assert rep.holds, rep.inequalities
 
 

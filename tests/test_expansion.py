@@ -106,6 +106,64 @@ def test_counterexample_word_is_the_witness_twisted_diagonal():
         assert np.array_equal(word.data, oracles.orc_twisted_diagonal(field, cube, shifts))
 
 
+def _spectrum(field, words, m):
+    """The transform [w^(ij)] of a (W, n, ..., n) stack along every grid axis."""
+    n = words.shape[1]
+    bits = linalg.bit_matrix(field, [[field.omega_pow(i * j) for j in range(n)] for i in range(n)])
+    for axis in range(1, m + 1):
+        words = linalg.apply_matrix_axis(field, bits, words, axis)
+    return words
+
+
+def _twisted_diagonals(field, n, m):
+    """Every shift vector s in Z_n^(m-1) and the stack of its T_s."""
+    shifts = list(itertools.product(range(n), repeat=m - 1))
+    words = [expansion.twisted_diagonal(field, (n,) * m, s).data for s in shifts]
+    return shifts, np.stack(words)
+
+
+@pytest.mark.parametrize("t, m", [(3, 3), (3, 4), (4, 3)], ids=["n7_m3", "n7_m4", "n15_m3"])
+def test_twisted_diagonal_spectrum_is_one_line(t, m):
+    """The transform of T_s is 1 exactly at the n points (u, u - s_1, ...,
+    u - s_(m-1)) and 0 elsewhere, for every s, the witness shifts (-k, -2k)
+    among them; and `rs_primitive(field, k, n)`'s codewords transform to zero
+    outside W = {0, ..., k-1}, the sign convention of the covering rule."""
+    field = field_make(t)
+    n = field.order - 1
+    shifts, words = _twisted_diagonals(field, n, m)
+    if m == 3 and n % 3 == 0:
+        assert (-n // 3 % n, -2 * n // 3 % n) in shifts
+    want = np.zeros_like(words)
+    u = np.arange(n)
+    for row, s in enumerate(shifts):
+        want[(row, u, *((u - si) % n for si in s))] = 1
+    assert np.array_equal(_spectrum(field, words, m), want)
+    rng = np.random.default_rng(t)
+    for k in range(1, n):
+        code = rs_primitive(field, k, n)
+        spectra = _spectrum(field, np.stack([code.random_codeword(rng) for _ in range(8)]), 1)
+        assert not spectra[:, k:].any() and spectra[:, :k].any()
+
+
+@pytest.mark.parametrize(
+    "t, k, m, covering",
+    [(3, 2, 3, 0), (3, 3, 3, 12), (4, 4, 3, 0), (4, 5, 3, 2), (3, 1, 4, 0), (3, 2, 4, 24)],
+    ids=["RS7_2^3", "RS7_3^3", "RS15_4^3", "RS15_5^3", "RS7_1^4", "RS7_2^4"],
+)
+def test_twisted_diagonal_in_sum_code_iff_shifted_windows_cover(t, k, m, covering):
+    """T_s lies in the sum code of RS[n,k]^m iff W, W + s_1, ...,
+    W + s_(m-1) cover Z_n, W = {0, ..., k-1}: checked for every s."""
+    field = field_make(t)
+    n = field.order - 1
+    shifts, words = _twisted_diagonals(field, n, m)
+    covers = [
+        len({(w + si) % n for si in (0, *s) for w in range(k)}) == n for s in shifts
+    ]
+    family = CodeFamily.power(rs_primitive(field, k, n), m)
+    assert sum_contains_batch(words, family).tolist() == covers
+    assert sum(covers) == covering
+
+
 def test_rs_triple_witness_only_on_the_rate_third_triple():
     """The one predicate for the rate-1/3 RS triple: the witness on RS[3,1]^3
     and RS[15,5]^3; None on other powers, another rate or a mixed triple."""

@@ -20,12 +20,12 @@ from prodexp.harness import (
     EXIT_USAGE,
     EXIT_VIOLATION,
     ExperimentConfig,
+    Record,
     UsageError,
     build_parser,
     config_from_args,
     emit_report,
     main,
-    make_record,
     run,
 )
 from prodexp.tensor import CodeFamily
@@ -127,9 +127,7 @@ def test_emit_report_empty_jsonlines_and_csv():
 
 
 def test_emit_report_single_exact_record_golden():
-    rec = make_record(
-        kind="test", quantity="rho_r", value="1/2", mode="exact", instance="rep2"
-    )
+    rec = Record(kind="test", quantity="rho_r", value="1/2", mode="exact", instance="rep2")
     buf = io.StringIO()
     emit_report([rec], "jsonlines", buf)
     assert buf.getvalue() == (

@@ -45,7 +45,6 @@ from prodexp.tensor import (
     CodeFamily,
     TensorWord,
     _min_distance_to_rows,
-    decode_to_product,
     decode_to_products,
     line_counts,
     nearest_in_direction,
@@ -829,13 +828,14 @@ def noisy_product_code_words(draw, family: CodeFamily) -> TensorWord:
     )
 )
 def test_decode_to_product_within_half_distance_is_unique_nearest(case):
-    """The decoder returns None or a product codeword c; when 2 d(x, c) is
-    below the product code's minimum distance prod_i d_i, c is the one
-    product codeword nearest to x."""
+    """Decoded alone, as a one-row batch, a word reaches no product codeword
+    or a product codeword c; when 2 d(x, c) is below the product code's
+    minimum distance prod_i d_i, c is the one product codeword nearest to x."""
     family, word = case
-    decoded = decode_to_product(word, family)
-    if decoded is None:
+    (decoded,), (reached,) = decode_to_products(word.data[None], family)
+    if not reached:
         return
+    decoded = TensorWord(family.field, decoded)
     assert product_contains(decoded, family)
     dist = (word + decoded).weight()
     if 2 * dist < prod(min_distance(code) for code in family.codes):
@@ -851,7 +851,7 @@ def test_decode_to_product_none_beyond_decoding_radius():
     for _ in range(4):
         for axis, code in enumerate(family.codes):
             word = random_direction_word(code, family.shape, axis, rng)
-            assert decode_to_product(word, family) is None
+            assert not decode_to_products(word.data[None], family)[1][0]
 
 
 def test_decode_to_product_stops_after_a_sweep_that_changes_nothing(monkeypatch):
@@ -870,7 +870,7 @@ def test_decode_to_product_stops_after_a_sweep_that_changes_nothing(monkeypatch)
     monkeypatch.setattr(
         tensor, "nearest_in_direction", lambda w, fam, axis: axes.append(axis) or real(w, fam, axis)
     )
-    assert decode_to_product(word, family) is None
+    assert not decode_to_products(word.data[None], family)[1][0]
     assert axes == [0, 1, 2]
 
 
@@ -907,15 +907,14 @@ def _mixed_stack(family: CodeFamily):
 
 @pytest.mark.parametrize("family", MIXED_STACK_FAMILIES, ids=lambda f: f.label())
 def test_decode_to_products_matches_decode_to_product_word_for_word(family):
-    """The batched decoder gives every word of a mixed stack what the
-    one-word decoder gives it alone: the same array where that reaches the
-    product code, and not reached where it gives None."""
+    """The batched decoder gives every word of a mixed stack what it gives
+    that word alone, as a one-row batch: the same array, reached or not."""
     words, _sweeps = _mixed_stack(family)
     decoded, reached = decode_to_products(words, family)
     for word, got, ok in zip(words, decoded, reached):
-        one = decode_to_product(TensorWord(family.field, word), family)
-        assert ok == (one is not None)
-        assert one is None or np.array_equal(one.data, got)
+        (one,), (one_ok,) = decode_to_products(word[None], family)
+        assert ok == one_ok
+        assert np.array_equal(one, got)
     assert reached.tolist() == ([True] * 7 if family.shape[0] == 3 else [True, True, True, False])
 
 

@@ -387,3 +387,50 @@ def test_harness_runs_no_estimator_loop():
         *(c for name, c in _calls_by_function().items() if name.startswith("harness.py:"))
     )
     assert not called & {"random_direction_word", "agreement_ratio_sampled"}, called
+
+
+def _ast_names(node):
+    """The identifiers that an AST node defines or names."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname]
+    return []
+
+
+def test_each_decision_written_once():
+    """One record type, one exact composition path, one product-decoder
+    entry: no module defines or names `make_record`, `_RECORD_FIELDS` or
+    `decode_to_product` (as exact names, so `decode_to_products` stays);
+    `check_composition` takes no `mode`; and `harness` declares the record
+    fields once, in `Record`: no parameter list or literal collection there
+    names most of them again."""
+    gone = {"make_record", "_RECORD_FIELDS", "decode_to_product"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            found += [f"{path.name}:{node.lineno}:{n}" for n in _ast_names(node) if n in gone]
+    assert found == [], found
+    testability = importlib.import_module("prodexp.testability")
+    assert "mode" not in inspect.signature(testability.check_composition).parameters
+    harness = importlib.import_module("prodexp.harness")
+    fields = harness.Record._fields
+    assert fields == (
+        "kind", "quantity", "value", "mode", "instance",
+        "test", "seed", "samples", "holds", "detail",
+    )
+    again = []
+    for node in ast.walk(ast.parse((SRC / "harness.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            named = [a.arg for a in node.args.args + node.args.kwonlyargs]
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            named = [e.value for e in node.elts if isinstance(e, ast.Constant)]
+        else:
+            continue
+        if 2 * len(set(named) & set(fields)) > len(fields):
+            again.append(node.lineno)
+    assert again == [], again

@@ -11,12 +11,12 @@ import pytest
 
 import oracles
 from prodexp.codes import full_code, repetition, rs_primitive
-from prodexp.expansion import counterexample_word
+from prodexp.expansion import counterexample_word, rho_exact
 from prodexp.gf_poly import field_make
 from prodexp.tensor import (
     CodeFamily,
     TensorWord,
-    decode_to_product,
+    decode_to_products,
     enumerate_flats,
     line_weight,
     product_codewords,
@@ -32,6 +32,7 @@ from prodexp.testability import (
     check_hyperplane_bound,
     check_pair_proximity,
     check_robust_agreement,
+    composition_report,
     derived_constants,
     line_test,
     rho_a_exact,
@@ -314,8 +315,43 @@ def test_check_robust_agreement_holds(fam):
     assert rep.holds, rep.inequalities
 
 
+M2_FAMILIES = {
+    "rep2^2": (CodeFamily.power(REP2, 2), Fraction(1, 2), Fraction(1, 2)),
+    "rep3^2": (CodeFamily.power(repetition(F2, 3), 2), Fraction(5, 9), Fraction(1, 2)),
+    "rep2xrep3": (CodeFamily((REP2, repetition(F2, 3))), Fraction(3, 5), Fraction(1, 2)),
+    "rep3xrep4": (
+        CodeFamily((repetition(F2, 3), repetition(F2, 4))),
+        Fraction(3, 5),
+        Fraction(5, 12),
+    ),
+    "RS[3,1]^2": (G2, Fraction(1, 2), Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("fam, rho, rho_r", M2_FAMILIES.values(), ids=M2_FAMILIES)
+def test_m2_agreement_is_product_expansion(fam, rho, rho_r):
+    """At m = 2, w = c_1 + c_2 ranges over the sum code as (c_1, c_2) ranges
+    over the tuples, and the splittings of w are (c_1 + c, c + c_2) over the
+    product codewords c, so ratio_a(c_1, c_2) = ||w|| / mincost(w) and rho_a =
+    rho.  The line test then transfers it: rho_r(T_2^1) >= rho / (rho + 1)."""
+    assert rho_exact(fam) == rho_a_exact(fam) == rho
+    assert rho_r_exact(line_test(fam.shape), fam) == rho_r >= rho / (rho + 1)
+
+
+def test_m3_agreement_differs_from_product_expansion():
+    """The identity is particular to m = 2: on rep2^3 rho is 1/3, rho_a 4/9."""
+    assert (rho_exact(FAM3), rho_a_exact(FAM3)) == (Fraction(1, 3), Fraction(4, 9))
+
+
 def test_check_composition_rep2_m3_exact():
-    rep = check_composition(REP2, 3, 1, 2, mode="exact")
+    rep = composition_report(
+        FAM3,
+        1,
+        2,
+        rho_r_exact(line_test(FAM3.shape), FAM3),
+        rho_r_exact(FlatTest.build(FAM3.shape, 2), FAM3),
+        rho_r_exact(line_test(FAM2.shape), FAM2),
+    )
     assert rep.holds
     q = rep.quantities
     assert q["rho_r_T3^1"] == Fraction(1, 3)
@@ -325,11 +361,11 @@ def test_check_composition_rep2_m3_exact():
 
 def test_check_composition_rejects_equal_flat_dims():
     with pytest.raises(ValueError):
-        check_composition(REP2, 3, 2, 2)
+        check_composition(REP2, 3, 2, 2, samples=24, seed=5)
 
 
 def test_check_composition_gf4_m3_sampled():
-    rep = check_composition(C31, 3, 1, 2, mode="sampled", samples=24, seed=5)
+    rep = check_composition(C31, 3, 1, 2, samples=24, seed=5)
     assert rep.mode == "sampled"
     assert rep.holds, rep.inequalities
 
@@ -344,7 +380,7 @@ def test_check_composition_sampled_pool_minima_match_oracle():
         for _, word in _word_pool(CodeFamily.power(C31, 3), 24, 5)
     ]
     assert len(pool) == 51
-    rep = check_composition(C31, 3, 1, 2, mode="sampled", samples=24, seed=5)
+    rep = check_composition(C31, 3, 1, 2, samples=24, seed=5)
     for k in (1, 2):
         flats, sub_codes = oracles.orc_flat_test((3, 3, 3), codes, k)
         ratios = [oracles.orc_word_ratio(w, prod_code, flats, sub_codes) for w in pool]
@@ -628,8 +664,9 @@ def test_pair_proximity_rs63_replaces_one_line():
 
 def _pair_proximity_per_trial(code, trials, seed):
     """(failures, max delta) of the planted-pair check with every trial
-    drawn and then decoded on its own by `decode_to_product`, the loop that
-    `check_pair_proximity` turned into one batch."""
+    drawn and then decoded on its own, as a one-row batch of
+    `decode_to_products`, the loop that `check_pair_proximity` turned into
+    one batch."""
     n, k = code.length, code.dimension
     bound = (Fraction(1, 2) - Fraction(k, n)) ** 2
     budget = int(bound * n * n) // n
@@ -649,9 +686,9 @@ def _pair_proximity_per_trial(code, trials, seed):
             failures += 1
             continue
         max_delta = max(max_delta, delta)
-        decoded = decode_to_product(TensorWord(code.field, c1), fam)
-        far = decoded is not None and Fraction((decoded.data != c1).sum(), n * n) > 2 * delta
-        failures += decoded is None or far
+        (decoded,), (reached,) = decode_to_products(c1[None], fam)
+        far = reached and Fraction((decoded != c1).sum(), n * n) > 2 * delta
+        failures += not reached or far
     return failures, max_delta
 
 
