@@ -15,7 +15,6 @@ still gives a valid (possibly loose) lower bound on the cover size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -32,6 +31,7 @@ from .tensor import (
     _exact_ratio_min,
     direction_words,
     in_direction_code,
+    line_norm_scale,
     line_weight,
     random_sum_codeword,
     sum_contains,
@@ -241,9 +241,10 @@ def certify_upper_bound(word: TensorWord, family: CodeFamily) -> ExpansionCertif
 
 
 def verify_certificate(cert: ExpansionCertificate, family: CodeFamily) -> bool:
-    """Re-verify a certificate from scratch, independent of its producer."""
+    """Re-verify a certificate from scratch, independent of its producer.
+    It must name `family`: its `instance` line is `family.label()`."""
     w = cert.witness
-    if w.shape != family.shape or w.field != family.field:
+    if cert.instance != family.label() or w.shape != family.shape or w.field != family.field:
         return False
     if not sum_contains(w, family):
         return False
@@ -268,7 +269,8 @@ class DecompositionSpace:
     basis in reduced form with pivot cells `pivots`, and `coeffs`, with
     coeffs . basis = image; its other rows hold `kernel`, the vectors with
     kernel . basis = 0, whose combinations make up the ambiguity coset of
-    any fixed splitting.
+    any fixed splitting.  Splitting costs are integer line counts on the
+    one scale of `line_norm_scale`: sum_i weights[i] |a_i|_i over `denom`.
     """
 
     def __init__(self, family: CodeFamily) -> None:
@@ -289,10 +291,7 @@ class DecompositionSpace:
         R, self.pivots = linalg.rref(family.field, augmented, self.N)
         r = len(self.pivots)
         self.image, self.coeffs, self.kernel = R[:r, : self.N], R[:r, self.N :], R[r:, self.N :]
-        # integer line-count weights: cost = sum_i weights[i] |a_i|_i / denom
-        counts = [self.N // n for n in shape]
-        self.denom = math.lcm(*counts)
-        self.weights = [self.denom // c for c in counts]
+        self.weights, self.denom = line_norm_scale(shape)
 
     @property
     def ambiguity_dim(self) -> int:
@@ -447,69 +446,46 @@ def rho_upper_sampled(
     samples: int,
     seed: int,
 ) -> SampledExpansionReport:
-    """Sampled upper bound on the expansion constant.
+    """Sampled upper bound on the expansion constant over a pool: the
+    witness (`rs_triple_witness`), if any, and the nonzero ones of `samples`
+    sum-code words with their known splittings.
 
-    Every sampled sum-code word contributes a certificate ratio (always a
-    valid upper bound on rho).  Words whose splitting cost can be probed
-    directly (a known generating splitting, or, for the first
-    `_SEARCH_BUDGET` words, an exhaustive search of a small ambiguity space)
-    additionally contribute a heuristic ratio, which is labeled as such
-    because a found splitting only upper-bounds the cost.  An exhaustively
-    searched word's ratio is exact, so it is an upper bound on rho too:
-    `exact_split_bound` is the minimum of the certificate ratios and these.
+    `certified_bound` is the least certificate ratio (each a valid upper
+    bound on rho).  The first `_SEARCH_BUDGET` words are searched
+    exhaustively when the ambiguity space is small; their exact ratios bound
+    rho too, and `exact_split_bound` is the least of these and the
+    certificates.  `heuristic_min` is the least of the exact ratios and the
+    other words' known-splitting ratios (a known splitting only upper-bounds
+    the cost; a searched word's exact cost is at most its known one's).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.Generator(np.random.PCG64(seed))
-    pool: List[Tuple[TensorWord, Optional[Decomposition]]] = []
-
     witness = rs_triple_witness(family)
+    pool: List[Tuple[TensorWord, Optional[Decomposition]]] = []
     if witness is not None:
         pool.append((witness, None))
-
     for _ in range(samples):
         word, parts = random_sum_codeword(family, rng)
-        pool.append((word, Decomposition(tuple(parts))))
-
+        if word.weight() > 0:  # the zero word certifies nothing
+            known = Decomposition(tuple(parts))
+            known.validate(family, word)
+            pool.append((word, known))
     space: Optional[DecompositionSpace] = None
-    searchable = False
+    searched = 0
     if _space_feasible(family):
         space = DecompositionSpace(family)
-        searchable = (
-            family.field.order**space.ambiguity_dim <= _AMBIGUITY_LIMIT
-        )
-
-    certified: Optional[Fraction] = None
-    heuristic: Optional[Fraction] = None
-    exact_split: Optional[Fraction] = None
-    searched = 0
-    for word, known in pool:
-        if word.weight() == 0:
-            continue
-        cert = certify_upper_bound(word, family)
-        if certified is None or cert.bound < certified:
-            certified = cert.bound
-        exact_split = cert.bound if exact_split is None else min(exact_split, cert.bound)
-        best_cost: Optional[Fraction] = None
-        if known is not None:
-            known.validate(family, word)
-            best_cost = known.cost()
-        if searchable and searched < _SEARCH_BUDGET:
-            _, cost = min_decomposition(word, family, space=space)
-            searched += 1
-            exact_split = min(exact_split, word.norm() / cost)
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-        if best_cost is not None and best_cost > 0:
-            ratio = word.norm() / best_cost
-            if heuristic is None or ratio < heuristic:
-                heuristic = ratio
+        if family.field.order**space.ambiguity_dim <= _AMBIGUITY_LIMIT:
+            searched = min(_SEARCH_BUDGET, len(pool))
+    certified = [certify_upper_bound(word, family).bound for word, _ in pool]
+    split = [word.norm() / min_decomposition(word, family, space)[1] for word, _ in pool[:searched]]
+    split += [word.norm() / known.cost() for word, known in pool[searched:] if known is not None]
     return SampledExpansionReport(
         instance=family.label(),
         seed=seed,
         sample_count=samples,
-        certified_bound=certified,
-        heuristic_min=heuristic,
-        exact_split_bound=exact_split,
+        certified_bound=min(certified, default=None),
+        heuristic_min=min(split, default=None),
+        exact_split_bound=min(certified + split[:searched], default=None),
         exact_split_words=searched,
     )

@@ -65,6 +65,14 @@ class UsageError(Exception):
     pass
 
 
+def _open_out(path: str):
+    """`path` opened for writing; a path that cannot be opened is a usage error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved invocation: instance, mode, sampling, and output options."""
@@ -229,7 +237,7 @@ def _run_certify_counterexample(cfg: ExperimentConfig):
     ]
     if not ok:
         return EXIT_VIOLATION, records
-    with open(cfg.out or f"counterexample_t{cfg.t}.cert", "w") as fh:
+    with _open_out(cfg.out or f"counterexample_t{cfg.t}.cert") as fh:
         fh.writelines(cert.text_blocks())
     return EXIT_OK, records
 
@@ -427,7 +435,7 @@ def run(config: ExperimentConfig, stream=None) -> int:
     emit_report(records, config.fmt, buf)
     payload = buf.getvalue()
     if config.command != "certify-counterexample" and config.out:
-        with open(config.out, "w") as fh:
+        with _open_out(config.out) as fh:
             fh.write(payload)
     elif stream is not None:
         stream.write(payload)

@@ -23,7 +23,7 @@ import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -329,6 +329,14 @@ def xor_line_counts(
     for s in range(0, rows.shape[0], step):
         table[s : s + step] = _nonzero_codes(row_codes[:, :, s : s + step] ^ col_codes)
     return table
+
+
+def line_norm_scale(shape: Sequence[int]) -> Tuple[List[int], int]:
+    """(weights, denom), the one integer scale of line norms on the grid:
+    ||a||_i = weights[i] |a|_i / denom, where denom = lcm_i(N / n_i)."""
+    counts = [prod(shape) // n for n in shape]
+    denom = lcm(*counts)
+    return [denom // c for c in counts], denom
 
 
 def line_weight(word: TensorWord, axis: int) -> Fraction:

@@ -19,7 +19,10 @@ component codes used throughout.
 
 Exact ratios of many words come from one kernel, `_exact_ratio`, over one
 word per coset of the product code (`rho_r_exact`) or over a sampled pool
-(`check_composition`).
+(`check_composition`).  Both agreement estimators count in integers, pairs
+in cells and the distance to the product code in `xor_line_counts` tables on
+the scale of `line_norm_scale`; `agreement_ratio_sampled` only replaces the
+minimum over the product code by a few candidates.
 Both sampled robustness estimators read one seeded pool, `_word_pool`, whose
 diagonal words are twisted diagonals T_s (`expansion.twisted_diagonal`): the
 witness, s = (-k, -2k) with k = n/3 on the rate-1/3 RS triple; `diagonal`, s = 0;
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +50,7 @@ from .tensor import (
     decode_to_products,
     direction_words,
     enumerate_flats,
-    line_weight,
+    line_norm_scale,
     nearest_in_direction,
     product_codewords,
     random_product_codeword,
@@ -370,10 +373,9 @@ def rho_a_exact(family: CodeFamily) -> Fraction:
     ]
     grid = tuple(words.shape[0] for words in spaces)
     prod_cws = product_codewords(family)
-    L = lcm(*(N // n for n in shape))
+    weights, denom = line_norm_scale(shape)
     dist = [
-        L // (N // shape[i]) * xor_line_counts(words, prod_cws, shape, i)
-        for i, words in enumerate(spaces)
+        weights[i] * xor_line_counts(words, prod_cws, shape, i) for i, words in enumerate(spaces)
     ]
     # a cell is a line of length one, so these are Hamming distances
     ham = {
@@ -399,7 +401,7 @@ def rho_a_exact(family: CodeFamily) -> Fraction:
         num, den = num[keep], den[keep]
         if not den.all():
             raise RuntimeError("a disagreeing tuple is at distance 0 from the product code")
-        value, _ = _exact_ratio_min(num, den, m * N, L)
+        value, _ = _exact_ratio_min(num, den, m * N, denom)
         if best is None or value < best:
             best = value
     if best is None:
@@ -410,39 +412,30 @@ def rho_a_exact(family: CodeFamily) -> Fraction:
 def agreement_ratio_sampled(
     tuple_words: Sequence[TensorWord], family: CodeFamily
 ) -> Optional[Fraction]:
-    """Heuristic agreement ratio of one tuple on larger instances.
+    """Heuristic agreement ratio of one tuple on larger instances; None when
+    the c_i all agree.
 
-    The inner minimization over product codewords is replaced by the best of
-    a few candidates for each c_i, so the returned value only estimates the
-    tuple's true ratio (a candidate codeword upper-bounds the denominator's
-    minimum).  The candidates are the product codewords that
-    `decode_to_products` reaches from the c_i, decoded in one batch, and
-    for each c_i the product codeword that agrees with it on the first k_j
-    positions of every axis j, which always exists.
+    The minimum over product codewords is taken over a few candidates only,
+    so the value only estimates the tuple's ratio (each candidate
+    upper-bounds the denominator's minimum): the product codewords that
+    `decode_to_products` reaches from the c_i, in one batch, and
+    `_systematic_reencode` of every c_i, which always exists.  Both sides are
+    integer counts on the scale of `rho_a_exact`: sum_{i<j} 2 |c_i - c_j|
+    cells over the least sum_i weights[i] |c_i - c|_i (`line_norm_scale`).
     Exact computation should be preferred whenever the instance allows it.
     """
-    m = family.m
-    N = prod(family.shape)
-    pair_sum = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair_sum += 2 * (tuple_words[i] + tuple_words[j]).weight()
-    if pair_sum == 0:
+    m, shape = family.m, family.shape
+    N = prod(shape)
+    words = np.stack([w.data for w in tuple_words])
+    num = sum(2 * int(np.count_nonzero(words[i] ^ words[j])) for j in range(m) for i in range(j))
+    if num == 0:
         return None
-    num = Fraction(pair_sum, m * m * N)
-    decoded, reached = decode_to_products(np.stack([w.data for w in tuple_words]), family)
-    candidates: List[TensorWord] = []
-    for i in range(m):
-        if reached[i]:
-            candidates.append(TensorWord(family.field, decoded[i]))
-        candidates.append(_systematic_reencode(tuple_words[i], family))
-    den_best = min(
-        sum((line_weight(tuple_words[i] + cand, i) for i in range(m)), start=Fraction(0))
-        for cand in candidates
-    )
-    if den_best == 0:
-        return None
-    return num / (den_best / m)
+    decoded, reached = decode_to_products(words, family)
+    candidates = np.concatenate([decoded[reached], _systematic_reencode(words, family)])
+    flat, cands = words.reshape(m, N), candidates.reshape(-1, N)
+    weights, denom = line_norm_scale(shape)
+    den = sum(weights[i] * xor_line_counts(flat[i : i + 1], cands, shape, i) for i in range(m))
+    return Fraction(num * denom, m * N * int(den.min()))
 
 
 def rho_a_sampled(family: CodeFamily, samples: int, seed: int) -> Tuple[Fraction, int]:
@@ -460,14 +453,15 @@ def rho_a_sampled(family: CodeFamily, samples: int, seed: int) -> Tuple[Fraction
     return min(ratios), len(ratios)
 
 
-def _systematic_reencode(word: TensorWord, family: CodeFamily) -> TensorWord:
-    """The product codeword equal to `word` on the product of every factor's
-    first k positions, an information set of a cyclic code: each axis is
-    encoded by the code's systematic generator [I | A]."""
-    arr = word.data[tuple(slice(0, code.dimension) for code in family.codes)]
+def _systematic_reencode(words: np.ndarray, family: CodeFamily) -> np.ndarray:
+    """Per word of a (W, n_1, ..., n_m) stack, the product codeword equal to
+    it on the product of every factor's first k positions, an information set
+    of a cyclic code: each axis of the stack is encoded by the code's
+    systematic generator [I | A]."""
+    arr = words[(slice(None),) + tuple(slice(0, code.dimension) for code in family.codes)]
     for axis, code in enumerate(family.codes):
-        arr = linalg.apply_matrix_axis(family.field, code.systematic_bits, arr, axis)
-    return TensorWord(family.field, arr)
+        arr = linalg.apply_matrix_axis(family.field, code.systematic_bits, arr, axis + 1)
+    return arr
 
 
 # ----------------------------------------------------------------------

@@ -332,6 +332,21 @@ def test_verify_certificate_rejects_zero_witness():
     assert not verify_certificate(parsed, fam)
 
 
+def test_verify_certificate_rejects_another_instance_label():
+    """A certificate names the family it was made for: the t=1 file with its
+    `instance` line changed to another family's label fails against RS[3,1]^3,
+    although its witness, bound and flags are unchanged."""
+    fam = CodeFamily.power(rs_primitive(F4, 1, 3), 3)
+    text = _t1_certificate_text()
+    assert "instance rs_gf4_n3_k1^3\n" in text
+    relabelled = ExpansionCertificate.from_text(
+        text.replace("instance rs_gf4_n3_k1^3\n", "instance rep2^3\n")
+    )
+    assert relabelled.instance == "rep2^3"
+    assert verify_certificate(ExpansionCertificate.from_text(text), fam)
+    assert not verify_certificate(relabelled, fam)
+
+
 def test_certificate_of_word_with_shared_lines_uses_greedy_cover():
     fam = CodeFamily.power(rs_primitive(F4, 1, 3), 2)
     word = TensorWord(F4, np.full((3, 3), 2, dtype=np.uint8))  # in the product code
@@ -710,3 +725,39 @@ def test_rho_upper_sampled_exact_split_without_search_is_certificate():
     rep = rho_upper_sampled(fam, samples=1, seed=1)
     assert rep.exact_split_words == 0
     assert rep.exact_split_bound == rep.certified_bound == Fraction(1, 15)
+
+
+@pytest.mark.parametrize(
+    "fam, samples", [(CodeFamily.power(C31, 3), 12), (CodeFamily.power(REP2, 2), 24)],
+    ids=["rs31_m3", "rep2_m2"],
+)
+def test_rho_upper_sampled_does_each_step_once(fam, samples, monkeypatch):
+    """One pass over the pool: `certify_upper_bound` runs once per nonzero
+    pool word (the witness and the nonzero sampled words), `min_decomposition`
+    `exact_split_words` times, and `Decomposition.validate` once per nonzero
+    sampled word besides the one inside each search.  On rep2^2 two of the
+    sampled words are zero."""
+    seed = 3
+    rng = np.random.Generator(np.random.PCG64(seed))
+    nonzero = sum(random_sum_codeword(fam, rng)[0].weight() > 0 for _ in range(samples))
+    pool = nonzero + (rs_triple_witness(fam) is not None)
+    calls = {"certify": 0, "search": 0, "validate": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(expansion, "certify_upper_bound", counted("certify", certify_upper_bound))
+    monkeypatch.setattr(expansion, "min_decomposition", counted("search", min_decomposition))
+    monkeypatch.setattr(Decomposition, "validate", counted("validate", Decomposition.validate))
+    rep = rho_upper_sampled(fam, samples=samples, seed=seed)
+    assert nonzero == (samples if fam.m == 3 else samples - 2)
+    assert rep.exact_split_words == min(expansion._SEARCH_BUDGET, pool)
+    assert calls == {
+        "certify": pool,
+        "search": rep.exact_split_words,
+        "validate": nonzero + rep.exact_split_words,
+    }

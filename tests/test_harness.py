@@ -179,6 +179,24 @@ def test_out_flag_writes_report_file(tmp_path):
     assert "alpha_r,1/2916" in text
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["certify-counterexample", "--t", "1"], "x.cert"),
+        (["rho-exact", "--instance", "rep2", "--m", "2"], "r.txt"),
+    ],
+    ids=["certificate", "report"],
+)
+def test_unwritable_out_exits_2_naming_the_path(argv, name, tmp_path, capsys):
+    """An `--out` whose directory does not exist is a usage error: exit 2,
+    the path on stderr and no traceback, where it was exit 1 with one."""
+    path = tmp_path / "missing" / name
+    assert main(argv + ["--out", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+    assert not path.parent.exists()
+
+
 def test_config_file_flags_win(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"instance": "rep2", "m": 2}))

@@ -434,3 +434,27 @@ def test_each_decision_written_once():
         if 2 * len(set(named) & set(fields)) > len(fields):
             again.append(node.lineno)
     assert again == [], again
+
+
+def test_one_line_norm_scale():
+    """Line norms have one integer scale, `tensor.line_norm_scale`: no module
+    but `tensor` calls `lcm`; the splitting space and both agreement
+    estimators read the scale from it; and the sampled estimator counts in
+    integers, with no `line_weight` or `TensorWord` of its own."""
+    lcm_calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        lcm_calls += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "lcm"
+        ]
+    assert lcm_calls == [], lcm_calls
+    calls = _calls_by_function()
+    readers = [
+        "expansion.py:__init__", "testability.py:rho_a_exact", "testability.py:agreement_ratio_sampled",
+    ]
+    assert [name for name in readers if "line_norm_scale" not in calls[name]] == []
+    sampled = calls["testability.py:agreement_ratio_sampled"]
+    assert not sampled & {"line_weight", "TensorWord"}, sampled

@@ -23,6 +23,7 @@ from prodexp.tensor import (
     TensorWord,
     enumerate_flats,
     line_counts,
+    line_norm_scale,
     line_weight,
     nearest_in_direction,
     product_contains,
@@ -94,6 +95,23 @@ def test_counterexample_restrictions_have_weight_one():
 # ----------------------------------------------------------------------
 # Norms.
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 4), (2, 2, 3)])
+def test_line_norm_scale_matches_line_weight(shape):
+    """weights[i] |a|_i / denom is `line_weight(a, i)` for every axis, and
+    denom is lcm_i(N / n_i), the least integer scale of all the norms."""
+    weights, denom = line_norm_scale(shape)
+    N = int(np.prod(shape))
+    assert denom == np.lcm.reduce([N // n for n in shape])
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        arr = rng.integers(0, 4, shape, dtype=np.uint8)
+        arr[rng.random(shape) < 0.6] = 0  # sparse, so that some lines are zero
+        word = TensorWord(F4, arr)
+        for axis in range(len(shape)):
+            lines = int(line_counts(word.data.reshape(-1), shape, axis))
+            assert Fraction(weights[axis] * lines, denom) == line_weight(word, axis)
+
 
 def test_line_weight_zero_word():
     z = TensorWord.zeros(F4, (3, 3))

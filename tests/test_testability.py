@@ -258,15 +258,22 @@ def test_rho_a_exact_reports_disagreeing_tuple_at_distance_zero(monkeypatch):
 
 
 def test_systematic_reencode_is_product_codeword_agreeing_on_information_set():
-    rng = np.random.default_rng(4)
+    """Every word of a stack re-encodes to a product codeword equal to it on
+    the information set: three one-word stacks per family, then one stack of
+    four words, each re-encoded as it would be alone."""
+    rng, stack_rng = np.random.default_rng(4), np.random.default_rng(5)
     for fam in (CodeFamily.power(RS15, 2), CodeFamily((C31, repetition(F4, 2), C31))):
-        for _ in range(3):
-            arr = rng.integers(0, fam.field.order, fam.shape, dtype=np.uint8)
-            word = TensorWord(fam.field, arr)
-            cand = _systematic_reencode(word, fam)
-            info = tuple(slice(0, c.dimension) for c in fam.codes)
-            assert product_contains(cand, fam)
-            assert np.array_equal(cand.data[info], word.data[info])
+        info = (slice(None),) + tuple(slice(0, c.dimension) for c in fam.codes)
+        q = fam.field.order
+        stacks = [rng.integers(0, q, fam.shape, dtype=np.uint8)[None] for _ in range(3)]
+        stacks.append(stack_rng.integers(0, q, (4, *fam.shape), dtype=np.uint8))
+        for words in stacks:
+            cands = _systematic_reencode(words, fam)
+            assert cands.shape == words.shape
+            assert all(product_contains(TensorWord(fam.field, cand), fam) for cand in cands)
+            assert np.array_equal(cands[info], words[info])
+            for w in range(words.shape[0]):
+                assert np.array_equal(cands[w], _systematic_reencode(words[w : w + 1], fam)[0])
 
 
 def test_rho_a_excludes_fully_agreeing_tuples():
