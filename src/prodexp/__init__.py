@@ -39,9 +39,8 @@ from .testability import (
     CheckReport,
     FlatTest,
     check_composition,
-    check_hyperplane_bound,
+    check_lemmas,
     check_pair_proximity,
-    check_robust_agreement,
     derived_constants,
     line_test,
     rho_a_exact,

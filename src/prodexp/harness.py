@@ -8,7 +8,8 @@ Subcommands (one per claim family):
   rho-sampled             sampled expansion upper bounds
   robustness              exact or sampled flat-test robustness
   agreement               exact or sampled agreement testability
-  check-lemmas            run every applicable inequality check
+  check-lemmas            the exact checks of `testability.check_lemmas`; past
+                          the word-space guard, the pool composition check (m >= 3)
   ps-corollary            planted pair-proximity conformance trials
   constants               closed-form robustness/agreement constants
 
@@ -29,7 +30,7 @@ from functools import lru_cache
 from io import StringIO
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, get_args, get_type_hints
 
-from .codes import CyclicCode, min_distance, repetition, rs_primitive
+from .codes import CyclicCode, repetition, rs_primitive
 from .expansion import (
     NotInSumCode,
     certify_upper_bound,
@@ -45,10 +46,8 @@ from .testability import (
     CheckReport,
     FlatTest,
     check_composition,
-    check_hyperplane_bound,
+    check_lemmas,
     check_pair_proximity,
-    check_robust_agreement,
-    composition_report,
     derived_constants,
     rho_a_exact,
     rho_a_sampled,
@@ -310,70 +309,18 @@ def _run_agreement(cfg: ExperimentConfig):
 
 def _run_check_lemmas(cfg: ExperimentConfig):
     code = _build_code(cfg)
-    m = cfg.m
-    family = CodeFamily.power(code, m)
-    records: List[Record] = []
-    reports: List[CheckReport] = []
-    if word_space_enumerable(family):
+    if word_space_enumerable(CodeFamily.power(code, cfg.m)):
         if cfg.seed is not None or cfg.samples is not None:
             raise UsageError("the exact checks reject --seed/--samples")
-        # later reports read the constants of earlier ones: each is enumerated once
-        agreement = check_robust_agreement(family)
-        reports.append(agreement)
-        rr, ra = agreement.quantities["rho_r_T1"], agreement.quantities["rho_a"]
-        reports.append(
-            CheckReport(
-                name="bounds",
-                instance=family.label(),
-                quantities={"rho_r_T1": rr, "rho_a": ra},
-                inequalities=(
-                    ("rho_r <= 1", Fraction(1), rr),
-                    ("rho_a <= 2", Fraction(2), ra),
-                ),
-            )
-        )
-        plane = check_hyperplane_bound(code, 2)
-        reports.append(plane)
-        rr21 = plane.quantities["rho_r_T2^1"]
-        if m >= 3:
-            plane3 = check_hyperplane_bound(code, 3)
-            reports.append(plane3)
-            outer = (  # at m = 3 the hyperplane test is T_3^2 itself
-                plane3.quantities["rho_r_T3^2"]
-                if m == 3
-                else rho_r_exact(FlatTest.build(family.shape, 2), family)
-            )
-            reports.append(composition_report(family, 1, 2, rr, outer, rr21))
-            # chained line-test bound through the hyperplane factors
-            delta = Fraction(min_distance(code), code.length)
-            M = derived_constants(m).M
-            reports.append(
-                CheckReport(
-                    name="line_test_chain",
-                    instance=family.label(),
-                    quantities={"rho_r_T1": rr, "rho_r_T21": rr21, "delta": delta},
-                    inequalities=(
-                        (
-                            f"rho_r_Tm1 >= rho_r_T21 * delta^{M} / 12^{m - 2}",
-                            rr,
-                            rr21 * delta**M / 12 ** (m - 2),
-                        ),
-                    ),
-                )
-            )
-    elif m >= 3:
+        reports = check_lemmas(code, cfg.m)
+    elif cfg.m >= 3:
         seed = cfg.seed if cfg.seed is not None else 0
         samples = cfg.samples if cfg.samples is not None else 32
-        reports.append(check_composition(code, m, 1, 2, samples, seed))
+        reports = [check_composition(code, cfg.m, 1, 2, samples, seed)]
     else:
         raise UsageError("instance too large for the exact checks")
-
-    violation = False
-    for rep in reports:
-        records.extend(records_from_check(rep))
-        if not rep.holds:
-            violation = True
-    return (EXIT_VIOLATION if violation else EXIT_OK), records
+    records = [rec for rep in reports for rec in records_from_check(rep)]
+    return (EXIT_OK if all(rep.holds for rep in reports) else EXIT_VIOLATION), records
 
 
 def _run_ps_corollary(cfg: ExperimentConfig):

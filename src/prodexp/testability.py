@@ -28,14 +28,18 @@ diagonal words are twisted diagonals T_s (`expansion.twisted_diagonal`): the
 witness, s = (-k, -2k) with k = n/3 on the rate-1/3 RS triple; `diagonal`, s = 0;
 `diagonal-scaled`, s_j = j k with k = max(1, n // 3) whatever the family's rate.
 `rho_a_sampled` draws tuples of uniform direction words instead.
+`check_lemmas` enumerates each exact constant of check-lemmas once and builds
+every report from those values; its line-test chain and `derived_constants`'
+alpha_r are one formula, `_line_test_chain`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,7 +104,8 @@ class CheckReport:
     name: str
     instance: str
     quantities: Dict[str, Fraction]
-    inequalities: Tuple[Tuple[str, Fraction, Fraction], ...]  # (desc, lhs, rhs); holds iff lhs >= rhs
+    # (desc, lhs, rhs) triples; each holds iff lhs >= rhs
+    inequalities: Tuple[Tuple[str, Fraction, Fraction], ...]
     mode: str = "exact"
     seed: Optional[int] = None
     sample_count: Optional[int] = None
@@ -468,28 +473,6 @@ def _systematic_reencode(words: np.ndarray, family: CodeFamily) -> np.ndarray:
 # Executable inequality checks.
 # ----------------------------------------------------------------------
 
-def check_robust_agreement(family: CodeFamily) -> CheckReport:
-    """Exact two-sided relation between line-test robustness and agreement:
-
-        rho_r >= rho_a / 4
-        rho_a >= rho_r / (rho_r + 1) * min_i delta(C_i)
-    """
-    rr = rho_r_exact(line_test(family.shape), family)
-    ra = rho_a_exact(family)
-    dmin = min(
-        Fraction(min_distance(c), c.length) for c in family.codes
-    )
-    return CheckReport(
-        name="robust_agreement",
-        instance=family.label(),
-        quantities={"rho_r_T1": rr, "rho_a": ra, "min_delta": dmin},
-        inequalities=(
-            ("rho_r >= rho_a/4", rr, ra / 4),
-            ("rho_a >= rho_r/(rho_r+1)*min_delta", ra, rr / (rr + 1) * dmin),
-        ),
-    )
-
-
 def composition_report(
     family: CodeFamily, k1: int, k2: int, lhs: Fraction, outer: Fraction, inner: Fraction,
     seed: Optional[int] = None, samples: Optional[int] = None,
@@ -540,19 +523,66 @@ def check_composition(
     return composition_report(fam_m, k1, k2, lhs_min, outer_min, inner, seed, samples)
 
 
-def check_hyperplane_bound(code: CyclicCode, k: int) -> CheckReport:
-    """Hyperplane-test robustness against the imported bound delta(C)^k / 12."""
-    if k < 2:
-        raise ValueError("hyperplane test needs k >= 2")
-    fam = CodeFamily.power(code, k)
-    rr = rho_r_exact(FlatTest.build(fam.shape, k - 1), fam)
+def check_lemmas(code: CyclicCode, m: int) -> List[CheckReport]:
+    """The exact inequality checks on C^m, C = `code`, in report order:
+    robust_agreement (rho_r(T_m^1) >= rho_a/4, rho_a >= rho_r/(rho_r+1) delta(C)),
+    bounds (rho_r <= 1, rho_a <= 2), hyperplane_bound (rho_r(T_k^(k-1)) on C^k >=
+    delta^k/12) at k = 2 and, from m = 3 on, k = 3, `composition_report` and
+    line_test_chain (`_line_test_chain` on the measured rho_r(T_2^1)).
+    rho_a(C^m) is enumerated first, so that its size guards refuse before any
+    word is built, and each rho_r(T_k^j) once, however many reports read it.
+    """
+    family = CodeFamily.power(code, m)
+    ra = rho_a_exact(family)
     delta = Fraction(min_distance(code), code.length)
-    return CheckReport(
-        name="hyperplane_bound",
-        instance=fam.label(),
-        quantities={f"rho_r_T{k}^{k-1}": rr, "delta": delta},
-        inequalities=((f"rho_r >= delta^{k}/12", rr, delta**k / 12),),
-    )
+
+    @cache
+    def flat_rr(k: int, j: int) -> Fraction:
+        fam = CodeFamily.power(code, k)
+        return rho_r_exact(FlatTest.build(fam.shape, j), fam)
+
+    def hyperplane(k: int) -> CheckReport:
+        rr_k = flat_rr(k, k - 1)
+        return CheckReport(
+            name="hyperplane_bound",
+            instance=CodeFamily.power(code, k).label(),
+            quantities={f"rho_r_T{k}^{k-1}": rr_k, "delta": delta},
+            inequalities=((f"rho_r >= delta^{k}/12", rr_k, delta**k / 12),),
+        )
+
+    rr = flat_rr(m, 1)
+    reports = [
+        CheckReport(
+            name="robust_agreement",
+            instance=family.label(),
+            quantities={"rho_r_T1": rr, "rho_a": ra, "min_delta": delta},
+            inequalities=(
+                ("rho_r >= rho_a/4", rr, ra / 4),
+                ("rho_a >= rho_r/(rho_r+1)*min_delta", ra, rr / (rr + 1) * delta),
+            ),
+        ),
+        CheckReport(
+            name="bounds",
+            instance=family.label(),
+            quantities={"rho_r_T1": rr, "rho_a": ra},
+            inequalities=(("rho_r <= 1", Fraction(1), rr), ("rho_a <= 2", Fraction(2), ra)),
+        ),
+        hyperplane(2),
+    ]
+    if m >= 3:
+        rr21 = flat_rr(2, 1)
+        M, chain = _line_test_chain(rr21, delta, m)
+        reports += [
+            hyperplane(3),
+            composition_report(family, 1, 2, rr, flat_rr(m, 2), rr21),
+            CheckReport(
+                name="line_test_chain",
+                instance=family.label(),
+                quantities={"rho_r_T1": rr, "rho_r_T21": rr21, "delta": delta},
+                inequalities=((f"rho_r_Tm1 >= rho_r_T21 * delta^{M} / 12^{m - 2}", rr, chain),),
+            ),
+        ]
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -594,7 +624,7 @@ def check_pair_proximity(
     budget = int(bound * n * n) // n  # whole re-randomized lines within delta budget
     fam = CodeFamily.power(code, 2)
     rng = np.random.Generator(np.random.PCG64(seed))
-    planted, deltas = [], []
+    planted, diffs = [], []
     for _trial in range(trials):
         c = random_product_codeword(fam, rng)
         c1 = c.data.copy()
@@ -605,16 +635,15 @@ def check_pair_proximity(
             c1[:, col] = code.random_codeword(rng)
         for row in rng.choice(n, size=r2, replace=False) if r2 else []:
             c2[row, :] = code.random_codeword(rng)
-        delta12 = Fraction(int(np.count_nonzero(c1 ^ c2)), n * n)
-        if delta12 <= bound:  # a pair beyond the budget is a failure
+        diff = int(np.count_nonzero(c1 ^ c2))  # cells; delta(c1, c2) = diff / n^2
+        if diff * bound.denominator <= bound.numerator * n * n:  # beyond the budget: a failure
             planted.append(c1)
-            deltas.append(delta12)
+            diffs.append(diff)
     words = np.array(planted, dtype=np.uint8).reshape(-1, n, n)
     decoded, reached = decode_to_products(words, fam)
     dists = np.count_nonzero(words ^ decoded, axis=(1, 2))
     failures = trials - len(planted) + sum(
-        not ok or Fraction(int(d), n * n) > 2 * delta
-        for ok, d, delta in zip(reached, dists, deltas)
+        not ok or d > 2 * diff for ok, d, diff in zip(reached, dists.tolist(), diffs)
     )
     return PairProximityReport(
         instance=fam.label(),
@@ -622,7 +651,7 @@ def check_pair_proximity(
         trials=trials,
         failures=failures,
         line_budget=budget,
-        max_observed_delta=max(deltas, default=Fraction(0)),
+        max_observed_delta=Fraction(max(diffs, default=0), n * n),
     )
 
 
@@ -630,44 +659,46 @@ def check_pair_proximity(
 # Closed-form constants.
 # ----------------------------------------------------------------------
 
+def _line_test_chain(rr21: Fraction, delta: Fraction, m: int) -> Tuple[int, Fraction]:
+    """(M, rr21 * delta^M / 12^(m-2)), M = (m-2)(m+3)/2: the line-test
+    robustness floor of C^m that the hyperplane bounds give from rho_r(T_2^1)
+    = rr21 on C^2 and delta(C) >= delta, one factor delta^k / 12 for each
+    k = 3..m."""
+    M = (m - 2) * (m + 3) // 2
+    return M, rr21 * delta**M / 12 ** (m - 2)
+
+
 @dataclass(frozen=True)
 class DerivedConstants:
     m: int
     M: int
     alpha_r: Fraction
     alpha_a: Fraction
-    alpha: Callable[[Fraction], Fraction]
     alpha_exponent: int
     alpha_denominator: int
+
+    def alpha(self, rho: Fraction) -> Fraction:
+        """The line-test robustness floor rho^(M+1) / (4 * 12^(m-2)) for an
+        expansion constant rho."""
+        return rho**self.alpha_exponent / self.alpha_denominator
 
 
 def derived_constants(m: int) -> DerivedConstants:
     """Constants of the rate-1/3 Reed-Solomon robustness chain.
 
-    M = (m-2)(m+3)/2 accumulates one hyperplane-bound factor delta^k for
-    each k = 3..m; alpha_r feeds the line-test robustness of the square
-    (`_RHO_R_T21` = 1/72) through those factors with delta >= 2/3; alpha_a
-    converts robustness to agreement testability.  The returned `alpha` maps
-    an expansion constant rho to the line-test robustness floor
-    rho^(M+1) / (4 * 12^(m-2)).
+    M accumulates one hyperplane-bound factor delta^k for each k = 3..m;
+    alpha_r is `_line_test_chain` from the line-test robustness of the
+    square (`_RHO_R_T21` = 1/72) with delta >= 2/3; alpha_a converts
+    robustness to agreement testability.
     """
     if m < 3:
         raise ValueError("need m >= 3")
-    M = (m - 2) * (m + 3) // 2
-    alpha_r = _RHO_R_T21 * Fraction(1, 12 ** (m - 2)) * Fraction(2, 3) ** M
-    alpha_a = Fraction(2, 3) * alpha_r / (1 + alpha_r)
-    denom = 4 * 12 ** (m - 2)
-    exponent = M + 1
-
-    def alpha(rho: Fraction) -> Fraction:
-        return rho**exponent / denom
-
+    M, alpha_r = _line_test_chain(_RHO_R_T21, Fraction(2, 3), m)
     return DerivedConstants(
         m=m,
         M=M,
         alpha_r=alpha_r,
-        alpha_a=alpha_a,
-        alpha=alpha,
-        alpha_exponent=exponent,
-        alpha_denominator=denom,
+        alpha_a=Fraction(2, 3) * alpha_r / (1 + alpha_r),
+        alpha_exponent=M + 1,
+        alpha_denominator=4 * 12 ** (m - 2),
     )

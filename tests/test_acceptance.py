@@ -30,8 +30,8 @@ from prodexp.tensor import (
 )
 from prodexp.testability import (
     FlatTest,
+    check_lemmas,
     check_pair_proximity,
-    check_robust_agreement,
     composition_report,
     derived_constants,
     line_test,
@@ -189,7 +189,7 @@ def test_criterion_3_exact_tiny_constants():
 @_criterion(4, "robustness/agreement inequalities hold on exact values")
 def test_criterion_4_robust_agreement_checks():
     for m in (2, 3):
-        rep = check_robust_agreement(CodeFamily.power(REP2, m))
+        (rep,) = [rep for rep in check_lemmas(REP2, m) if rep.name == "robust_agreement"]
         assert rep.holds, rep.inequalities
 
 

@@ -379,22 +379,54 @@ def test_size_guards_on_rs255_cubed_refuse_in_little_memory(argv, message, capsy
 
 
 def test_check_lemmas_enumerates_each_constant_once(monkeypatch):
-    """The exact branch hands the constants it already has to
-    `composition_report`: rho_r(T_3^1), rho_r(T_2^1) and rho_r(T_3^2) are
-    enumerated once each, not twice."""
+    """`testability.check_lemmas` builds every report from one enumeration
+    of each constant, rho_a(C^m) first and then each rho_r(T_k^j) once: at
+    m = 2 the line test of C^2 serves both the agreement and the hyperplane
+    reports, and at m = 3 the composition report reads rho_r(T_3^2) from the
+    hyperplane report's enumeration."""
     from prodexp import harness, testability
 
-    real, calls = testability.rho_r_exact, []
+    calls = []
+    real_rr, real_ra = testability.rho_r_exact, testability.rho_a_exact
 
-    def counted(test, family):
-        calls.append((test.label(), family.label()))
-        return real(test, family)
+    def counted_rr(test, family):
+        calls.append((test.label(), family.m))
+        return real_rr(test, family)
 
-    monkeypatch.setattr(testability, "rho_r_exact", counted)
-    monkeypatch.setattr(harness, "rho_r_exact", counted)
-    code, out = run_cli("check-lemmas --instance rep2 --m 3".split())
-    assert code == EXIT_OK and '"composition:T3^1 >= T3^2 * T2^1"' in out
-    assert sorted(label for label, _ in calls) == ["T_2^1", "T_3^1", "T_3^2"], calls
+    def counted_ra(family):
+        calls.append(("rho_a", family.m))
+        return real_ra(family)
+
+    for module in (testability, harness):
+        monkeypatch.setattr(module, "rho_r_exact", counted_rr)
+        monkeypatch.setattr(module, "rho_a_exact", counted_ra)
+    for argv, m, rho_r_calls in (
+        ("--instance rep2 --m 2", 2, [("T_2^1", 2)]),
+        ("--instance rs --t 1 --m 2", 2, [("T_2^1", 2)]),
+        ("--instance rep2 --m 3", 3, [("T_2^1", 2), ("T_3^1", 3), ("T_3^2", 3)]),
+    ):
+        calls.clear()
+        code, out = run_cli(["check-lemmas", *argv.split()])
+        assert code == EXIT_OK and ('"composition:T3^1 >= T3^2 * T2^1"' in out) == (m == 3)
+        assert calls[0] == ("rho_a", m), (argv, calls)  # its guards refuse first
+        assert sorted(calls[1:]) == rho_r_calls, (argv, calls)
+
+
+@pytest.mark.parametrize(
+    "argv", ["--instance rep2 --m 4", "--instance rs --t 1 --rate 2/3 --m 2"], ids=["rep2_m4", "rs32_m2"]
+)
+def test_check_lemmas_refuses_before_enumerating_robustness(argv, monkeypatch, capsys):
+    """Both instances pass the word-space guard but not rho_a's tuple-space
+    guard, which `check_lemmas` meets before it enumerates any rho_r."""
+    from prodexp import testability
+
+    def refused(test, family):
+        raise AssertionError(f"rho_r_exact({test.label()}, {family.label()}) ran before the guard")
+
+    monkeypatch.setattr(testability, "rho_r_exact", refused)
+    assert main(["check-lemmas", *argv.split()]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tuple space too large" in captured.err, captured
 
 
 def test_sampled_agreement_row_reduces_each_code_once(monkeypatch):

@@ -458,3 +458,42 @@ def test_one_line_norm_scale():
     assert [name for name in readers if "line_norm_scale" not in calls[name]] == []
     sampled = calls["testability.py:agreement_ratio_sampled"]
     assert not sampled & {"line_weight", "TensorWord"}, sampled
+
+
+
+def test_no_per_check_lemma_functions():
+    """check-lemmas' exact checks are one function, `testability.check_lemmas`:
+    no module defines or names `check_robust_agreement` or
+    `check_hyperplane_bound`."""
+    gone = {"check_robust_agreement", "check_hyperplane_bound"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            found += [f"{path.name}:{node.lineno}:{n}" for n in _ast_names(node) if n in gone]
+    assert found == [], found
+
+
+def test_harness_builds_no_check_report():
+    """The harness turns reports into records: it never calls `CheckReport`."""
+    tree = ast.parse((SRC / "harness.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "CheckReport"
+    ]
+    assert found == [], found
+
+
+def test_pair_proximity_counts_in_integers():
+    """`check_pair_proximity` keeps each trial's cell difference as an
+    integer: no loop or comprehension in it calls `Fraction`."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    proximity = next(f for _, f in _functions() if f.name == "check_pair_proximity")
+    found = [
+        node.lineno
+        for loop in ast.walk(proximity)
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "Fraction"
+    ]
+    assert found == [], found

@@ -29,9 +29,8 @@ from prodexp.testability import (
     _word_pool,
     agreement_ratio_sampled,
     check_composition,
-    check_hyperplane_bound,
+    check_lemmas,
     check_pair_proximity,
-    check_robust_agreement,
     composition_report,
     derived_constants,
     line_test,
@@ -316,9 +315,11 @@ def test_bounds_rho_r_at_most_one_rho_a_at_most_two():
 # Inequality checks.
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("fam", [FAM2, FAM3, G2], ids=["rep2_m2", "rep2_m3", "gf4_m2"])
-def test_check_robust_agreement_holds(fam):
-    rep = check_robust_agreement(fam)
+@pytest.mark.parametrize(
+    "code, m", [(REP2, 2), (REP2, 3), (C31, 2)], ids=["rep2_m2", "rep2_m3", "gf4_m2"]
+)
+def test_check_robust_agreement_holds(code, m):
+    (rep,) = [rep for rep in check_lemmas(code, m) if rep.name == "robust_agreement"]
     assert rep.holds, rep.inequalities
 
 
@@ -429,9 +430,16 @@ def test_word_pool_holds_little_beyond_its_words():
 
 
 def test_check_hyperplane_bound_instances():
-    assert check_hyperplane_bound(REP2, 2).holds
-    assert check_hyperplane_bound(REP2, 3).holds
-    assert check_hyperplane_bound(C31, 2).holds
+    """`check_lemmas` reports the hyperplane bound on C^2 and, from m = 3
+    on, on C^3."""
+    planes = {
+        rep.instance: rep
+        for code, m in ((REP2, 3), (C31, 2))
+        for rep in check_lemmas(code, m)
+        if rep.name == "hyperplane_bound"
+    }
+    assert sorted(planes) == sorted(fam.label() for fam in (FAM2, FAM3, G2))
+    assert all(rep.holds for rep in planes.values()), planes
 
 
 def test_line_test_chain_bound_rep2_m3():
