@@ -28,7 +28,6 @@ from .tensor import (
     CodeFamily,
     Flat,
     TensorWord,
-    enumerate_flats,
     line_weight,
     nearest_in_direction,
     product_contains,

@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise UsageError("--samples must not be negative")
         if self.mode not in ("exact", "sampled"):
             raise UsageError(f"unknown mode {self.mode!r}")
+        if self.fmt not in ("jsonlines", "csv"):
+            raise UsageError(f"unknown format {self.fmt!r}")
         if self.mode == "sampled" and self.seed is None:
             raise UsageError("sampled mode requires --seed")
         if self.mode == "exact" and self.command in ("robustness", "agreement"):
@@ -313,12 +315,15 @@ def _run_check_lemmas(cfg: ExperimentConfig):
         if cfg.seed is not None or cfg.samples is not None:
             raise UsageError("the exact checks reject --seed/--samples")
         reports = check_lemmas(code, cfg.m)
-    elif cfg.m >= 3:
+    elif cfg.m >= 3 and word_space_enumerable(CodeFamily.power(code, 2)):
         seed = cfg.seed if cfg.seed is not None else 0
         samples = cfg.samples if cfg.samples is not None else 32
         reports = [check_composition(code, cfg.m, 1, 2, samples, seed)]
-    else:
-        raise UsageError("instance too large for the exact checks")
+    else:  # the pool check enumerates rho_r(T_2^1) on C^2
+        raise UsageError(
+            "word space too large: the exact checks need q^(n^m) <= 2^24,"
+            " the pool check m >= 3 and q^(n^2) <= 2^24"
+        )
     records = [rec for rep in reports for rec in records_from_check(rep)]
     return (EXIT_OK if all(rep.holds for rep in reports) else EXIT_VIOLATION), records
 

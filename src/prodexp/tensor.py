@@ -3,8 +3,9 @@
 Index convention: an entry is addressed as (i_1, ..., i_m), zero-based.  A
 line in direction j fixes every coordinate except the j-th.  Weights and
 norms are exact `Fraction`s, line distances integer counts of cells.
-`enumerate_flats` lists plain `Flat`s; a flat test weighs each flat by
-its size.
+A `Flat` names one axis-parallel flat for `restrict`; the exact flat
+distances read many words at once, one word per column of a cells-major
+(N, W) array, with `_min_distance_to_rows`.
 
 Both membership tests run the one kernel `CyclicCode.check_products`,
 which multiplies every line along an axis by that code's check polynomial
@@ -18,7 +19,6 @@ family, equal lengths or not.
 
 from __future__ import annotations
 
-import itertools
 import re
 import string
 from dataclasses import dataclass
@@ -40,6 +40,11 @@ _TEXT_BLOCK = 1 << 18
 #: 8 or 8 ceil(n/8) bytes (`_line_codes`): 36 bytes on RS[3,1]^3 (N = 27),
 #: where an XOR of the words themselves takes N
 _XOR_BLOCK = 1 << 16
+#: columns per block of `_min_distance_to_rows`, so that a block's XOR and
+#: count stay in cache: one pass over all 262,144 (line, word) columns of
+#: rep2^4's line test took `rho_r_exact` 16.7 ms against 11.1 ms in blocks
+#: (best of 7, 2-core Xeon, numpy 2.4); 2^13 to 2^15 columns ran equally fast
+_DISTANCE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,10 +209,6 @@ class Flat:
             if self.base[i] != 0:
                 raise ValueError("base must be zero on free axes")
 
-    @property
-    def k(self) -> int:
-        return len(self.free_axes)
-
 
 @dataclass(frozen=True)
 class CodeFamily:
@@ -249,26 +250,8 @@ class CodeFamily:
 
 
 # ----------------------------------------------------------------------
-# Flats and restrictions.
+# Restrictions.
 # ----------------------------------------------------------------------
-
-def enumerate_flats(shape: Sequence[int], k: int) -> List[Flat]:
-    """All k-flats: the free-axis sets in lexicographic order, and for each
-    set every base point over the fixed axes, row-major."""
-    shape = tuple(shape)
-    m = len(shape)
-    if not 1 <= k <= m - 1:
-        raise ValueError(f"flat dimension {k} outside [1, {m - 1}]")
-    out: List[Flat] = []
-    for axes in itertools.combinations(range(m), k):
-        fixed = [i for i in range(m) if i not in axes]
-        for coords in itertools.product(*(range(shape[i]) for i in fixed)):
-            base = [0] * m
-            for i, v in zip(fixed, coords):
-                base[i] = v
-            out.append(Flat(axes, tuple(base)))
-    return out
-
 
 def restrict(word: TensorWord, flat: Flat) -> TensorWord:
     """k-dimensional word read along the free axes, axis order ascending."""
@@ -518,13 +501,16 @@ def decode_to_products(words: np.ndarray, family: CodeFamily) -> Tuple[np.ndarra
     return decoded, reached
 
 
-def _min_distance_to_rows(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per-word minimum Hamming distance to any row of `rows`, a loop over
-    the rows or, when there are fewer words, over the words."""
-    if words.shape[0] < rows.shape[0]:
-        return np.array([np.count_nonzero(rows ^ w, axis=1).min() for w in words], dtype=np.int64)
-    best = np.full(words.shape[0], words.shape[1] + 1, dtype=np.int64)
-    for row in rows:
-        d = np.count_nonzero(words ^ row[None, :], axis=1)
-        np.minimum(best, d, out=best)
+def _min_distance_to_rows(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per column of a cells-major (n, C) array, the minimum Hamming distance
+    to any row of an (R, n) array: a loop over the columns when there are
+    fewer columns than rows, else over the rows for each block of
+    `_DISTANCE_BLOCK` columns, counting down the cells."""
+    if cols.shape[1] < rows.shape[0]:
+        return np.array([np.count_nonzero(rows ^ c, axis=1).min() for c in cols.T], dtype=np.int64)
+    best = np.full(cols.shape[1], cols.shape[0] + 1, dtype=np.int64)
+    for s in range(0, cols.shape[1], _DISTANCE_BLOCK):
+        block, out = cols[:, s : s + _DISTANCE_BLOCK], best[s : s + _DISTANCE_BLOCK]
+        for row in rows:
+            np.minimum(out, np.count_nonzero(block ^ row[:, None], axis=0), out=out)
     return best

@@ -19,10 +19,12 @@ component codes used throughout.
 
 Exact ratios of many words come from one kernel, `_exact_ratio`, over one
 word per coset of the product code (`rho_r_exact`) or over a sampled pool
-(`check_composition`).  Both agreement estimators count in integers, pairs
-in cells and the distance to the product code in `xor_line_counts` tables on
-the scale of `line_norm_scale`; `agreement_ratio_sampled` only replaces the
-minimum over the product code by a few candidates.
+(`check_composition`), the words as columns of a cells-major array; its
+flat distances take one scan per free-axis set, all its flats at once.
+Both agreement estimators count in integers, pairs in cells and the
+distance to the product code in `xor_line_counts` tables on the scale of
+`line_norm_scale`; `agreement_ratio_sampled` only replaces the minimum over
+the product code by a few candidates.
 Both sampled robustness estimators read one seeded pool, `_word_pool`, whose
 diagonal words are twisted diagonals T_s (`expansion.twisted_diagonal`): the
 witness, s = (-k, -2k) with k = n/3 on the rate-1/3 RS triple; `diagonal`, s = 0;
@@ -35,6 +37,7 @@ alpha_r are one formula, `_line_test_chain`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -53,7 +56,6 @@ from .tensor import (
     _min_distance_to_rows,
     decode_to_products,
     direction_words,
-    enumerate_flats,
     line_norm_scale,
     nearest_in_direction,
     product_codewords,
@@ -71,8 +73,8 @@ _RHO_R_T21 = Fraction(1, 72)  # line-test robustness floor of the rate-1/3 RS sq
 
 @dataclass(frozen=True)
 class FlatTest:
-    """The axis-parallel k-flat test on a fixed grid; its flats are
-    `enumerate_flats(shape, k)`."""
+    """The axis-parallel k-flat test on a fixed grid: for each of the C(m, k)
+    sets of k free axes, one flat per point of the other m - k axes."""
 
     shape: Tuple[int, ...]
     k: int
@@ -141,7 +143,7 @@ def test_expectation(word: TensorWord, test: FlatTest, family: CodeFamily) -> Di
         lower, upper = _line_distances(word.data[None], family)
         cells = family.m * prod(family.shape)
         return DistanceBound(Fraction(int(lower.sum()), cells), Fraction(int(upper.sum()), cells))
-    dist = _flat_distances(word.data.reshape(1, -1), test, family)
+    dist = _flat_distances(word.data.reshape(-1, 1), test, family)
     value = Fraction(int(dist[0]), test.size)
     return DistanceBound(value, value)
 
@@ -153,33 +155,33 @@ test_expectation.__test__ = False  # keep pytest from collecting the operation
 # Exact robustness by enumerating the cosets of the product code.
 # ----------------------------------------------------------------------
 
-def _flat_distances(words: np.ndarray, test: FlatTest, family: CodeFamily) -> np.ndarray:
-    """Per word of a flattened (W, N) array, the sum over the test's flats of
-    the Hamming distance from the word's restriction to the restricted
-    product code, whose codewords are enumerated once per free-axis set."""
-    cells = np.arange(prod(test.shape)).reshape(test.shape)
-    restricted: Dict[Tuple[int, ...], np.ndarray] = {}
-    total = np.zeros(words.shape[0], dtype=np.int64)
-    for flat in enumerate_flats(test.shape, test.k):
-        axes = flat.free_axes
-        if axes not in restricted:
-            restricted[axes] = product_codewords(family.restrict(axes))
-        idx = tuple(slice(None) if i in axes else b for i, b in enumerate(flat.base))
-        total += _min_distance_to_rows(words[:, cells[idx].reshape(-1)], restricted[axes])
+def _flat_distances(cells: np.ndarray, test: FlatTest, family: CodeFamily) -> np.ndarray:
+    """Per word of a cells-major (N, W) array, one word per column, the sum
+    over the test's flats of the Hamming distance from the word's restriction
+    to the restricted product code.  Each free-axis set is one scan: its axes
+    moved to the front, every (flat, word) pair is a column of an (|f|, F W)
+    array."""
+    words = cells.reshape(test.shape + (-1,))
+    total = np.zeros(cells.shape[1], dtype=np.int64)
+    for axes in itertools.combinations(range(len(test.shape)), test.k):
+        restricted = product_codewords(family.restrict(axes))
+        flats = np.moveaxis(words, axes, range(test.k)).reshape(restricted.shape[1], -1)
+        total += _min_distance_to_rows(flats, restricted).reshape(-1, cells.shape[1]).sum(axis=0)
     return total
 
 
 def _exact_ratio(
-    words: np.ndarray, test: FlatTest, family: CodeFamily, prod_cws: np.ndarray
+    cells: np.ndarray, test: FlatTest, family: CodeFamily, prod_cws: np.ndarray
 ) -> Optional[Fraction]:
-    """Exact minimum robustness ratio over the rows of a (W, N) word array
-    outside the product code, whose codewords are `prod_cws`; None when every
-    row is a codeword.  A row's ratio is (num / test.size) / (dmin / N)."""
-    dmin = _min_distance_to_rows(words, prod_cws)
+    """Exact minimum robustness ratio over the columns of a cells-major (N, W)
+    word array outside the product code, whose codewords are `prod_cws`; None
+    when every word is a codeword.  A word's ratio is (num / test.size) /
+    (dmin / N)."""
+    dmin = _min_distance_to_rows(cells, prod_cws)
     if not dmin.any():
         return None
-    num = _flat_distances(words, test, family)
-    return _exact_ratio_min(num, dmin, test.size, words.shape[1])[0]
+    num = _flat_distances(cells, test, family)
+    return _exact_ratio_min(num, dmin, test.size, cells.shape[0])[0]
 
 
 def word_space_enumerable(family: CodeFamily) -> bool:
@@ -214,19 +216,15 @@ def rho_r_exact(test: FlatTest, family: CodeFamily) -> Fraction:
     if free.size == 0:
         raise ValueError("degenerate family: no word lies outside the product code")
 
-    best: Optional[Fraction] = None
+    ratios = []  # per block of representatives; None for a block of codewords only
     total = q**free.size
     chunk = 1 << 18
     for start in range(0, total, chunk):
         reps = linalg.enumerate_vectors(q, free.size, start, min(start + chunk, total))
-        words = np.zeros((reps.shape[0], N), dtype=np.uint8)
-        words[:, free] = reps
-        value = _exact_ratio(words, test, family, prod_cws)
-        if value is not None and (best is None or value < best):
-            best = value
-    if best is None:
-        raise RuntimeError("no enumerated word lies outside the product code")
-    return best
+        cells = np.zeros((N, reps.shape[0]), dtype=np.uint8)
+        cells[free] = reps.T
+        ratios.append(_exact_ratio(cells, test, family, prod_cws))
+    return min(r for r in ratios if r is not None)
 
 
 def robustness_ratio(
@@ -513,13 +511,13 @@ def check_composition(
     fam_m = CodeFamily.power(code, m)
     fam_k2 = CodeFamily.power(code, k2)
     inner = rho_r_exact(FlatTest.build(fam_k2.shape, k1), fam_k2)
-    words = np.stack([word.data.reshape(-1) for _, word in _word_pool(fam_m, samples, seed)])
+    cells = np.stack([w.data.reshape(-1) for _, w in _word_pool(fam_m, samples, seed)], axis=1)
     prod_cws = product_codewords(fam_m)
-    lhs_min = _exact_ratio(words, FlatTest.build(fam_m.shape, k1), fam_m, prod_cws)
+    lhs_min = _exact_ratio(cells, FlatTest.build(fam_m.shape, k1), fam_m, prod_cws)
     if lhs_min is None:
         raise ValueError("pool contained only codewords")
-    # the same rows lie outside the product code, so this is not None either
-    outer_min = _exact_ratio(words, FlatTest.build(fam_m.shape, k2), fam_m, prod_cws)
+    # the same words lie outside the product code, so this is not None either
+    outer_min = _exact_ratio(cells, FlatTest.build(fam_m.shape, k2), fam_m, prod_cws)
     return composition_report(fam_m, k1, k2, lhs_min, outer_min, inner, seed, samples)
 
 

@@ -447,15 +447,13 @@ def orc_tensor_text(word):
 
 def full_space_rho_r(test, family):
     """rho_r of a package `FlatTest` on a package family from all q^N words,
-    2^18 at a time through `prodexp.testability._exact_ratio`, where
-    `rho_r_exact` scores one word per coset of the product code."""
+    2^18 at a time through `prodexp.testability._exact_ratio`, one word per
+    column, where `rho_r_exact` scores one word per coset of the product code."""
     N, q = prod(family.shape), family.field.order
     prod_cws = product_codewords(family)
     chunk = 1 << 18
-    ratios = (
-        _exact_ratio(linalg.enumerate_vectors(q, N, s, min(s + chunk, q**N)), test, family, prod_cws)
-        for s in range(0, q**N, chunk)
-    )
+    words = (linalg.enumerate_vectors(q, N, s, min(s + chunk, q**N)) for s in range(0, q**N, chunk))
+    ratios = (_exact_ratio(w.T, test, family, prod_cws) for w in words)
     return min(r for r in ratios if r is not None)
 
 

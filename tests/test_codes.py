@@ -315,3 +315,15 @@ def test_check_poly_membership_agrees_with_generator_span():
 
     for word in itertools.product(range(4), repeat=3):
         assert code.contains(list(word)) == (word in span)
+
+
+def test_enumerate_vectors_refuses_2_to_the_25_before_allocating(monkeypatch):
+    """2^25 vectors exceed the 2^24 limit: the refusal comes before the
+    index range or the output array is allocated."""
+    def refused(*args, **kwargs):
+        pytest.fail("allocated past the guard")
+
+    for name in ("arange", "zeros", "empty"):
+        monkeypatch.setattr(linalg.np, name, refused)
+    with pytest.raises(ValueError, match="enumeration of 33554432 vectors is too large"):
+        linalg.enumerate_vectors(2, 25)

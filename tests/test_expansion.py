@@ -644,6 +644,17 @@ def test_search_min_ties_go_to_first_brute_force_minimizer(fam):
         assert Fraction(num, den) == want_cost
 
 
+def test_search_min_refuses_a_large_ambiguity_space_before_enumerating(monkeypatch):
+    """rep2^5 has D = 80 basis words and a sum code of dimension 31, so its
+    ambiguity coset holds 2^49 > `_AMBIGUITY_LIMIT` splittings: `search_min`
+    must refuse from K alone, before it enumerates a coefficient vector."""
+    space = DecompositionSpace(CodeFamily.power(REP2, 5))
+    assert space.ambiguity_dim == 49
+    monkeypatch.setattr(linalg, "enumerate_vectors", lambda *a: pytest.fail("built past the guard"))
+    with pytest.raises(ValueError, match="ambiguity space too large"):
+        space.search_min(np.zeros(space.D, dtype=np.uint8))
+
+
 @pytest.mark.parametrize(
     "fam",
     [

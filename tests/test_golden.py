@@ -61,6 +61,7 @@ CASES = {
     "check-lemmas-rep2-m3": "check-lemmas --instance rep2 --m 3",
     "check-lemmas-rs-t1-m2": "check-lemmas --instance rs --t 1 --m 2",
     "check-lemmas-rs-t1-m3": "check-lemmas --instance rs --t 1 --m 3 --samples 4 --seed 2",
+    "check-lemmas-rep2-m2-csv": "check-lemmas --instance rep2 --m 2 --format csv",
     "ps-corollary-t1": "ps-corollary --instance rs --t 1 --trials 200 --seed 11",
     "ps-corollary-t2": "ps-corollary --instance rs --t 2 --trials 20 --seed 11",
     "ps-corollary-t3": "ps-corollary --instance rs --t 3 --trials 20 --seed 11",

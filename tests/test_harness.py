@@ -429,6 +429,26 @@ def test_check_lemmas_refuses_before_enumerating_robustness(argv, monkeypatch, c
     assert captured.out == "" and "tuple space too large" in captured.err, captured
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["--instance rs --t 2 --m 3 --samples 4 --seed 2", "--instance rs --t 3 --m 3"],
+    ids=["rs_t2_m3", "rs_t3_m3"],
+)
+def test_check_lemmas_refuses_the_pool_check_beyond_c2s_word_space(argv, monkeypatch, capsys):
+    """The pool check enumerates rho_r(T_2^1) on C^2 exactly, which RS[15,5]^2
+    and RS[63,21]^2 exceed: the harness refuses, naming both limits, before
+    `check_composition` builds anything.  It once reached the exact
+    guard inside `check_composition`."""
+    from prodexp import harness
+
+    monkeypatch.setattr(harness, "check_composition", lambda *a: pytest.fail("pool check ran"))
+    assert main(["check-lemmas", *argv.split()]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the exact checks need q^(n^m) <= 2^24" in captured.err
+    assert "the pool check m >= 3 and q^(n^2) <= 2^24" in captured.err
+
+
 def test_sampled_agreement_row_reduces_each_code_once(monkeypatch):
     """`_systematic_reencode` reads the systematic bit matrix kept on the
     code: one `linalg.rref` per code, where it ran one per word and axis.
@@ -538,6 +558,71 @@ def test_zero_rate_denominator_exits_2(argv, tmp_path, capsys):
     assert main(head + ["--config", str(cfg_file)]) == EXIT_USAGE
     assert "bad rate [1, 0]: the denominator must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["certify-counterexample --t 1", "rho-exact --instance rep2 --m 2"],
+    ids=["certify", "rho-exact"],
+)
+def test_config_file_bad_format_exits_2_and_writes_nothing(argv, tmp_path, capsys):
+    """`{"fmt": "xml"}` was once refused only when the report was emitted,
+    after certify-counterexample had written its certificate to --out; the
+    config check now refuses it before any work."""
+    out, cfg_file = tmp_path / "out", tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"fmt": "xml"}))
+    assert main(argv.split() + ["--out", str(out), "--config", str(cfg_file)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown format 'xml'" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        ("rho-sampled --instance rs --t 1 --m 3", None, "rho-sampled requires --seed"),
+        (
+            "robustness --instance rep2 --m 3 --k 2 --mode sampled --seed 1",
+            None,
+            "sampled robustness is implemented for the line test only",
+        ),
+        (
+            "robustness --instance rep2 --m 2 --k 2 --mode exact",
+            None,
+            "flat dimension 2 outside [1, 1]",
+        ),
+        ("check-lemmas --instance rs --t 2 --m 2", None, "word space too large: the exact checks"),
+        ("rho-exact --instance rs --t 1 --rate x --m 2", None, "bad rate 'x'; expected p/q"),
+        ("rho-exact --instance rep2 --m 2", "missing", "cannot read config file"),
+        ("rho-exact --instance rep2 --m 2", [1, 2], "config file must hold one JSON object"),
+        ("rho-exact --m 2", {"instance": "foo"}, "unknown instance 'foo'; choose rep2 or rs"),
+        ("robustness --instance rep2 --m 2", {"mode": "fast"}, "unknown mode 'fast'"),
+    ],
+    ids=[
+        "rho-sampled-no-seed",
+        "robustness-sampled-k2",
+        "robustness-exact-k-equals-m",
+        "check-lemmas-rs-t2-m2",
+        "bad-rate",
+        "config-missing",
+        "config-list",
+        "config-instance",
+        "config-mode",
+    ],
+)
+def test_cli_refusals_exit_2_with_a_message(argv, config, message, tmp_path, capsys):
+    """Each refusal exits 2 with its message on stderr, nothing on stdout
+    and no traceback: an exception that escaped `main` would fail the test."""
+    args = argv.split()
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        if config != "missing":
+            cfg_file.write_text(json.dumps(config))
+        args += ["--config", str(cfg_file)]
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err, captured
+    assert "Traceback" not in captured.err
 
 
 def test_config_file_unknown_keys_exit_2(tmp_path, capsys):

@@ -1004,7 +1004,7 @@ def test_flat_and_product_distances_are_coset_invariant(family_word, data):
     family, word = family_word
     c = data.draw(product_code_words(family))
     test = FlatTest.build(family.shape, data.draw(st.integers(1, family.m - 1)))
-    pair = np.stack([word.data.reshape(-1), (word + c).data.reshape(-1)])
+    pair = np.stack([word.data.reshape(-1), (word + c).data.reshape(-1)], axis=1)
     flat = _flat_distances(pair, test, family)
     dist = _min_distance_to_rows(pair, product_codewords(family))
     assert flat[0] == flat[1]

@@ -497,3 +497,36 @@ def test_pair_proximity_counts_in_integers():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "Fraction"
     ]
     assert found == [], found
+
+
+def test_no_flat_enumerator():
+    """The flat test's flats are not listed one by one: no module defines or
+    names `enumerate_flats`, and `FlatTest.build` is the one check of k."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if "enumerate_flats" in _ast_names(node):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], found
+
+
+def test_flat_distances_loop_over_free_axis_sets_only():
+    """`_flat_distances` scans all flats of one free-axis set at once: its
+    one loop runs over `itertools.combinations`, none over the flats."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    kernel = next(f for _, f in _functions() if f.name == "_flat_distances")
+    found = [node for node in ast.walk(kernel) if isinstance(node, loops)]
+    assert len(found) == 1, [node.lineno for node in found]
+    assert isinstance(found[0], ast.For)
+    assert ast.unparse(found[0].iter.func) == "itertools.combinations"
+
+
+def test_package_lines_fit_100_columns():
+    """No line of the package source is wider than 100 columns."""
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == [], long_lines

@@ -6,7 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import delta_to_product, orc_sum_contains, orc_sum_syndrome, orc_tensor_text
+from oracles import (
+    delta_to_product,
+    orc_cells,
+    orc_flats,
+    orc_sum_contains,
+    orc_sum_syndrome,
+    orc_tensor_text,
+)
 from prodexp.codes import (
     bounded_distance_decode,
     delta_to_code,
@@ -21,7 +28,6 @@ from prodexp.tensor import (
     CodeFamily,
     Flat,
     TensorWord,
-    enumerate_flats,
     line_counts,
     line_norm_scale,
     line_weight,
@@ -50,24 +56,11 @@ def W(field, nested):
 # Flats.
 # ----------------------------------------------------------------------
 
-def test_enumerate_flats_2x2_lines():
-    flats = enumerate_flats((2, 2), 1)
-    assert flats == [Flat((0,), (0, 0)), Flat((0,), (0, 1)), Flat((1,), (0, 0)), Flat((1,), (1, 0))]
-
-
-def test_enumerate_flats_cube():
-    lines = enumerate_flats((3, 3, 3), 1)
-    assert len(lines) == 27 and all(flat.k == 1 for flat in lines)
-    planes = enumerate_flats((3, 3, 3), 2)
-    assert len(planes) == 9 and all(flat.k == 2 for flat in planes)
-    assert len(set(lines)) == 27 and len(set(planes)) == 9
-
-
-def test_enumerate_flats_rejects_bad_k():
-    with pytest.raises(ValueError):
-        enumerate_flats((2, 2), 2)
-    with pytest.raises(ValueError):
-        enumerate_flats((2, 2), 0)
+def oracle_flats(shape, k):
+    """(`Flat`, cell indices) for every k-flat of `orc_flats`: a flat's first
+    cell, zero on its free axes, is its base."""
+    cells = orc_cells(shape)
+    return [(Flat(axes, cells[members[0]]), members) for members, axes in orc_flats(shape, k)]
 
 
 def test_restrict_full_dimension_is_identity():
@@ -88,8 +81,10 @@ def test_restrict_line_indexing():
 
 def test_counterexample_restrictions_have_weight_one():
     w = counterexample_word(F4, 1)
-    for flat in enumerate_flats((3, 3, 3), 1):
-        assert restrict(w, flat).weight() == 1
+    for flat, members in oracle_flats((3, 3, 3), 1):
+        sub = restrict(w, flat)
+        assert sub.weight() == 1
+        assert list(sub.data) == [w.data.reshape(-1)[i] for i in members]
 
 
 # ----------------------------------------------------------------------
@@ -305,8 +300,9 @@ def test_flat_restrictions_consistent_with_product_membership():
     for _ in range(20):
         w = random_product_codeword(fam, rng)
         for k in (1, 2):
-            for flat in enumerate_flats((2, 2, 2), k):
+            for flat, members in oracle_flats((2, 2, 2), k):
                 sub = restrict(w, flat)
+                assert list(sub.data.reshape(-1)) == [w.data.reshape(-1)[i] for i in members]
                 subfam = fam.restrict(flat.free_axes)
                 if k == 1:
                     assert subfam.codes[0].contains(sub.data)
@@ -409,6 +405,33 @@ def test_delta_to_product_on_member_and_nonmember():
     assert delta_to_product(TensorWord.zeros(F2, (2, 2)), fam) == 0
     w = W(F2, [[1, 0], [0, 0]])
     assert delta_to_product(w, fam) == Fraction(1, 4)
+
+
+def test_product_codewords_refuses_rs15_squared_before_enumerating(monkeypatch):
+    """RS[15,5]^2 has 16^25 product codewords: the guard must refuse from
+    the dimensions alone, before a message is enumerated."""
+    monkeypatch.setattr(
+        tensor.linalg, "enumerate_vectors", lambda *a: pytest.fail("built past the guard")
+    )
+    with pytest.raises(ValueError, match="product code too large to enumerate"):
+        tensor.product_codewords(CodeFamily.power(RS15, 2))
+
+
+@pytest.mark.parametrize("n_cols, block", [(5, None), (300, None), (1000, 64), (1000, 7)])
+def test_min_distance_to_rows_matches_per_column_brute_force(monkeypatch, n_cols, block):
+    """Per column of a cells-major array, the minimum Hamming distance to
+    the rows: 5 columns against 40 rows take the loop over columns, the
+    others the blocked loop over rows, across several blocks when the block
+    constant is patched to one that does not divide the column count."""
+    if block is not None:
+        monkeypatch.setattr(tensor, "_DISTANCE_BLOCK", block)
+    rng = np.random.default_rng(n_cols)
+    cols = rng.integers(0, 4, size=(9, n_cols), dtype=np.uint8)
+    rows = rng.integers(0, 4, size=(40, 9), dtype=np.uint8)
+    want = [min(sum(a != b for a, b in zip(col, row)) for row in rows) for col in cols.T]
+    got = tensor._min_distance_to_rows(cols, rows)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
 
 
 # ----------------------------------------------------------------------

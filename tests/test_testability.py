@@ -17,7 +17,6 @@ from prodexp.tensor import (
     CodeFamily,
     TensorWord,
     decode_to_products,
-    enumerate_flats,
     line_weight,
     product_codewords,
     product_contains,
@@ -66,18 +65,28 @@ def test_flat_test_weights_sum_to_one():
     I has prod_{i not in I} n_i flats, which cover the grid once, so the
     weights of every set sum to 1/C(m, k) and all of them to one."""
     for shape, k in (((2, 2), 1), ((3, 3, 3), 1), ((3, 3, 3), 2), ((2, 3, 4), 2)):
-        counts = Counter(flat.free_axes for flat in enumerate_flats(shape, k))
+        flats = oracles.orc_flats(shape, k)
+        assert FlatTest.build(shape, k).size == sum(len(members) for members, _ in flats)
+        counts = Counter(axes for _, axes in flats)
         assert sorted(counts) == list(itertools.combinations(range(len(shape)), k))
         for axes, count in counts.items():
             assert count == prod(n for i, n in enumerate(shape) if i not in axes)
             assert count * prod(shape[i] for i in axes) == prod(shape)
 
 
+def test_flat_test_build_rejects_bad_k():
+    """`FlatTest.build` is the one check of the flat dimension: 1 <= k <= m - 1."""
+    with pytest.raises(ValueError, match=r"flat dimension 2 outside \[1, 1\]"):
+        FlatTest.build((2, 2), 2)
+    with pytest.raises(ValueError, match=r"flat dimension 0 outside \[1, 1\]"):
+        FlatTest.build((2, 2), 0)
+
+
 def test_flat_weights_uniform_iff_equal_sides():
     """Size-proportional weights are uniform iff all flats have one size."""
 
     def sizes(shape, k):
-        return {prod(shape[i] for i in flat.free_axes) for flat in enumerate_flats(shape, k)}
+        return {len(members) for members, _ in oracles.orc_flats(shape, k)}
 
     assert sizes((3, 3, 3), 2) == {9}
     assert sizes((2, 3, 4), 2) == {6, 8, 12}
@@ -160,16 +169,16 @@ def test_rho_r_exact_scores_one_word_per_coset(monkeypatch):
 
     real, seen = testability._exact_ratio, []
 
-    def counted(words, *args):
-        seen.append(words.copy())
-        return real(words, *args)
+    def counted(cells, *args):
+        seen.append(cells.copy())
+        return real(cells, *args)
 
     monkeypatch.setattr(testability, "_exact_ratio", counted)
     assert rho_r_exact(line_test((3, 3)), G2) == Fraction(1, 2)
-    words = np.concatenate(seen)
-    assert words.shape == (4**8, 9)
-    assert not words[:, 0].any()
-    assert np.unique(words, axis=0).shape[0] == 4**8
+    cells = np.concatenate(seen, axis=1)  # one word per column
+    assert cells.shape == (9, 4**8)
+    assert not cells[0].any()
+    assert np.unique(cells, axis=1).shape[1] == 4**8
 
 
 @pytest.mark.parametrize(
